@@ -16,7 +16,6 @@ from .cf import (
     format_period,
     parse_period,
     period_matrix,
-    period_of_node,
 )
 from .tree import (
     ROOT,

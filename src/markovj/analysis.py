@@ -330,7 +330,7 @@ def check_J_recursion(
     report = Report(title=f"local recursion errors to depth {depth}")
     max_ratio = 0.0
     worst = ""
-    ok = True
+    violation = ""
     for node in build_tree(depth):
         if node.level < 2:
             continue
@@ -344,20 +344,19 @@ def check_J_recursion(
         bound_re = RE_DELTA_COEF * decay
         bound_im = IM_DELTA_COEF * decay
         if abs(delta.real) > bound_re + slack or abs(delta.imag) > bound_im + slack:
-            ok = False
-            worst = node.path
+            violation = node.path
         ratio = max(abs(delta.real) / bound_re, abs(delta.imag) / bound_im)
         if ratio > max_ratio:
             max_ratio = ratio
-            worst = worst or node.path
+            worst = node.path
     report.add(CheckResult(
         name="|delta| within geometric bound",
-        status="pass" if ok else "fail",
+        status="fail" if violation else "pass",
         measured=max_ratio,
         bound=1.0,
         margin=1.0 - max_ratio,
-        details=f"max |delta|/bound over levels 2..{depth}"
-        + (f", violation at {worst!r}" if not ok else ""),
+        details=f"max |delta|/bound over levels 2..{depth} at {worst!r}"
+        + (f", violation at {violation!r}" if violation else ""),
     ))
     return report
 

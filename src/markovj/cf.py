@@ -3,24 +3,23 @@
 Periods are cyclic words; a purely periodic expansion
 (a1, a2, ...) = a1 - 1/(a2 - 1/...) converges to a real > 1 whenever all
 digits are >= 2.  This module holds the combinatorics (conjunction of
-periods, the word attached to a tree path) and the numerics (fixed-point
-evaluation, cycle-state enumeration).
+periods, least rotations) and the numerics (fixed-point evaluation,
+cycle-state enumeration and its exact integer check).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 __all__ = [
     "Period",
     "CycleState",
     "PeriodError",
     "conjunction",
-    "period_of_node",
     "parse_period",
     "format_period",
     "eval_periodic",
@@ -42,7 +41,7 @@ ROOT_DIGITS = (2, 3, 4)
 
 
 class PeriodError(ValueError):
-    """Raised for malformed periods or paths."""
+    """Raised for malformed periods or a failed cycle check."""
 
 
 def _check_digits(digits: Sequence[int]) -> tuple[int, ...]:
@@ -66,19 +65,31 @@ class Period:
     """
 
     digits: tuple[int, ...]
-    canonical: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        digits = _check_digits(self.digits)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "canonical", min(self._rotations_of(digits)))
+        object.__setattr__(self, "digits", _check_digits(self.digits))
 
-    @staticmethod
-    def _rotations_of(digits: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [digits[i:] + digits[:i] for i in range(len(digits))]
-
-    def rotations(self) -> list[tuple[int, ...]]:
-        return self._rotations_of(self.digits)
+    @cached_property
+    def canonical(self) -> tuple[int, ...]:
+        """The least rotation, found with Booth's O(q) algorithm
+        (K. S. Booth, Inf. Proc. Lett. 10, 1980) on first use."""
+        s = self.digits * 2
+        fail = [-1] * len(s)
+        k = 0
+        for j in range(1, len(s)):
+            sj = s[j]
+            i = fail[j - k - 1]
+            while i != -1 and sj != s[k + i + 1]:
+                if sj < s[k + i + 1]:
+                    k = j - i - 1
+                i = fail[i]
+            if sj != s[k + i + 1]:
+                if sj < s[k]:
+                    k = j
+                fail[j - k] = -1
+            else:
+                fail[j - k] = i + 1
+        return self.digits[k:] + self.digits[:k]
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -150,49 +161,6 @@ def format_period(period: Period, compact: bool = True) -> str:
     return ",".join(parts)
 
 
-def _validate_path(path: str) -> str:
-    if any(step not in "LR" for step in path):
-        raise PeriodError(f"path must be a word over L/R, got {path!r}")
-    return path
-
-
-def period_walk(path: str) -> Iterator[tuple[Period, Period, Period]]:
-    """Walk from the root along ``path``, yielding at every vertex the
-    triple (period, left-neighbour period, right-neighbour period).
-
-    The neighbours are the two Farey-interval endpoints of the vertex;
-    the word at a left child is parent * left-neighbour, at a right
-    child right-neighbour * parent, except along the all-L branch where
-    the word at level n is (2, 3_n, 4).
-    """
-    _validate_path(path)
-    period = Period(ROOT_DIGITS)
-    left = Period(TIP_LEFT_DIGITS)
-    right = Period(TIP_RIGHT_DIGITS)
-    yield period, left, right
-    leftmost = True
-    for depth, step in enumerate(path, start=2):
-        if step == "L":
-            child = (
-                Period((2,) + (3,) * depth + (4,))
-                if leftmost
-                else conjunction(period, left)
-            )
-            period, right = child, period
-        else:
-            leftmost = False
-            child = conjunction(right, period)
-            period, left = child, period
-        yield period, left, right
-
-
-def period_of_node(path: str) -> Period:
-    """The period at tree path ``path`` ("" is the root, word (2,3,4))."""
-    for period, _, _ in period_walk(path):
-        pass
-    return period
-
-
 def eval_periodic(
     period: Period | Sequence[int],
     tol: float = 1e-14,
@@ -233,57 +201,76 @@ class CycleState:
     rotation of the period, with its value and Galois conjugate."""
 
     a0: int
-    tail: tuple[int, ...]
     value: float
     conj_value: float
 
 
-class _Quadratic:
-    """Exact element x + y*sqrt(disc) of a real quadratic field,
-    with x, y rational.  Only what the cycle walk needs."""
+def _rotation_values(digits: tuple[int, ...]) -> list[float]:
+    """Values T_k of every rotation digits[k:] + digits[:k].
 
-    __slots__ = ("x", "y", "disc")
+    Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
+    update every T_k in turn.  Each T_k is kept from the first sweep in
+    which it moves by less than 1e-14, the rule :func:`eval_periodic`
+    applies to a single rotation (so T_0 is exactly its value), and the
+    sweeps stop once every T_k is kept.  The map contracts by about
+    1/eps^2 per sweep, so a few sweeps suffice.
+    """
+    n = len(digits)
+    prev = [math.inf] * n
+    kept: list = [None] * n
+    left = n
+    x = 2.0
+    for _ in range(10_000):
+        for k in range(n - 1, -1, -1):
+            x = digits[k] - 1.0 / x
+            if kept[k] is None and abs(x - prev[k]) < 1e-14:
+                kept[k] = x
+                left -= 1
+            prev[k] = x
+        if not left:
+            return kept
+    raise PeriodError(f"rotation sweep did not converge for {digits}")
 
-    def __init__(self, x: Fraction, y: Fraction, disc: int):
-        self.x, self.y, self.disc = x, y, disc
 
-    def __float__(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(self.disc)
+def _exact_cycle(digits: tuple[int, ...], states: list[CycleState],
+                 check_tol: float) -> None:
+    """Check ``states`` against the simple-form cycle walk run exactly.
 
-    def minus_one(self) -> "_Quadratic":
-        return _Quadratic(self.x - 1, self.y, self.disc)
-
-    def over_one_minus(self) -> "_Quadratic":
-        # z / (1 - z) for z = x + y*sqrt(d)
-        den = (1 - self.x) ** 2 - self.y**2 * self.disc
-        nx = (self.x * (1 - self.x) + self.y**2 * self.disc) / den
-        ny = self.y / den
-        return _Quadratic(nx, ny, self.disc)
-
-
-def _exact_cycle(digits: tuple[int, ...], length: int) -> list[float]:
-    """Run the simple-form cycle walk exactly in Q(sqrt(D)).
-
-    Starts at w - 1 with w the attracting fixed point of the period
-    matrix and applies z -> z-1 (z >= 1) or z -> z/(1-z).  Returns the
-    float images of the first ``length`` states and checks that the walk
-    closes up after exactly ``length`` steps.
+    The walk starts at w - 1, w the attracting fixed point of the
+    period matrix, and applies z -> z-1 (z >= 1) or z -> z/(1-z).  Each
+    z = (P + sqrt(D))/Q is kept as the integer pair (P, Q) with Q > 0
+    and Q | D - P^2: the reduction cycle of a binary quadratic form of
+    discriminant D (Zagier, Zetafunktionen und quadratische Koerper,
+    1981).  The walk must close after exactly len(states) steps.
     """
     (a, _b), (c, d) = period_matrix(digits)
     disc = (a + d) ** 2 - 4
-    w = _Quadratic(Fraction(a - d, 2 * c), Fraction(1, 2 * c), disc)
-    z = w.minus_one()
-    out = [float(z)]
-    first = (z.x, z.y)
-    for step in range(length):
-        z = z.minus_one() if float(z) >= 1.0 else z.over_one_minus()
-        if step < length - 1:
-            out.append(float(z))
-    if (z.x, z.y) != first:
+    root = math.isqrt(disc << 128)  # floor(sqrt(D) * 2^64)
+    # D = t^2 - 4 with trace t >= 3 is never a square, so z >= 1 iff
+    # sqrt(D) > Q - P iff Q - P <= floor(sqrt(D)).
+    floor_sqrt = root >> 64
+    p, q = a - d - 2 * c, 2 * c
+    start = (p, q)
+    for state in states:
+        # int / int is correctly rounded at any size.
+        exact = ((p << 64) + root) / (q << 64)
+        if abs(state.value - exact) > check_tol:
+            raise PeriodError(
+                f"cycle state mismatch for {digits}: "
+                f"{state.value} vs exact {exact}"
+            )
+        if q - p <= floor_sqrt:
+            p -= q
+        else:
+            p = q - p
+            q, rem = divmod(p * p - disc, q)
+            if rem:
+                raise PeriodError(f"inexact cycle step for {digits}")
+            p -= q
+    if (p, q) != start:
         raise PeriodError(
-            f"cycle of {digits} did not close after {length} steps"
+            f"cycle of {digits} did not close after {len(states)} steps"
         )
-    return out
 
 
 def cycle_states(
@@ -296,28 +283,22 @@ def cycle_states(
     States are produced in walk order: for each cyclic position the
     leading integer a0 runs down from a_i - 1 to 1 over the rotation
     that follows digit a_i.  Conjugates come from the reversed-word
-    formula.  With ``cross_check`` the enumeration is verified against
-    an exact-arithmetic run of the cycle map.
+    formula.  Both families of rotation values come from cyclic sweeps,
+    so a node costs O(q).
+    With ``cross_check`` the enumeration is verified against an
+    exact-arithmetic run of the cycle map.
     """
     digits = period.digits if isinstance(period, Period) else _check_digits(period)
-    n = len(digits)
+    # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
+    tails = _rotation_values(digits[1:] + digits[:1])
+    rev = _rotation_values(digits[::-1])
     states: list[CycleState] = []
-    for i in range(n):
-        tail = digits[i + 1 :] + digits[: i + 1]
-        last = tail[-1]
-        t = eval_periodic(tail)
-        rev = tail[-2::-1] + (tail[-1],)
-        t_rev = eval_periodic(rev)
+    for i, last in enumerate(digits):
+        t, t_rev = tails[i], rev[-i]
         for a0 in range(last - 1, 0, -1):
             value = a0 - 1.0 / t
             conj = -((last - a0) - 1.0 / t_rev)
-            states.append(CycleState(a0=a0, tail=tail, value=value, conj_value=conj))
+            states.append(CycleState(a0=a0, value=value, conj_value=conj))
     if cross_check:
-        walk = _exact_cycle(digits, len(states))
-        for state, exact in zip(states, walk):
-            if abs(state.value - exact) > check_tol:
-                raise PeriodError(
-                    f"cycle state mismatch for {digits}: "
-                    f"{state.value} vs exact {exact}"
-                )
+        _exact_cycle(digits, states, check_tol)
     return states

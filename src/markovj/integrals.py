@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -265,10 +266,19 @@ def cache_record(value: CycleValue) -> dict:
 
 
 def write_cache(values: Iterable[CycleValue], path) -> None:
-    """Append-free rewrite of the JSON-lines result cache."""
-    with open(path, "w") as fh:
-        for value in values:
-            fh.write(json.dumps(cache_record(value), sort_keys=True) + "\n")
+    """Rewrite the JSON-lines result cache atomically: the records go to
+    a temp file beside it, which then replaces it, so an interrupted
+    write leaves the previous cache intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            for value in values:
+                fh.write(json.dumps(cache_record(value), sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_cache(path) -> list[dict]:

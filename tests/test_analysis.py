@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from markovj.analysis import (
     gg_prime_ranges,
     theorem2_constants,
 )
-from markovj.tree import TIP_LEFT, TIP_RIGHT, node_at
+from markovj.tree import TIP_LEFT, TIP_RIGHT, build_tree, node_at
 
 
 class TestDecompose:
@@ -79,6 +80,29 @@ class TestJRecursion:
         report = check_J_recursion(depth9_values, 5)
         assert report.passed
         assert report.checks[0].measured < 1.0
+
+    @staticmethod
+    def _synthetic(ratios):
+        """Values for build_tree(3) with J = 0 except at the given level-3
+        leaves, whose delta is then the given multiple of the bound."""
+        values = {n.path: SimpleNamespace(J=0j) for n in build_tree(3)}
+        bound = analysis.RE_DELTA_COEF * CONTRACTION ** 4
+        for path, ratio in ratios.items():
+            values[path] = SimpleNamespace(J=complex(ratio * bound, 0.0))
+        return values
+
+    def test_names_argmax_after_smaller_increase(self):
+        # The ratio first increases at LL, then peaks at RR.
+        check = check_J_recursion(self._synthetic({"LL": 0.1, "RR": 0.5}), 3).checks[0]
+        assert check.status == "pass"
+        assert check.measured == pytest.approx(0.5)
+        assert "'RR'" in check.details
+        assert "'LL'" not in check.details
+
+    def test_names_argmax_and_violation(self):
+        check = check_J_recursion(self._synthetic({"LL": 0.1, "RR": 3.0}), 3).checks[0]
+        assert check.status == "fail"
+        assert check.details.endswith("at 'RR', violation at 'RR'")
 
 
 class TestGGPrime:

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from markovj import cf
 from markovj.cf import (
     CONJ_MAX,
     CONJ_MIN,
@@ -16,8 +17,8 @@ from markovj.cf import (
     format_period,
     parse_period,
     period_matrix,
-    period_of_node,
 )
+from markovj.tree import TreeError, node_at
 
 # All-2 words are parabolic (value 1, not > 1) and outside the domain.
 digit_words = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=12).filter(
@@ -67,24 +68,24 @@ class TestSerialization:
 
 class TestTreeWords:
     def test_root_and_tips(self):
-        assert period_of_node("").digits == (2, 3, 4)
+        assert node_at("").period.digits == (2, 3, 4)
 
     def test_children_of_root(self):
-        assert period_of_node("L").digits == (2, 3, 3, 4)
-        assert period_of_node("R").digits == (2, 4, 2, 3, 4)
+        assert node_at("L").period.digits == (2, 3, 3, 4)
+        assert node_at("R").period.digits == (2, 4, 2, 3, 4)
 
     def test_level_three(self):
-        assert period_of_node("LL").digits == (2, 3, 3, 3, 4)
-        assert period_of_node("LR").digits == (2, 3, 4, 2, 3, 3, 4)
-        assert period_of_node("RL").digits == (2, 4, 2, 3, 4, 2, 3, 4)
-        assert period_of_node("RR").digits == (2, 4, 2, 4, 2, 3, 4)
+        assert node_at("LL").period.digits == (2, 3, 3, 3, 4)
+        assert node_at("LR").period.digits == (2, 3, 4, 2, 3, 3, 4)
+        assert node_at("RL").period.digits == (2, 4, 2, 3, 4, 2, 3, 4)
+        assert node_at("RR").period.digits == (2, 4, 2, 4, 2, 3, 4)
 
     def test_leftmost_rule(self):
-        assert period_of_node("L" * 7).digits == (2,) + (3,) * 8 + (4,)
+        assert node_at("L" * 7).period.digits == (2,) + (3,) * 8 + (4,)
 
     def test_bad_path(self):
-        with pytest.raises(PeriodError):
-            period_of_node("LX")
+        with pytest.raises(TreeError):
+            node_at("LX")
 
 
 class TestEval:
@@ -152,7 +153,105 @@ class TestCycleStates:
     def test_exact_cross_check_long_period(self):
         # Length-28 cycle; a float walk drifts ~1e-6 here, the exact
         # walk must still certify the closed forms at 1e-9.
-        cycle_states(period_of_node("L" * 11), cross_check=True)
+        cycle_states(node_at("L" * 11).period, cross_check=True)
 
     def test_conjunction(self):
         assert conjunction(Period((2, 3)), Period((4,))).digits == (2, 3, 4)
+
+
+def _reference_cycle_states(digits):
+    """The quadratic-time enumeration: one eval_periodic per rotation."""
+    states = []
+    for i in range(len(digits)):
+        tail = digits[i + 1 :] + digits[: i + 1]
+        last = tail[-1]
+        t = eval_periodic(tail)
+        t_rev = eval_periodic(tail[-2::-1] + (tail[-1],))
+        for a0 in range(last - 1, 0, -1):
+            states.append((a0, a0 - 1.0 / t, -((last - a0) - 1.0 / t_rev)))
+    return states
+
+
+def _rotations(digits):
+    return [digits[i:] + digits[:i] for i in range(len(digits))]
+
+
+block_words = st.builds(
+    lambda block, k: block * k,
+    st.sampled_from([(2, 3), (2, 4, 2, 3, 4), (3,), (2, 3, 3, 4)]),
+    st.integers(min_value=1, max_value=8),
+)
+
+
+class TestOneSweepStates:
+    @given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=40).filter(
+        lambda w: any(d > 2 for d in w)))
+    def test_matches_per_rotation_reference(self, digits):
+        digits = tuple(digits)
+        states = cycle_states(digits, cross_check=False)
+        reference = _reference_cycle_states(digits)
+        assert [s.a0 for s in states] == [a0 for a0, _, _ in reference]
+        for s, (_, value, conj) in zip(states, reference):
+            assert abs(s.value - value) <= 1e-13
+            assert abs(s.conj_value - conj) <= 1e-13
+
+    def test_makes_no_eval_periodic_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval_periodic called")
+
+        monkeypatch.setattr(cf, "eval_periodic", refuse)
+        cycle_states(node_at("RL").period.reversed(), cross_check=True)
+
+    def test_deep_node_exact_check(self):
+        # Level 14, q = 1597, c has 621 digits: far beyond float range,
+        # so the exact check must never convert c to a float.
+        node = node_at("RLRLRLRLRLRLR")
+        assert (node.level, node.q, len(str(node.c))) == (14, 1597, 621)
+        states = cycle_states(node.period.reversed(), cross_check=True)
+        assert len(states) == node.period.cycle_length
+
+
+class TestExactCheckFires:
+    def test_perturbed_state_is_a_mismatch(self, monkeypatch):
+        sweep = cf._rotation_values
+
+        def perturbed(digits):
+            values = sweep(digits)
+            values[1] += 1e-6
+            return values
+
+        monkeypatch.setattr(cf, "_rotation_values", perturbed)
+        with pytest.raises(PeriodError, match="mismatch"):
+            cycle_states(node_at("LR").period.reversed())
+
+    def test_walk_that_does_not_close(self, monkeypatch):
+        # The matrix of (3, 3, 2) starts a walk of length 5; six steps
+        # of it cannot return to the start.
+        other = period_matrix((3, 3, 2))
+        monkeypatch.setattr(cf, "period_matrix", lambda digits: other)
+        with pytest.raises(PeriodError, match="did not close"):
+            cycle_states((2, 3, 4), check_tol=math.inf)
+
+
+class TestCanonical:
+    @given(st.one_of(digit_words, block_words))
+    def test_least_rotation(self, digits):
+        digits = tuple(digits)
+        assert Period(digits).canonical == min(_rotations(digits))
+
+    @given(st.one_of(digit_words, block_words), st.integers(min_value=0))
+    def test_rotation_invariance(self, digits, shift):
+        digits = tuple(digits)
+        k = shift % len(digits)
+        p, r = Period(digits), Period(digits[k:] + digits[:k])
+        assert p == r
+        assert hash(p) == hash(r)
+
+    def test_lazy(self):
+        p = Period((2, 4, 2, 3, 4))
+        assert "canonical" not in p.__dict__
+        assert p == Period((2, 3, 4, 2, 4))
+        assert p.__dict__["canonical"] == (2, 3, 4, 2, 4)
+
+    def test_tree_does_not_canonicalise(self):
+        assert "canonical" not in node_at("RLRLRLRL").period.__dict__

@@ -88,6 +88,32 @@ class TestCache:
         assert rec == cache_record(value)
         assert rec["J_re"] == value.J.real
 
+    def test_interrupted_write_keeps_previous_cache(self, tmp_path, series, monkeypatch):
+        import markovj.integrals as integrals
+
+        integ = ArcIntegrator(series)
+        value = integrate_J(node_at("R"), tol=1e-8, integrator=integ)
+        other = integrate_J(node_at("L"), tol=1e-8, integrator=integ)
+        path = tmp_path / "cache.jsonl"
+        write_cache([value], path)
+        before = path.read_bytes()
+
+        # The new write gets one record out, then is interrupted.
+        records = iter([cache_record(other)])
+
+        def failing_record(v):
+            rec = next(records, None)
+            if rec is None:
+                raise KeyboardInterrupt
+            return rec
+
+        monkeypatch.setattr(integrals, "cache_record", failing_record)
+        with pytest.raises(KeyboardInterrupt):
+            write_cache([other, value], path)
+        assert path.read_bytes() == before
+        assert read_cache(path) == [cache_record(value)]
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
     def test_schema_check(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"schema": 999, "path": "R"}\n')
