@@ -1,13 +1,13 @@
 """Cycle integrals of the Klein j-function along Markov geodesics.
 
 The tree of Markov triples, their minus-continued-fraction periods and
-quadratic forms, exact q-expansion of j, adaptive quadrature for the
+quadratic forms, exact q-expansion of j, a fixed Gauss-Legendre rule for the
 cycle integrals J(w) and values j(w), and an empirical verification
 layer for the recursions, interlacing, and asymptotic bound chain.
 """
 
 from .cf import (
-    CycleState,
+    CycleStates,
     Period,
     PeriodError,
     conjunction,

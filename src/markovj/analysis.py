@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .tree import (
     TIP_LEFT,
     TIP_RIGHT,
     MarkovTriple,
+    TreeError,
     TreeNode,
     build_tree,
     vieta_children,
@@ -160,7 +161,27 @@ class PathDecomposition:
 
 def decompose_path(path_or_node: str | TreeNode) -> PathDecomposition:
     path = path_or_node.path if isinstance(path_or_node, TreeNode) else path_or_node
-    chain = [entry[0] for entry in walk_path(path)]
+    return _decompose(path, [entry[0] for entry in walk_path(path)])
+
+
+def _decompositions(depth: int) -> Iterator[PathDecomposition]:
+    """The decomposition of every node of level 2..depth, in tree order.
+
+    The tree is built once and each node's chain is looked up by path
+    prefix, instead of walking every path from the root again.
+    """
+    nodes = build_tree(depth)
+    by_path = {node.path: node for node in nodes}
+    for node in nodes:
+        if node.level >= 2:
+            path = node.path
+            chain = [by_path[path[:i]] for i in range(len(path) + 1)]
+            yield _decompose(path, chain)
+
+
+def _decompose(path: str, chain: list[TreeNode]) -> PathDecomposition:
+    """Decomposition of the node at ``path``; ``chain`` holds the nodes
+    from the root down to it."""
     base = TIP_RIGHT if path.startswith("R") else TIP_LEFT
     nodes = [base] + chain  # nodes[i] is w_i
     node = nodes[-1]
@@ -172,7 +193,7 @@ def decompose_path(path_or_node: str | TreeNode) -> PathDecomposition:
         immediate = nodes[n - 1]
         turn_pred = nodes[r_m - 1]
         if qs[n] != qs[n - 1] + qs[r_m - 1]:
-            raise AssertionError(f"q recursion broken at {path!r}")
+            raise TreeError(f"q recursion broken at {path!r}")
     else:
         # Root: its two predecessors are the tips.
         immediate = TIP_RIGHT
@@ -200,27 +221,25 @@ def _mat_mul(A, B):
 def check_q_recursion(depth: int) -> Report:
     """Exact integer checks of the denominator recursions at all nodes.
 
-    Any failure here is a tree-construction bug, so it raises.
+    Any failure here is a tree-construction bug, so it raises TreeError.
     """
     report = Report(title=f"q recursions to depth {depth}")
     worst = 0
     count = 0
-    for node in build_tree(depth):
-        if node.level < 2:
-            continue
-        dec = decompose_path(node)
+    for dec in _decompositions(depth):
+        node = dec.node
         n = node.level
         turns = dec.turn_levels
         qs = dec.qs
         m = dec.m
         r_m = turns[-1]
         if qs[n] != qs[n - 1] + qs[r_m - 1]:
-            raise AssertionError(f"mediant recursion fails at {node.path!r}")
+            raise TreeError(f"mediant recursion fails at {node.path!r}")
         if m == 1 and qs[n] != qs[1] + (n - 1) * qs[0]:
-            raise AssertionError(f"pure-branch recursion fails at {node.path!r}")
+            raise TreeError(f"pure-branch recursion fails at {node.path!r}")
         if m >= 2:
             if qs[n] != (n - r_m + 1) * qs[r_m - 1] + qs[turns[-2] - 1]:
-                raise AssertionError(f"two-term recursion fails at {node.path!r}")
+                raise TreeError(f"two-term recursion fails at {node.path!r}")
             # Full matrix form down to the first two turn levels.
             M = ((n - r_m + 1, 1), (1, 0))
             lam = {m: M[0][0]}
@@ -231,10 +250,10 @@ def check_q_recursion(depth: int) -> Report:
             got = (M[0][0] * vec[0] + M[0][1] * vec[1],
                    M[1][0] * vec[0] + M[1][1] * vec[1])
             if got != (qs[n], qs[r_m - 1]):
-                raise AssertionError(f"matrix recursion fails at {node.path!r}")
+                raise TreeError(f"matrix recursion fails at {node.path!r}")
             for j in range(2, m + 1):
                 if qs[n] < lam[j] * qs[turns[j - 2]]:
-                    raise AssertionError(f"coefficient bound fails at {node.path!r}")
+                    raise TreeError(f"coefficient bound fails at {node.path!r}")
                 worst = max(worst, lam[j])
         count += 1
     report.add(CheckResult(
@@ -283,10 +302,8 @@ def check_interlacing(
     worst_node = ""
     violations = 0
     branch_start: dict[str, int] = {}
-    for node in build_tree(depth):
-        if node.level < 2:
-            continue
-        dec = decompose_path(node)
+    for dec in _decompositions(depth):
+        node = dec.node
         jw = values[node.path].j
         ju = values[dec.turn_pred.path].j
         jv = values[dec.immediate_pred.path].j
@@ -331,10 +348,8 @@ def check_J_recursion(
     max_ratio = 0.0
     worst = ""
     violation = ""
-    for node in build_tree(depth):
-        if node.level < 2:
-            continue
-        dec = decompose_path(node)
+    for dec in _decompositions(depth):
+        node = dec.node
         delta = (
             values[node.path].J
             - values[dec.turn_pred.path].J

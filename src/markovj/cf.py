@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "Period",
-    "CycleState",
+    "CycleStates",
     "PeriodError",
     "conjunction",
     "parse_period",
@@ -195,14 +197,19 @@ def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tupl
     return ((a, b), (c, d))
 
 
-@dataclass(frozen=True)
-class CycleState:
-    """One quadratic w^(i) of the cycle: leading integer a0 over a
-    rotation of the period, with its value and Galois conjugate."""
+@dataclass(frozen=True, eq=False)
+class CycleStates:
+    """The quadratics w^(1), ..., w^(l) of a cycle, in walk order: the
+    leading integers ``a0`` (each over a rotation of the period), the
+    values and their Galois conjugates, one array each.  Not comparable
+    with ``==``: arrays have no single truth value."""
 
-    a0: int
-    value: float
-    conj_value: float
+    a0: np.ndarray
+    values: np.ndarray
+    conj_values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def _rotation_values(digits: tuple[int, ...]) -> list[float]:
@@ -232,16 +239,16 @@ def _rotation_values(digits: tuple[int, ...]) -> list[float]:
     raise PeriodError(f"rotation sweep did not converge for {digits}")
 
 
-def _exact_cycle(digits: tuple[int, ...], states: list[CycleState],
+def _exact_cycle(digits: tuple[int, ...], values: list[float],
                  check_tol: float) -> None:
-    """Check ``states`` against the simple-form cycle walk run exactly.
+    """Check ``values`` against the simple-form cycle walk run exactly.
 
     The walk starts at w - 1, w the attracting fixed point of the
     period matrix, and applies z -> z-1 (z >= 1) or z -> z/(1-z).  Each
     z = (P + sqrt(D))/Q is kept as the integer pair (P, Q) with Q > 0
     and Q | D - P^2: the reduction cycle of a binary quadratic form of
     discriminant D (Zagier, Zetafunktionen und quadratische Koerper,
-    1981).  The walk must close after exactly len(states) steps.
+    1981).  The walk must close after exactly len(values) steps.
     """
     (a, _b), (c, d) = period_matrix(digits)
     disc = (a + d) ** 2 - 4
@@ -251,13 +258,13 @@ def _exact_cycle(digits: tuple[int, ...], states: list[CycleState],
     floor_sqrt = root >> 64
     p, q = a - d - 2 * c, 2 * c
     start = (p, q)
-    for state in states:
+    for value in values:
         # int / int is correctly rounded at any size.
         exact = ((p << 64) + root) / (q << 64)
-        if abs(state.value - exact) > check_tol:
+        if abs(value - exact) > check_tol:
             raise PeriodError(
                 f"cycle state mismatch for {digits}: "
-                f"{state.value} vs exact {exact}"
+                f"{value} vs exact {exact}"
             )
         if q - p <= floor_sqrt:
             p -= q
@@ -269,7 +276,7 @@ def _exact_cycle(digits: tuple[int, ...], states: list[CycleState],
             p -= q
     if (p, q) != start:
         raise PeriodError(
-            f"cycle of {digits} did not close after {len(states)} steps"
+            f"cycle of {digits} did not close after {len(values)} steps"
         )
 
 
@@ -277,28 +284,27 @@ def cycle_states(
     period: Period | Sequence[int],
     cross_check: bool = True,
     check_tol: float = 1e-9,
-) -> list[CycleState]:
+) -> CycleStates:
     """Enumerate the full cycle w^(1), ..., w^(l), l = sum(a_i - 1).
 
     States are produced in walk order: for each cyclic position the
     leading integer a0 runs down from a_i - 1 to 1 over the rotation
     that follows digit a_i.  Conjugates come from the reversed-word
-    formula.  Both families of rotation values come from cyclic sweeps,
-    so a node costs O(q).
-    With ``cross_check`` the enumeration is verified against an
+    formula.  Both families of rotation values come from cyclic sweeps
+    and are spread over the states by array indexing, so a node costs
+    O(q).  With ``cross_check`` the values are verified against an
     exact-arithmetic run of the cycle map.
     """
     digits = period.digits if isinstance(period, Period) else _check_digits(period)
+    last = np.array(digits)
+    # pos[s]: the cyclic position of state s; a0 counts down to 1 within it.
+    pos = np.repeat(np.arange(len(digits)), last - 1)
+    a0 = np.cumsum(last - 1)[pos] - np.arange(len(pos))
     # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
-    tails = _rotation_values(digits[1:] + digits[:1])
-    rev = _rotation_values(digits[::-1])
-    states: list[CycleState] = []
-    for i, last in enumerate(digits):
-        t, t_rev = tails[i], rev[-i]
-        for a0 in range(last - 1, 0, -1):
-            value = a0 - 1.0 / t
-            conj = -((last - a0) - 1.0 / t_rev)
-            states.append(CycleState(a0=a0, value=value, conj_value=conj))
+    tails = np.array(_rotation_values(digits[1:] + digits[:1]))
+    rev = np.array(_rotation_values(digits[::-1]))
+    values = a0 - 1.0 / tails[pos]
+    conj = -((last[pos] - a0) - 1.0 / rev[-pos])
     if cross_check:
-        _exact_cycle(digits, states, check_tol)
-    return states
+        _exact_cycle(digits, values.tolist(), check_tol)
+    return CycleStates(a0=a0, values=values, conj_values=conj)

@@ -19,7 +19,9 @@ from pathlib import Path
 from . import analysis
 from .cf import format_period
 from .integrals import (
+    METHOD,
     CycleValue,
+    QuadratureError,
     compute_values,
     integrate_J,
     read_cache,
@@ -85,8 +87,9 @@ def _value_row(value: CycleValue) -> dict[str, str]:
 def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, CycleValue]:
     """Compute values for the nodes, consulting the JSONL cache.
 
-    Cached records are trusted by path; missing nodes are computed and
-    the cache is rewritten in a deterministic order.
+    A cached record is used only if it matches the node (path, q, c)
+    and the run (tol, series order, quadrature method); the other nodes
+    are computed and the cache is rewritten in a deterministic order.
     """
     cached: dict[str, dict] = {}
     if config.cache and Path(config.cache).exists():
@@ -96,13 +99,17 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     missing: list[TreeNode] = []
     for node in nodes:
         rec = cached.get(node.path)
-        if rec is not None and rec["q"] == node.q and rec["c"] == str(node.c):
+        if rec is not None and (
+            rec["q"], rec["c"], rec["tol"], rec["series_order"], rec["method"]
+        ) == (node.q, str(node.c), config.tol, config.series_order, METHOD):
             values[node.path] = CycleValue(
                 node=node,
                 J=complex(rec["J_re"], rec["J_im"]),
                 j=complex(rec["j_re"], rec["j_im"]),
                 log_eps=rec["log_eps"],
                 quad_error=rec["quad_err"],
+                tol=rec["tol"],
+                series_order=rec["series_order"],
             )
         else:
             missing.append(node)
@@ -241,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cycle integrals of the j-function over the Markov tree.",
     )
     parser.add_argument("--depth", type=int, default=5)
-    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--tol", type=float, default=1e-10,
+                        help="relative bound on the quadrature estimate")
     parser.add_argument("--series-order", type=int, default=DEFAULT_ORDER)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--cache", default=None, help="JSONL result cache path")
@@ -285,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(config)
         raise AssertionError(args.command)
-    except (ValueError, TreeError, OSError) as exc:
+    except (ValueError, TreeError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

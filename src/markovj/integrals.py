@@ -17,11 +17,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .cf import CycleState, Period, cycle_states
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from .jfunction import JSeries, DEFAULT_ORDER, j_coefficients, j_eval
 from .tree import TreeNode
 
@@ -29,7 +29,6 @@ __all__ = [
     "CycleValue",
     "QuadratureError",
     "log_epsilon",
-    "kernel_sum",
     "integrate_J",
     "average_integral",
     "compute_values",
@@ -42,7 +41,12 @@ __all__ = [
 ARC_LO = math.pi / 3.0
 ARC_HI = 2.0 * math.pi / 3.0
 
-CACHE_SCHEMA = 1
+#: Points of the Gauss-Legendre rule that gives each value, and of the
+#: coarser rule whose difference from it is the error estimate.
+RULE_POINTS = (20, 16)
+METHOD = f"gauss-legendre-{RULE_POINTS[0]}/{RULE_POINTS[1]}"
+
+CACHE_SCHEMA = 2
 
 
 class QuadratureError(RuntimeError):
@@ -69,102 +73,63 @@ def log_epsilon(c: int) -> float:
     )
 
 
-def kernel_sum(states: Sequence[CycleState], theta: float) -> complex:
-    """sum_i 1/(e^(i theta) - w^(i)) - 1/(e^(i theta) - conj w^(i))."""
-    z = complex(math.cos(theta), math.sin(theta))
-    return sum(1.0 / (z - s.value) - 1.0 / (z - s.conj_value) for s in states)
-
-
-_GL15 = np.polynomial.legendre.leggauss(15)
-
-
-def _adaptive_arc(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float,
-    max_depth: int = 24,
-) -> tuple[complex, float]:
-    """Adaptive composite 15-point Gauss-Legendre on [pi/3, 2pi/3].
-
-    A panel is accepted when its estimate agrees with the sum over its
-    two halves; the integrand is analytic in a strip around the arc, so
-    convergence is spectral and the disagreement is a conservative
-    error estimate.
-    """
-    xg, wg = _GL15
-
-    def panel(a: float, b: float) -> complex:
-        h = 0.5 * (b - a)
-        vals = f(0.5 * (a + b) + h * xg)
-        return complex(h * np.dot(wg, vals))
-
-    total = 0.0 + 0.0j
-    err = 0.0
-    width = ARC_HI - ARC_LO
-    stack = [(ARC_LO, ARC_HI, panel(ARC_LO, ARC_HI), 0)]
-    while stack:
-        a, b, whole, depth = stack.pop()
-        m = 0.5 * (a + b)
-        left = panel(a, m)
-        right = panel(m, b)
-        diff = abs(whole - (left + right))
-        if diff < tol * (b - a) / width or depth >= max_depth:
-            total += left + right
-            err += diff
-            if depth >= max_depth and diff >= tol * (b - a) / width:
-                raise QuadratureError(
-                    f"panel [{a}, {b}] did not converge (estimate {diff:g})", err + diff
-                )
-        else:
-            stack.append((a, m, left, depth + 1))
-            stack.append((m, b, right, depth + 1))
-    return total, err
+def _two_rules(terms: np.ndarray, tol: float) -> tuple[complex, float]:
+    """Sum ``terms`` per rule (the first RULE_POINTS[0] entries, then the
+    rest): the value and |value - check|.  Raises QuadratureError unless
+    the difference is within ``tol`` relative to the value."""
+    n = RULE_POINTS[0]
+    value, check = complex(terms[:n].sum()), complex(terms[n:].sum())
+    err = abs(value - check)
+    if not err <= tol * abs(value):
+        raise QuadratureError(f"quadrature estimate {err:g} exceeds tol {tol:g} "
+                              f"relative to |value| = {abs(value):g}", err)
+    return value, err
 
 
 class ArcIntegrator:
-    """Shared quadrature state: one j-series, memoised arc values.
+    """The fixed Gauss-Legendre rules on the arc for one j-series.
 
-    Adaptive panels recur across nodes, so j(e^(i theta)) i e^(i theta)
-    is cached per abscissa.  Instances are read-only after construction
-    apart from the cache and may be shared by threads; for process
-    pools each worker builds its own from the same series.
+    The kernel's poles are the cycle states, which stay in fixed boxes
+    on the real axis at every depth (checked on every call), at distance
+    >= sqrt(3)/2 from the arc.  So the integrand is analytic in one
+    Bernstein ellipse around [pi/3, 2pi/3] for every node, and one rule
+    converges geometrically (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19).  The weights g_m = h w_m j(z_m) i z_m
+    at the nodes z_m = e^(i theta_m) are computed once.  Instances are
+    read-only; process pools build one per worker from the same series.
     """
 
     def __init__(self, series: JSeries | None = None):
         self.series = series if series is not None else j_coefficients(DEFAULT_ORDER)
-        self._cache: dict[float, complex] = {}
+        h = 0.5 * (ARC_HI - ARC_LO)
+        # Both rules' nodes and weights, the value rule's first.
+        x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
+        z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
+        self._wj = h * w * j_eval(z, self.series)
+        self._g = self._wj * 1j * z
+        self._zbar = z.conj()
+        self._x = z.real[:, None]
+        self._y2 = (z.imag ** 2)[:, None]
 
-    def weighted_j(self, thetas: np.ndarray) -> np.ndarray:
-        out = np.empty(len(thetas), dtype=complex)
-        missing: list[int] = []
-        for i, t in enumerate(thetas):
-            val = self._cache.get(float(t))
-            if val is None:
-                missing.append(i)
-            else:
-                out[i] = val
-        if missing:
-            ts = thetas[missing]
-            z = np.exp(1j * ts)
-            vals = j_eval(z, self.series) * 1j * z
-            for i, t, v in zip(missing, ts, vals):
-                self._cache[float(t)] = complex(v)
-                out[i] = v
-        return out
+    def integrate_states(self, states: CycleStates, tol: float) -> tuple[complex, float]:
+        """J = sum_m g_m sum_i [1/(z_m - w_i) - 1/(z_m - w_i')] by the
+        20-point rule, and |J_20 - J_16| as its error estimate.
 
-    def integrate_states(
-        self, states: Sequence[CycleState], tol: float
-    ) -> tuple[complex, float]:
-        vals = np.array([s.value for s in states])
-        conj = np.array([s.conj_value for s in states])
-
-        def f(thetas: np.ndarray) -> np.ndarray:
-            z = np.exp(1j * thetas)
-            kern = (
-                1.0 / (z[:, None] - vals) - 1.0 / (z[:, None] - conj)
-            ).sum(axis=1)
-            return self.weighted_j(thetas) * kern
-
-        return _adaptive_arc(f, tol)
+        Raises QuadratureError when a state lies outside its box (cf's
+        forward-word boxes, swapped and negated for the reversed words
+        integrated here) or the estimate exceeds ``tol`` relative to |J|.
+        """
+        values, conj = states.values, states.conj_values
+        # Written so that NaN fails too.
+        if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
+                and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
+            raise QuadratureError("cycle state outside the certified box", math.inf)
+        # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
+        # z = x + iy, so the (quadrature node, state) matrices stay real.
+        r = 1.0 / ((self._x - values) ** 2 + self._y2)
+        rc = 1.0 / ((self._x - conj) ** 2 + self._y2)
+        kernel = self._zbar * (r.sum(axis=1) - rc.sum(axis=1)) - (r @ values - rc @ conj)
+        return _two_rules(self._g * kernel, tol)
 
 
 @dataclass(frozen=True)
@@ -176,6 +141,8 @@ class CycleValue:
     j: complex
     log_eps: float
     quad_error: float
+    tol: float
+    series_order: int
 
     @property
     def J_over_q(self) -> complex:
@@ -197,22 +164,20 @@ def integrate_J(
     states = cycle_states(node.period.reversed())
     J, err = integrator.integrate_states(states, tol)
     le = log_epsilon(node.c)
-    return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err)
+    return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err,
+                      tol=tol, series_order=integrator.series.order)
 
 
 def average_integral(
     tol: float = 1e-8, integrator: ArcIntegrator | None = None
 ) -> float:
-    """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3]."""
+    """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3], by
+    the same fixed rules; ``tol`` bounds their difference relative to
+    the value."""
     if integrator is None:
         integrator = ArcIntegrator()
-
-    def f(thetas: np.ndarray) -> np.ndarray:
-        z = np.exp(1j * thetas)
-        return j_eval(z, integrator.series).astype(complex)
-
-    val, _ = _adaptive_arc(f, tol)
-    return val.real
+    value, _ = _two_rules(integrator._wj, tol)
+    return value.real
 
 
 def compute_values(
@@ -262,6 +227,9 @@ def cache_record(value: CycleValue) -> dict:
         "j_im": value.j.imag,
         "log_eps": value.log_eps,
         "quad_err": value.quad_error,
+        "tol": value.tol,
+        "series_order": value.series_order,
+        "method": METHOD,
     }
 
 

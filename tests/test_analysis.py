@@ -20,7 +20,7 @@ from markovj.analysis import (
     gg_prime_ranges,
     theorem2_constants,
 )
-from markovj.tree import TIP_LEFT, TIP_RIGHT, build_tree, node_at
+from markovj.tree import TIP_LEFT, TIP_RIGHT, TreeError, build_tree, node_at
 
 
 class TestDecompose:
@@ -49,11 +49,23 @@ class TestDecompose:
     def test_accepts_node(self):
         assert decompose_path(node_at("RL")) == decompose_path("RL")
 
+    def test_prefix_lookup_matches_walk(self):
+        decs = list(analysis._decompositions(6))
+        assert [d.node.path for d in decs] == [
+            n.path for n in build_tree(6) if n.level >= 2]
+        for dec in decs:
+            assert dec == decompose_path(dec.node.path)
+
 
 class TestQRecursion:
     def test_passes_to_depth_eight(self):
         report = check_q_recursion(8)
         assert report.passed
+
+    def test_failure_raises_tree_error(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_mat_mul", lambda A, B: ((0, 0), (0, 0)))
+        with pytest.raises(TreeError, match="matrix recursion fails"):
+            check_q_recursion(4)
 
     def test_figure_examples(self):
         assert node_at("RL").q == 8 == node_at("R").q + node_at("").q

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -137,8 +138,8 @@ class TestCycleStates:
     def test_tip_states_are_golden_section(self):
         states = cycle_states((3,))
         phi = (1 + math.sqrt(5)) / 2
-        assert states[0].value == pytest.approx(phi, abs=1e-12)
-        assert states[1].value == pytest.approx(phi - 1, abs=1e-12)
+        assert states.values[0] == pytest.approx(phi, abs=1e-12)
+        assert states.values[1] == pytest.approx(phi - 1, abs=1e-12)
 
     def test_boxes_over_tree_words(self):
         # The value and conjugate boxes hold for tree periods (not for
@@ -146,9 +147,10 @@ class TestCycleStates:
         from markovj.tree import build_tree
 
         for node in build_tree(6):
-            for s in cycle_states(node.period, cross_check=False):
-                assert STATE_MIN - 1e-12 <= s.value <= STATE_MAX + 1e-12
-                assert CONJ_MIN - 1e-12 <= s.conj_value <= CONJ_MAX + 1e-12
+            states = cycle_states(node.period, cross_check=False)
+            for value, conj in zip(states.values, states.conj_values):
+                assert STATE_MIN - 1e-12 <= value <= STATE_MAX + 1e-12
+                assert CONJ_MIN - 1e-12 <= conj <= CONJ_MAX + 1e-12
 
     def test_exact_cross_check_long_period(self):
         # Length-28 cycle; a float walk drifts ~1e-6 here, the exact
@@ -172,6 +174,27 @@ def _reference_cycle_states(digits):
     return states
 
 
+def _loop_cycle_states(digits):
+    """The per-state loop over the same sweeps (same arithmetic as the
+    array version, so the results must be bit-identical)."""
+    tails = cf._rotation_values(digits[1:] + digits[:1])
+    rev = cf._rotation_values(digits[::-1])
+    states = []
+    for i, last in enumerate(digits):
+        t, t_rev = tails[i], rev[-i]
+        for a0 in range(last - 1, 0, -1):
+            states.append((a0, a0 - 1.0 / t, -((last - a0) - 1.0 / t_rev)))
+    return states
+
+
+def _assert_equals_loop(digits):
+    states = cycle_states(digits, cross_check=False)
+    a0, values, conj = zip(*_loop_cycle_states(digits))
+    assert states.a0.tolist() == list(a0)
+    assert np.array_equal(states.values, values)
+    assert np.array_equal(states.conj_values, conj)
+
+
 def _rotations(digits):
     return [digits[i:] + digits[:i] for i in range(len(digits))]
 
@@ -190,10 +213,22 @@ class TestOneSweepStates:
         digits = tuple(digits)
         states = cycle_states(digits, cross_check=False)
         reference = _reference_cycle_states(digits)
-        assert [s.a0 for s in states] == [a0 for a0, _, _ in reference]
-        for s, (_, value, conj) in zip(states, reference):
-            assert abs(s.value - value) <= 1e-13
-            assert abs(s.conj_value - conj) <= 1e-13
+        assert len(states) == len(reference)
+        assert states.a0.tolist() == [a0 for a0, _, _ in reference]
+        for value, conj, (_, ref_value, ref_conj) in zip(
+                states.values, states.conj_values, reference):
+            assert abs(value - ref_value) <= 1e-13
+            assert abs(conj - ref_conj) <= 1e-13
+
+    @given(st.one_of(digit_words, block_words))
+    def test_arrays_equal_per_state_loop(self, digits):
+        _assert_equals_loop(tuple(digits))
+
+    def test_arrays_equal_per_state_loop_on_tree_words(self):
+        from markovj.tree import build_tree
+
+        for node in build_tree(7):
+            _assert_equals_loop(node.period.reversed().digits)
 
     def test_makes_no_eval_periodic_call(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -90,12 +90,68 @@ class TestTable:
         assert warm == cold
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
 
+    def test_default_tol_at_depth_ten(self, capsys):
+        # The adaptive rule's absolute per-panel tolerance raised here.
+        code, out, err = run(capsys, "--depth", "10", "table")
+        assert code == 0 and err == ""
+        assert len(out.strip().splitlines()) == 1 + 2 + 2**10 - 1
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The nodes the cli computes instead of reading from the cache."""
+        import markovj.cli as cli
+
+        nodes = []
+        compute = cli.compute_values
+
+        def counting(missing, **kwargs):
+            nodes.extend(missing)
+            return compute(missing, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_values", counting)
+        return nodes
+
+    def test_cache_not_served_across_series_order(self, capsys, tmp_path, computed):
+        cache = str(tmp_path / "cache.jsonl")
+        run(capsys, "--depth", "2", "--series-order", "40", "--cache", cache, "table")
+        computed.clear()
+        _, warm, _ = run(capsys, "--depth", "2", "--series-order", "30",
+                         "--cache", cache, "table")
+        assert len(computed) == 5
+        records = [json.loads(line) for line in open(cache)]
+        assert {rec["series_order"] for rec in records} == {30}
+        _, cold, _ = run(capsys, "--depth", "2", "--series-order", "30", "table")
+        assert warm == cold
+
+    def test_cache_not_served_across_tol(self, capsys, tmp_path, computed):
+        cache = str(tmp_path / "cache.jsonl")
+        run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
+        computed.clear()
+        run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
+        assert computed == []
+        run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", cache, "table")
+        assert len(computed) == 5
+
     def test_corrupted_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text('{"schema": 0}\n')
         code, _, err = run(capsys, "--depth", "2", "--cache", str(cache), "table")
         assert code == 2
         assert "schema" in err
+
+
+class TestFailures:
+    def test_quadrature_error_is_one_line(self, capsys, monkeypatch):
+        from markovj.integrals import ArcIntegrator, QuadratureError
+
+        def failing(self, states, tol):
+            raise QuadratureError("estimate 1 exceeds tol", 1.0)
+
+        monkeypatch.setattr(ArcIntegrator, "integrate_states", failing)
+        for argv in (("--depth", "2", "table"), ("value", "RL")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == "error: estimate 1 exceeds tol\n"
 
 
 class TestReports:
@@ -114,6 +170,15 @@ class TestReports:
         assert code == 0
         rec = json.loads(out)
         assert rec["re_delta_bound"] == pytest.approx(1.41173, abs=1e-3)
+
+    def test_tree_fault_is_one_line_error(self, capsys, monkeypatch):
+        from markovj import analysis
+
+        monkeypatch.setattr(analysis, "_mat_mul", lambda A, B: ((0, 0), (0, 0)))
+        code, _, err = run(capsys, "--depth", "4", "verify")
+        assert code == 2
+        assert err.startswith("error: matrix recursion fails at ")
+        assert len(err.splitlines()) == 1
 
     def test_verify_small_depth(self, capsys):
         code, out, _ = run(capsys, "--depth", "3", "--tol", "1e-8", "verify")

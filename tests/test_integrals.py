@@ -1,9 +1,16 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
+from markovj.cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from markovj.integrals import (
+    ARC_HI,
+    ARC_LO,
+    METHOD,
     ArcIntegrator,
+    QuadratureError,
     average_integral,
     cache_record,
     compute_values,
@@ -12,7 +19,23 @@ from markovj.integrals import (
     read_cache,
     write_cache,
 )
+from markovj.jfunction import j_eval
 from markovj.tree import ROOT, TIP_LEFT, TIP_RIGHT, build_tree, node_at
+
+
+def _oracle_J(node, series, points=200):
+    """Brute force: a 200-point Gauss-Legendre sum for each state of the
+    reversed word on its own, then the sum over states."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    h = 0.5 * (ARC_HI - ARC_LO)
+    z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
+    g = h * w * j_eval(z, series) * 1j * z
+    states = cycle_states(node.period.reversed())
+    per_state = [
+        np.sum(g * (1.0 / (z - value) - 1.0 / (z - conj)))
+        for value, conj in zip(states.values, states.conj_values)
+    ]
+    return complex(np.sum(per_state))
 
 
 class TestLogEpsilon:
@@ -58,6 +81,55 @@ class TestIntegrateJ:
         with pytest.raises(ValueError):
             integrate_J(ROOT, tol=0.0)
 
+    def test_tol_is_relative(self, series):
+        # |J| is about 1300 q, so a relative bound that a rounding-level
+        # estimate meets is far below it as an absolute one.
+        integ = ArcIntegrator(series)
+        node = node_at("RLRLRLRLRLRLR")
+        v = integrate_J(node, tol=1e-13, integrator=integ)
+        assert 1e-13 < v.quad_error <= 1e-13 * abs(v.J)
+        with pytest.raises(QuadratureError):
+            integrate_J(node, tol=1e-20, integrator=integ)
+
+
+class TestFixedRule:
+    def test_matches_oracle_to_depth_seven(self, series):
+        integ = ArcIntegrator(series)
+        for node in build_tree(7):
+            J = integrate_J(node, tol=1e-10, integrator=integ).J
+            ref = _oracle_J(node, series)
+            assert abs(J - ref) <= 1e-13 * abs(ref), node
+
+    def test_matches_oracle_at_level_fourteen(self, series):
+        node = node_at("RLRLRLRLRLRLR")
+        assert node.q == 1597
+        J = integrate_J(node, tol=1e-10, integrator=ArcIntegrator(series)).J
+        ref = _oracle_J(node, series)
+        assert abs(J - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("field, value", [
+        ("values", -CONJ_MAX - 1e-9),
+        ("values", -CONJ_MIN + 1e-9),
+        ("conj_values", -STATE_MAX - 1e-9),
+        ("conj_values", -STATE_MIN + 1e-9),
+        ("values", math.nan),
+    ])
+    def test_state_outside_box_raises(self, series, field, value):
+        states = cycle_states(ROOT.period.reversed())
+        arrays = {"values": states.values.copy(),
+                  "conj_values": states.conj_values.copy()}
+        arrays[field][2] = value
+        pushed = CycleStates(a0=states.a0, **arrays)
+        integ = ArcIntegrator(series)
+        integ.integrate_states(states, 1e-10)  # the unpushed states pass
+        with pytest.raises(QuadratureError, match="certified box"):
+            integ.integrate_states(pushed, 1e-10)
+
+    def test_forward_word_is_outside_the_box(self, series):
+        # The boxes are those of the reference (reversed) orientation.
+        with pytest.raises(QuadratureError, match="certified box"):
+            ArcIntegrator(series).integrate_states(cycle_states(ROOT.period), 1e-10)
+
 
 class TestAverage:
     def test_value(self, series):
@@ -87,6 +159,7 @@ class TestCache:
         assert rec["path"] == "R"
         assert rec == cache_record(value)
         assert rec["J_re"] == value.J.real
+        assert (rec["tol"], rec["series_order"], rec["method"]) == (1e-8, 40, METHOD)
 
     def test_interrupted_write_keeps_previous_cache(self, tmp_path, series, monkeypatch):
         import markovj.integrals as integrals
@@ -118,4 +191,15 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"schema": 999, "path": "R"}\n')
         with pytest.raises(ValueError):
+            read_cache(path)
+
+    def test_refuses_adaptive_era_cache(self, tmp_path, series):
+        # Schema-1 records carried no tol, series order or method.
+        value = integrate_J(node_at("R"), tol=1e-8, integrator=ArcIntegrator(series))
+        rec = cache_record(value)
+        old = {k: v for k, v in rec.items() if k not in ("tol", "series_order", "method")}
+        old["schema"] = 1
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(old) + "\n")
+        with pytest.raises(ValueError, match="schema"):
             read_cache(path)
