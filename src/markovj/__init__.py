@@ -46,14 +46,12 @@ from .integrals import (
 )
 from .analysis import (
     BoundChain,
-    PathDecomposition,
     Report,
     asymptotics_report,
     check_interlacing,
     check_J_recursion,
     check_q_recursion,
     coincidence_bound,
-    decompose_path,
     gg_prime_ranges,
     theorem2_constants,
 )

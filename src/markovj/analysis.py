@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,17 +27,13 @@ from .tree import (
     MarkovTriple,
     TreeError,
     TreeNode,
-    build_tree,
     vieta_children,
-    walk_path,
 )
 
 __all__ = [
-    "PathDecomposition",
     "BoundChain",
     "CheckResult",
     "Report",
-    "decompose_path",
     "check_q_recursion",
     "check_interlacing",
     "check_J_recursion",
@@ -134,78 +130,9 @@ class Report:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# path decomposition
-
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Turn structure of the path ending at a node.
-
-    ``turn_levels`` are the levels where the path changes direction,
-    starting with level 1; the node's two predecessors are the node one
-    level up (immediate) and the node above the last turn.  Pure
-    branches take the branch tip as turn predecessor.
-    """
-
-    node: TreeNode
-    turn_levels: tuple[int, ...]
-    immediate_pred: TreeNode
-    turn_pred: TreeNode
-    base: TreeNode
-    qs: tuple[int, ...]  # Farey denominators q_0 .. q_n along the path
-
-    @property
-    def m(self) -> int:
-        return len(self.turn_levels)
-
-
-def decompose_path(path_or_node: str | TreeNode) -> PathDecomposition:
-    path = path_or_node.path if isinstance(path_or_node, TreeNode) else path_or_node
-    return _decompose(path, [entry[0] for entry in walk_path(path)])
-
-
-def _decompositions(depth: int) -> Iterator[PathDecomposition]:
-    """The decomposition of every node of level 2..depth, in tree order.
-
-    The tree is built once and each node's chain is looked up by path
-    prefix, instead of walking every path from the root again.
-    """
-    nodes = build_tree(depth)
-    by_path = {node.path: node for node in nodes}
-    for node in nodes:
-        if node.level >= 2:
-            path = node.path
-            chain = [by_path[path[:i]] for i in range(len(path) + 1)]
-            yield _decompose(path, chain)
-
-
-def _decompose(path: str, chain: list[TreeNode]) -> PathDecomposition:
-    """Decomposition of the node at ``path``; ``chain`` holds the nodes
-    from the root down to it."""
-    base = TIP_RIGHT if path.startswith("R") else TIP_LEFT
-    nodes = [base] + chain  # nodes[i] is w_i
-    node = nodes[-1]
-    n = node.level
-    turns = [1] + [i + 1 for i in range(1, len(path)) if path[i - 1] != path[i]]
-    qs = tuple(w.q for w in nodes)
-    if n >= 2:
-        r_m = turns[-1]
-        immediate = nodes[n - 1]
-        turn_pred = nodes[r_m - 1]
-        if qs[n] != qs[n - 1] + qs[r_m - 1]:
-            raise TreeError(f"q recursion broken at {path!r}")
-    else:
-        # Root: its two predecessors are the tips.
-        immediate = TIP_RIGHT
-        turn_pred = TIP_LEFT
-    return PathDecomposition(
-        node=node,
-        turn_levels=tuple(turns),
-        immediate_pred=immediate,
-        turn_pred=turn_pred,
-        base=base,
-        qs=qs,
-    )
+def _depth(nodes: Sequence[TreeNode]) -> int:
+    """The deepest level in a node list, for report titles."""
+    return max(node.level for node in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +145,37 @@ def _mat_mul(A, B):
     )
 
 
-def check_q_recursion(depth: int) -> Report:
-    """Exact integer checks of the denominator recursions at all nodes.
+def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
+    """Exact integer checks of the denominator recursions at every node
+    of level >= 2 in ``nodes``, which must hold each node's path
+    prefixes (as a tree from ``build_tree`` does).
 
-    Any failure here is a tree-construction bug, so it raises TreeError.
+    Along a path, w_0 is the branch tip and w_1 .. w_n the nodes from
+    the root down; the turn levels are the levels where the path
+    changes direction, starting with level 1.  Any failure here is a
+    tree-construction bug, so it raises TreeError.
     """
-    report = Report(title=f"q recursions to depth {depth}")
+    report = Report(title=f"q recursions to depth {_depth(nodes)}")
+    q_at = {node.path: node.q for node in nodes}
     worst = 0
     count = 0
-    for dec in _decompositions(depth):
-        node = dec.node
+    for node in nodes:
         n = node.level
-        turns = dec.turn_levels
-        qs = dec.qs
-        m = dec.m
+        if n < 2:
+            continue
+        path = node.path
+        base = TIP_RIGHT if path.startswith("R") else TIP_LEFT
+        qs = [base.q] + [q_at[path[:i]] for i in range(n)]  # q of w_0 .. w_n
+        turns = [1] + [i + 1 for i in range(1, len(path)) if path[i - 1] != path[i]]
+        m = len(turns)
         r_m = turns[-1]
         if qs[n] != qs[n - 1] + qs[r_m - 1]:
-            raise TreeError(f"mediant recursion fails at {node.path!r}")
+            raise TreeError(f"mediant recursion fails at {path!r}")
         if m == 1 and qs[n] != qs[1] + (n - 1) * qs[0]:
-            raise TreeError(f"pure-branch recursion fails at {node.path!r}")
+            raise TreeError(f"pure-branch recursion fails at {path!r}")
         if m >= 2:
             if qs[n] != (n - r_m + 1) * qs[r_m - 1] + qs[turns[-2] - 1]:
-                raise TreeError(f"two-term recursion fails at {node.path!r}")
+                raise TreeError(f"two-term recursion fails at {path!r}")
             # Full matrix form down to the first two turn levels.
             M = ((n - r_m + 1, 1), (1, 0))
             lam = {m: M[0][0]}
@@ -250,10 +186,10 @@ def check_q_recursion(depth: int) -> Report:
             got = (M[0][0] * vec[0] + M[0][1] * vec[1],
                    M[1][0] * vec[0] + M[1][1] * vec[1])
             if got != (qs[n], qs[r_m - 1]):
-                raise TreeError(f"matrix recursion fails at {node.path!r}")
+                raise TreeError(f"matrix recursion fails at {path!r}")
             for j in range(2, m + 1):
                 if qs[n] < lam[j] * qs[turns[j - 2]]:
-                    raise TreeError(f"coefficient bound fails at {node.path!r}")
+                    raise TreeError(f"coefficient bound fails at {path!r}")
                 worst = max(worst, lam[j])
         count += 1
     report.add(CheckResult(
@@ -285,28 +221,30 @@ def _segment_distance(x: complex, a: complex, b: complex) -> float:
 
 def check_interlacing(
     values: dict[str, CycleValue],
-    depth: int,
+    nodes: Sequence[TreeNode],
     tol: float = 1e-9,
     hard_tol: float = 1e-6,
     mode: str = "componentwise",
 ) -> Report:
-    """Is j at each node between j at its two predecessors?
+    """Is j at each node of level >= 2 between j at its two
+    predecessors, the endpoints of its Farey interval?
 
     ``tol`` is reporting slack; only violations beyond ``hard_tol``
     mark the report failed.  ``mode`` is "componentwise" (default,
     real and imaginary parts separately) or "segment" (distance to the
     complex segment joining the predecessors).
     """
-    report = Report(title=f"interlacing to depth {depth} ({mode})")
+    report = Report(title=f"interlacing to depth {_depth(nodes)} ({mode})")
     worst = 0.0
     worst_node = ""
     violations = 0
     branch_start: dict[str, int] = {}
-    for dec in _decompositions(depth):
-        node = dec.node
+    for node in nodes:
+        if node.level < 2:
+            continue
         jw = values[node.path].j
-        ju = values[dec.turn_pred.path].j
-        jv = values[dec.immediate_pred.path].j
+        ju = values[node.left.path].j
+        jv = values[node.right.path].j
         if mode == "segment":
             viol = max(0.0, _segment_distance(jw, ju, jv) - tol)
         else:
@@ -340,21 +278,21 @@ def check_interlacing(
 
 def check_J_recursion(
     values: dict[str, CycleValue],
-    depth: int,
+    nodes: Sequence[TreeNode],
     slack: float = 1e-6,
 ) -> Report:
-    """delta_w = J(w) - J(u) - J(v) against its geometric bounds."""
+    """delta_w = J(w) - J(u) - J(v), with u and v the endpoints of w's
+    Farey interval, against its geometric bounds at every node of
+    level >= 2."""
+    depth = _depth(nodes)
     report = Report(title=f"local recursion errors to depth {depth}")
     max_ratio = 0.0
     worst = ""
     violation = ""
-    for dec in _decompositions(depth):
-        node = dec.node
-        delta = (
-            values[node.path].J
-            - values[dec.turn_pred.path].J
-            - values[dec.immediate_pred.path].J
-        )
+    for node in nodes:
+        if node.level < 2:
+            continue
+        delta = values[node.path].J - values[node.left.path].J - values[node.right.path].J
         decay = CONTRACTION ** (2 * (node.level - 1))
         bound_re = RE_DELTA_COEF * decay
         bound_im = IM_DELTA_COEF * decay
@@ -454,12 +392,14 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...], cap: int) -> int:
     return r
 
 
-def coincidence_bound(depth: int = 6, samples: int = 400, seed: int = 0) -> Report:
+def coincidence_bound(nodes: Sequence[TreeNode], samples: int = 400,
+                      seed: int = 0) -> Report:
     """|u - v| <= 10 phi^(-2(r-1)) for expansions sharing r quotients,
-    plus the geometric tail-sum bound of the per-level envelope."""
+    sampled over the rotations of the nodes' periods, plus the geometric
+    tail-sum bound of the per-level envelope."""
     report = Report(title="coincidence bound")
     words: list[tuple[int, ...]] = []
-    for node in build_tree(depth):
+    for node in nodes:
         digits = node.period.digits
         for i in range(len(digits)):
             words.append(digits[i:] + digits[:i])

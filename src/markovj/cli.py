@@ -194,10 +194,9 @@ def _print_report(report: analysis.Report, fmt: str) -> int:
 
 
 def cmd_interlace(config: RunConfig) -> int:
-    values = _values_with_cache(build_tree(config.depth), config)
-    return _print_report(
-        analysis.check_interlacing(values, config.depth), config.fmt
-    )
+    nodes = build_tree(config.depth)
+    values = _values_with_cache(nodes, config)
+    return _print_report(analysis.check_interlacing(values, nodes), config.fmt)
 
 
 def cmd_asymptotics(config: RunConfig) -> int:
@@ -222,13 +221,14 @@ def cmd_bounds(config: RunConfig, k0: int) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    analysis.check_q_recursion(config.depth)  # raises on failure
-    values = _values_with_cache(build_tree(config.depth), config)
+    nodes = build_tree(config.depth)
+    analysis.check_q_recursion(nodes)  # raises on failure
+    values = _values_with_cache(nodes, config)
     reports = [
-        analysis.check_interlacing(values, config.depth),
-        analysis.check_J_recursion(values, config.depth),
+        analysis.check_interlacing(values, nodes),
+        analysis.check_J_recursion(values, nodes),
         analysis.gg_prime_ranges(200),
-        analysis.coincidence_bound(min(config.depth, 6)),
+        analysis.coincidence_bound([node for node in nodes if node.level <= 6]),
     ]
     chain = analysis.theorem2_constants(12)
     chain_ok = abs(chain.re_delta_bound - 1.41173) < 1e-3

@@ -8,7 +8,10 @@ j(w) = J(w) / (2 log eps) with eps the fundamental unit
 Orientation convention: the published reference values correspond to
 the cycle of the *reversed* period word (the oppositely oriented
 geodesic); the forward word gives the complex conjugate.  We follow the
-reference orientation, so imaginary parts come out <= 0.
+reference orientation, so imaginary parts come out < 0, except at the
+tips 0/1 and 1/2: their words are their own reversals, so J is real
+there and the computed Im J is rounding of either sign (below
+1e-16 |J|).
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
+
+    def __reduce__(self):
+        # Rebuilt from both arguments, so it crosses a process pool.
+        return type(self), (str(self), self.estimate)
 
 
 def log_epsilon(c: int) -> float:
@@ -162,7 +169,11 @@ def integrate_J(
         integrator = ArcIntegrator()
     # Reference orientation: cycle of the reversed word (see module doc).
     states = cycle_states(node.period.reversed())
-    J, err = integrator.integrate_states(states, tol)
+    try:
+        J, err = integrator.integrate_states(states, tol)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} at {node.farey} (path {node.path!r})",
+                              exc.estimate) from exc
     le = log_epsilon(node.c)
     return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err,
                       tol=tol, series_order=integrator.series.order)

@@ -10,9 +10,7 @@ Im z >= sqrt(3)/2 where the series converges extremely fast
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +19,6 @@ __all__ = [
     "j_coefficients",
     "j_eval",
     "truncation_error_bound",
-    "save_series",
-    "load_series",
     "DEFAULT_ORDER",
     "ARC_MIN_IM",
 ]
@@ -75,20 +71,10 @@ def _sigma3(n: int) -> int:
     return s
 
 
-def j_coefficients(order: int = DEFAULT_ORDER, cache_path: str | os.PathLike | None = None) -> JSeries:
-    """Exact coefficients c_{-1}, c_0, ..., c_order of the j-function.
-
-    With ``cache_path`` the result is read from / written to disk
-    (newline-delimited decimal integers, first line the order).
-    """
+def j_coefficients(order: int = DEFAULT_ORDER) -> JSeries:
+    """Exact coefficients c_{-1}, c_0, ..., c_order of the j-function."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    if cache_path is not None:
-        path = Path(cache_path)
-        if path.exists():
-            cached = load_series(path)
-            if cached.order >= order:
-                return JSeries(cached.coefficients[: order + 2])
     n = order + 1
     e4 = [1] + [240 * _sigma3(m) for m in range(1, n + 1)]
     e4_cubed = _series_mul(_series_mul(e4, e4, n), e4, n)
@@ -110,26 +96,7 @@ def j_coefficients(order: int = DEFAULT_ORDER, cache_path: str | os.PathLike | N
     quot = [0] * (n + 1)
     for m in range(n + 1):
         quot[m] = e4_cubed[m] - sum(eta24[m - i] * quot[i] for i in range(m))
-    series = JSeries(tuple(quot[: order + 2]))
-    if cache_path is not None:
-        save_series(series, cache_path)
-    return series
-
-
-def save_series(series: JSeries, path: str | os.PathLike) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [str(series.order)] + [str(c) for c in series.coefficients]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_series(path: str | os.PathLike) -> JSeries:
-    lines = Path(path).read_text().split()
-    order = int(lines[0])
-    coeffs = tuple(int(x) for x in lines[1:])
-    if len(coeffs) != order + 2:
-        raise ValueError(f"corrupt series cache {path}")
-    return JSeries(coeffs)
+    return JSeries(tuple(quot[: order + 2]))
 
 
 def j_eval(z, series: JSeries):

@@ -17,7 +17,7 @@ doing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -154,7 +154,13 @@ def markov_constant(c: int) -> float:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One vertex of the tree with all its attached arithmetic data."""
+    """One vertex of the tree with all its attached arithmetic data.
+
+    ``left`` and ``right`` are the endpoints of the node's Farey
+    interval: the two predecessors whose fractions it is the mediant of
+    (``None`` at the tips).  They take no part in equality, hashing or
+    repr, so none of those walks up the tree.
+    """
 
     path: str
     level: int
@@ -163,6 +169,8 @@ class TreeNode:
     period: Period
     k: int
     form: tuple[int, int, int]
+    left: TreeNode | None = field(compare=False, repr=False)
+    right: TreeNode | None = field(compare=False, repr=False)
 
     @property
     def c(self) -> int:
@@ -178,7 +186,8 @@ class TreeNode:
 
 
 def _make_node(path: str, level: int, triple: MarkovTriple, farey: FareyFraction,
-               period: Period) -> TreeNode:
+               period: Period, left: TreeNode | None = None,
+               right: TreeNode | None = None) -> TreeNode:
     k = markov_k(triple)
     form = markov_form(triple.c, k)
     if len(period) != farey.q:
@@ -186,7 +195,7 @@ def _make_node(path: str, level: int, triple: MarkovTriple, farey: FareyFraction
             f"period length {len(period)} != Farey denominator {farey.q} at {path!r}"
         )
     return TreeNode(path=path, level=level, triple=triple, farey=farey,
-                    period=period, k=k, form=form)
+                    period=period, k=k, form=form, left=left, right=right)
 
 
 TIP_LEFT = _make_node("0/1", 0, MarkovTriple(1, 1, 1), FareyFraction(0, 1),
@@ -194,44 +203,39 @@ TIP_LEFT = _make_node("0/1", 0, MarkovTriple(1, 1, 1), FareyFraction(0, 1),
 TIP_RIGHT = _make_node("1/2", 0, MarkovTriple(1, 1, 2), FareyFraction(1, 2),
                        Period(TIP_RIGHT_DIGITS))
 ROOT = _make_node("", 1, MarkovTriple(2, 1, 5), FareyFraction(1, 3),
-                  Period(ROOT_DIGITS))
+                  Period(ROOT_DIGITS), TIP_LEFT, TIP_RIGHT)
 
 
-def _child(node: TreeNode, left: TreeNode, right: TreeNode, step: str,
-           leftmost: bool) -> tuple[TreeNode, TreeNode, TreeNode]:
-    """One step down the tree; returns (child, its left, its right)."""
+def _child(node: TreeNode, step: str) -> TreeNode:
+    """One step down the tree: the child's interval is the left or the
+    right half of the node's, split at the node."""
     tleft, tright = vieta_children(node.triple)
-    level = node.level + 1
     if step == "L":
-        farey = farey_median(left.farey, node.farey)
-        period = (Period((2,) + (3,) * level + (4,)) if leftmost
-                  else conjunction(node.period, left.period))
-        child = _make_node(node.path + "L", level, tleft, farey, period)
-        return child, left, node
-    farey = farey_median(node.farey, right.farey)
-    period = conjunction(right.period, node.period)
-    child = _make_node(node.path + "R", level, tright, farey, period)
-    return child, node, right
+        left, right, triple = node.left, node, tleft
+    else:
+        left, right, triple = node, node.right, tright
+    level = node.level + 1
+    farey = farey_median(left.farey, right.farey)
+    # Down the branch from the left tip the word is 2 3^level 4.
+    period = (Period((2,) + (3,) * level + (4,)) if left is TIP_LEFT
+              else conjunction(right.period, left.period))
+    return _make_node(node.path + step, level, triple, farey, period, left, right)
 
 
-def walk_path(path: str) -> Iterator[tuple[TreeNode, TreeNode, TreeNode]]:
-    """Yield (node, left neighbour, right neighbour) from the root down
-    along ``path``.  Neighbours are the Farey-interval endpoints."""
+def walk_path(path: str) -> Iterator[TreeNode]:
+    """Yield the nodes from the root down along ``path``."""
     if any(s not in "LR" for s in path):
         raise TreeError(f"path must be a word over L/R: {path!r}")
-    node, left, right = ROOT, TIP_LEFT, TIP_RIGHT
-    yield node, left, right
-    leftmost = True
+    node = ROOT
+    yield node
     for step in path:
-        if step == "R":
-            leftmost = False
-        node, left, right = _child(node, left, right, step, leftmost)
-        yield node, left, right
+        node = _child(node, step)
+        yield node
 
 
 def node_at(path: str) -> TreeNode:
     """The node at tree path ``path`` ('' is the root (2,1,5) <-> 1/3)."""
-    for node, _, _ in walk_path(path):
+    for node in walk_path(path):
         pass
     return node
 
@@ -244,16 +248,10 @@ def build_tree(depth: int) -> list[TreeNode]:
     if depth < 1:
         raise TreeError("depth must be >= 1")
     nodes = [TIP_LEFT, TIP_RIGHT, ROOT]
-    frontier = [(ROOT, TIP_LEFT, TIP_RIGHT, True)]
+    frontier = [ROOT]
     for _ in range(2, depth + 1):
-        nxt = []
-        for node, left, right, leftmost in frontier:
-            cl = _child(node, left, right, "L", leftmost)
-            cr = _child(node, left, right, "R", False)
-            nxt.append((*cl, leftmost))
-            nxt.append((*cr, False))
-        frontier = nxt
-        nodes.extend(item[0] for item in frontier)
+        frontier = [_child(node, step) for node in frontier for step in "LR"]
+        nodes.extend(frontier)
     return nodes
 
 
@@ -277,18 +275,13 @@ def find_fraction(p: int, q: int, max_level: int = 200) -> TreeNode:
         raise TreeError(
             f"{p}/{q} lies outside (0, 1/2); nearest valid nodes are 0/1 and 1/2"
         )
-    node, left, right = ROOT, TIP_LEFT, TIP_RIGHT
-    leftmost = True
+    node = ROOT
     while node.level <= max_level:
         value = node.farey.as_fraction()
         if target == value:
             return node
-        if target < value:
-            node, left, right = _child(node, left, right, "L", leftmost)
-        else:
-            leftmost = False
-            node, left, right = _child(node, left, right, "R", False)
+        node = _child(node, "L" if target < value else "R")
     raise TreeError(
         f"{p}/{q} not found within {max_level} levels; "
-        f"nearest nodes are {left.farey} and {right.farey}"
+        f"nearest nodes are {node.left.farey} and {node.right.farey}"
     )

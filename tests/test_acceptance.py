@@ -74,18 +74,18 @@ def test_criterion_4_exact_structure(capsys):
         (m00, _), (_, m11) = period_matrix(node.period)
         assert m00 + m11 == 3 * node.c
         assert (node.k**2 + 1) % node.c == 0
-    report = check_q_recursion(9)  # raises on any mismatch
+    report = check_q_recursion(build_tree(9))  # raises on any mismatch
     verdict(capsys, 4, report.passed, f"{len(nodes)} nodes, all integer identities exact")
 
 
 def test_criterion_5_local_recursion_bounds(capsys, depth9_values):
-    report = check_J_recursion(depth9_values, 9, slack=1e-6)
+    report = check_J_recursion(depth9_values, build_tree(9), slack=1e-6)
     ratio = report.checks[0].measured
     verdict(capsys, 5, report.passed, f"max |delta|/bound {ratio:.3g} over levels 2..9")
 
 
 def test_criterion_6_interlacing(capsys, depth9_values):
-    report = check_interlacing(depth9_values, 9, tol=1e-9, hard_tol=1e-6)
+    report = check_interlacing(depth9_values, build_tree(9), tol=1e-9, hard_tol=1e-6)
     verdict(capsys, 6, report.passed, report.checks[0].details)
 
 

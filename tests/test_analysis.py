@@ -2,6 +2,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from markovj import analysis
 from markovj.analysis import (
@@ -13,59 +14,105 @@ from markovj.analysis import (
     check_q_recursion,
     coincidence_bound,
     coincidence_envelope,
-    decompose_path,
     denominator_sequence,
     envelope_from_values,
     g_kernel,
     gg_prime_ranges,
     theorem2_constants,
 )
-from markovj.tree import TIP_LEFT, TIP_RIGHT, TreeError, build_tree, node_at
+from markovj.tree import (
+    ROOT,
+    TIP_LEFT,
+    TIP_RIGHT,
+    TreeError,
+    build_tree,
+    farey_median,
+    node_at,
+    walk_path,
+)
+
+
+def _cap(path: str, qmax: int = 10_000) -> str:
+    """The longest prefix of ``path`` whose node has q <= qmax.
+
+    A uniformly random 30-step path has median q near 5e5, and its
+    Markov number some 2e5 digits, too big to build in a test."""
+    lq, rq, q = 1, 2, 3
+    for i, step in enumerate(path):
+        lq, rq = (lq, q) if step == "L" else (q, rq)
+        q = lq + rq
+        if q > qmax:
+            return path[:i]
+    return path
+
+
+def _turn_rule_pair(path: str) -> set[str]:
+    """Paths of the two predecessors by the turn-level rule: the parent,
+    and the node above the path's last turn (the branch tip on a pure
+    branch); the root's are the two tips."""
+    if not path:
+        return {TIP_LEFT.path, TIP_RIGHT.path}
+    base = TIP_RIGHT if path.startswith("R") else TIP_LEFT
+    chain = [base, *walk_path(path)]  # chain[i] is the node of level i
+    n = len(path) + 1
+    turns = [1] + [i + 1 for i in range(1, len(path)) if path[i - 1] != path[i]]
+    return {chain[n - 1].path, chain[turns[-1] - 1].path}
+
+
+paths = st.text(alphabet="LR", max_size=30).map(_cap)
 
 
 class TestDecompose:
+    """A node splits into its two predecessors u and v, the endpoints of
+    its Farey interval, which every node records."""
+
     def test_pure_left_branch(self):
-        dec = decompose_path("LLL")
-        assert dec.m == 1
-        assert dec.turn_levels == (1,)
-        assert dec.turn_pred is TIP_LEFT
-        assert dec.immediate_pred.level == 3
+        node = node_at("LLL")
+        assert node.left is TIP_LEFT
+        assert node.right.path == "LL" and node.right.level == 3
 
     def test_single_turn(self):
-        dec = decompose_path("RL")
-        assert dec.turn_levels == (1, 2)
-        assert dec.turn_pred.path == ""
-        assert dec.immediate_pred.path == "R"
+        node = node_at("RL")
+        assert node.left.path == ""
+        assert node.right.path == "R"
 
     def test_root(self):
-        dec = decompose_path("")
-        assert {dec.immediate_pred, dec.turn_pred} == {TIP_LEFT, TIP_RIGHT}
+        assert ROOT.left is TIP_LEFT and ROOT.right is TIP_RIGHT
+        assert TIP_LEFT.left is TIP_LEFT.right is None
+        assert TIP_RIGHT.left is TIP_RIGHT.right is None
 
     def test_q_identity(self):
-        dec = decompose_path("RLLRL")
-        qs = dec.qs
-        assert qs[-1] == qs[-2] + qs[dec.turn_levels[-1] - 1]
+        node = node_at("RLLRL")
+        assert node.q == node.left.q + node.right.q
 
-    def test_accepts_node(self):
-        assert decompose_path(node_at("RL")) == decompose_path("RL")
+    @given(paths)
+    @settings(deadline=None)
+    def test_node_is_mediant_of_neighbours(self, path):
+        node = node_at(path)
+        assert node.farey == farey_median(node.left.farey, node.right.farey)
+        assert node.q == node.left.q + node.right.q
 
-    def test_prefix_lookup_matches_walk(self):
-        decs = list(analysis._decompositions(6))
-        assert [d.node.path for d in decs] == [
-            n.path for n in build_tree(6) if n.level >= 2]
-        for dec in decs:
-            assert dec == decompose_path(dec.node.path)
+    @given(paths)
+    @settings(deadline=None)
+    def test_neighbours_match_turn_rule(self, path):
+        node = node_at(path)
+        assert {node.left.path, node.right.path} == _turn_rule_pair(path)
+
+    def test_build_tree_agrees_with_node_at(self):
+        for node in build_tree(6)[2:]:  # the tips have no L/R path
+            walked = node_at(node.path)
+            assert (walked.left, walked.right) == (node.left, node.right)
 
 
 class TestQRecursion:
     def test_passes_to_depth_eight(self):
-        report = check_q_recursion(8)
+        report = check_q_recursion(build_tree(8))
         assert report.passed
 
     def test_failure_raises_tree_error(self, monkeypatch):
         monkeypatch.setattr(analysis, "_mat_mul", lambda A, B: ((0, 0), (0, 0)))
         with pytest.raises(TreeError, match="matrix recursion fails"):
-            check_q_recursion(4)
+            check_q_recursion(build_tree(4))
 
     def test_figure_examples(self):
         assert node_at("RL").q == 8 == node_at("R").q + node_at("").q
@@ -74,22 +121,23 @@ class TestQRecursion:
 
 class TestInterlacing:
     def test_small_depth(self, depth9_values):
-        report = check_interlacing(depth9_values, 4)
+        report = check_interlacing(depth9_values, build_tree(4))
         assert report.passed
         assert "0 violation" in report.checks[0].details
 
     def test_segment_mode(self, depth9_values):
-        report = check_interlacing(depth9_values, 4, tol=1e-6, mode="segment")
+        report = check_interlacing(depth9_values, build_tree(4), tol=1e-6,
+                                   mode="segment")
         assert report.checks[0].name.startswith("segment")
 
     def test_missing_values(self):
         with pytest.raises(KeyError):
-            check_interlacing({}, 3)
+            check_interlacing({}, build_tree(3))
 
 
 class TestJRecursion:
     def test_small_depth(self, depth9_values):
-        report = check_J_recursion(depth9_values, 5)
+        report = check_J_recursion(depth9_values, build_tree(5))
         assert report.passed
         assert report.checks[0].measured < 1.0
 
@@ -105,14 +153,16 @@ class TestJRecursion:
 
     def test_names_argmax_after_smaller_increase(self):
         # The ratio first increases at LL, then peaks at RR.
-        check = check_J_recursion(self._synthetic({"LL": 0.1, "RR": 0.5}), 3).checks[0]
+        values = self._synthetic({"LL": 0.1, "RR": 0.5})
+        check = check_J_recursion(values, build_tree(3)).checks[0]
         assert check.status == "pass"
         assert check.measured == pytest.approx(0.5)
         assert "'RR'" in check.details
         assert "'LL'" not in check.details
 
     def test_names_argmax_and_violation(self):
-        check = check_J_recursion(self._synthetic({"LL": 0.1, "RR": 3.0}), 3).checks[0]
+        values = self._synthetic({"LL": 0.1, "RR": 3.0})
+        check = check_J_recursion(values, build_tree(3)).checks[0]
         assert check.status == "fail"
         assert check.details.endswith("at 'RR', violation at 'RR'")
 
@@ -137,7 +187,7 @@ class TestCoincidence:
         assert coincidence_envelope(3) == pytest.approx(10 * phi**-4, rel=1e-12)
 
     def test_report(self):
-        report = coincidence_bound(depth=5, samples=200)
+        report = coincidence_bound(build_tree(5), samples=200)
         assert report.passed
 
     def test_contraction_constant(self):
@@ -189,6 +239,6 @@ class TestBoundChain:
 
 class TestReports:
     def test_json_and_text(self):
-        report = check_q_recursion(3)
+        report = check_q_recursion(build_tree(3))
         assert '"passed": true' in report.to_json()
         assert "PASS" in report.to_text()

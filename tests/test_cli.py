@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from markovj.cli import RunConfig, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -148,10 +152,20 @@ class TestFailures:
             raise QuadratureError("estimate 1 exceeds tol", 1.0)
 
         monkeypatch.setattr(ArcIntegrator, "integrate_states", failing)
-        for argv in (("--depth", "2", "table"), ("value", "RL")):
+        for argv, node in ((("--depth", "2", "table"), "0/1 (path '0/1')"),
+                           (("value", "RL"), "3/8 (path 'RL')")):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
-            assert err == "error: estimate 1 exceeds tol\n"
+            assert err == f"error: estimate 1 exceeds tol at {node}\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tol_below_rounding_names_the_node(self, capsys, jobs):
+        # With two jobs the error crosses the process pool.
+        code, out, err = run(capsys, "--depth", "3", "--jobs", jobs,
+                             "--tol", "1e-16", "table")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: quadrature estimate \S+ exceeds tol 1e-16 "
+                            r"relative to \|value\| = \S+ at 0/1 \(path '0/1'\)\n", err)
 
 
 class TestReports:
@@ -184,3 +198,25 @@ class TestReports:
         code, out, _ = run(capsys, "--depth", "3", "--tol", "1e-8", "verify")
         assert code == 0
         assert "verify: PASS" in out
+
+    def test_verify_golden_depth_seven(self, capsys):
+        code, out, _ = run(capsys, "--depth", "7", "verify")
+        assert code == 0
+        assert out == (DATA / "verify_depth7.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["verify", "interlace"])
+    def test_one_tree_per_run(self, capsys, monkeypatch, command):
+        from markovj import analysis, cli, tree
+
+        calls = []
+        build = tree.build_tree
+
+        def counting(depth):
+            calls.append(depth)
+            return build(depth)
+
+        for module in (tree, cli, analysis):
+            monkeypatch.setattr(module, "build_tree", counting, raising=False)
+        code, _, _ = run(capsys, "--depth", "5", command)
+        assert code == 0
+        assert calls == [5]

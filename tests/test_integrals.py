@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -90,6 +91,29 @@ class TestIntegrateJ:
         assert 1e-13 < v.quad_error <= 1e-13 * abs(v.J)
         with pytest.raises(QuadratureError):
             integrate_J(node, tol=1e-20, integrator=integ)
+
+    def test_error_names_the_node(self, series):
+        node = node_at("RL")
+        with pytest.raises(QuadratureError) as info:
+            integrate_J(node, tol=1e-20, integrator=ArcIntegrator(series))
+        assert str(info.value).endswith(" at 3/8 (path 'RL')")
+        assert 0.0 < info.value.estimate < math.inf
+
+    def test_error_survives_pickle(self):
+        err = QuadratureError("estimate 2 exceeds tol at 3/8 (path 'RL')", 2.0)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is QuadratureError
+        assert str(back) == str(err)
+        assert back.estimate == 2.0
+
+    def test_imaginary_part_sign(self, depth9_values):
+        # The tips' words are their own reversals, so their J is real and
+        # the computed Im J is rounding; every other node has Im J < 0.
+        for path, value in depth9_values.items():
+            if path in (TIP_LEFT.path, TIP_RIGHT.path):
+                assert abs(value.J.imag) <= 1e-15 * abs(value.J), path
+            else:
+                assert value.J.imag < 0, path
 
 
 class TestFixedRule:

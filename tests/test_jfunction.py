@@ -9,8 +9,6 @@ from markovj.jfunction import (
     JSeries,
     j_coefficients,
     j_eval,
-    load_series,
-    save_series,
     truncation_error_bound,
 )
 
@@ -38,21 +36,6 @@ class TestCoefficients:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             j_coefficients(-1)
-
-    def test_disk_cache(self, tmp_path):
-        path = tmp_path / "series.txt"
-        a = j_coefficients(25, cache_path=path)
-        assert path.exists()
-        b = j_coefficients(20, cache_path=path)
-        assert b.coefficients == a.coefficients[:22]
-        assert load_series(path).coefficients == a.coefficients
-
-    def test_corrupt_cache(self, tmp_path):
-        path = tmp_path / "series.txt"
-        save_series(j_coefficients(20), path)
-        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
-        with pytest.raises(ValueError):
-            load_series(path)
 
 
 class TestEvaluation:
