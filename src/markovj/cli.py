@@ -89,12 +89,11 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
 
     A cached record is used only if it matches the node (path, q, c)
     and the run (tol, series order, quadrature method); the other nodes
-    are computed and the cache is rewritten in a deterministic order.
+    are computed, and only then is the cache rewritten, in path order.
     """
     cached: dict[str, dict] = {}
     if config.cache and Path(config.cache).exists():
         cached = {rec["path"]: rec for rec in read_cache(config.cache)}
-    by_path = {n.path: n for n in nodes}
     values: dict[str, CycleValue] = {}
     missing: list[TreeNode] = []
     for node in nodes:
@@ -117,9 +116,8 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
         series = j_coefficients(config.series_order)
         values.update(compute_values(missing, tol=config.tol, series=series,
                                      jobs=config.jobs))
-    if config.cache:
-        ordered = [values[p] for p in sorted(by_path)]
-        write_cache(ordered, config.cache)
+        if config.cache:
+            write_cache([values[p] for p in sorted(values)], config.cache)
     return values
 
 

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from markovj.analysis import (
     envelope_from_values,
     g_kernel,
     gg_prime_ranges,
+    gp_kernel,
     theorem2_constants,
 )
 from markovj.tree import (
@@ -178,6 +181,38 @@ class TestGGPrime:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             gg_prime_ranges(grid=50)
+
+    @staticmethod
+    def _brute_force_extrema(kernel, box, grid):
+        """Reference: the pointwise kernel on the whole box, one theta at a time."""
+        xs = np.linspace(box[0], box[1], grid)
+        vmin, vmax = math.inf, -math.inf
+        for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
+            vals = kernel(xs[:, None], xs[None, :], theta)
+            vmin = min(vmin, float(vals.min()))
+            vmax = max(vmax, float(vals.max()))
+        return vmin, vmax
+
+    @pytest.mark.parametrize("grid", [100, 200])
+    def test_fused_sampler_equals_kernels(self, grid):
+        expected = [self._brute_force_extrema(kernel, box, grid)
+                    for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
+                    for kernel in (g_kernel, gp_kernel)]
+        got = (analysis._box_extrema(analysis.VALUE_BOX, grid)
+               + analysis._box_extrema(analysis.CONJ_BOX, grid))
+        assert got == expected
+        report = gg_prime_ranges(grid)
+        assert [c.measured for c in report.checks] == [lo for lo, _ in expected]
+
+    def test_no_cube_sized_array(self):
+        # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.
+        tracemalloc.start()
+        try:
+            gg_prime_ranges(200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestCoincidence:

@@ -136,6 +136,32 @@ class TestTable:
         run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", cache, "table")
         assert len(computed) == 5
 
+    def test_warm_run_does_not_rewrite_cache(self, capsys, tmp_path, monkeypatch):
+        import markovj.cli as cli
+
+        cache = str(tmp_path / "cache.jsonl")
+        args = ("--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
+        run(capsys, *args)
+        writes = []
+        write = cli.write_cache
+
+        def counting(values, path):
+            writes.append(path)
+            return write(values, path)
+
+        monkeypatch.setattr(cli, "write_cache", counting)
+        run(capsys, *args)
+        assert writes == []
+
+    def test_shallower_run_keeps_deeper_cache(self, capsys, tmp_path, computed):
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "3", "--tol", "1e-8", "--cache", str(cache), "table")
+        cache_bytes = cache.read_bytes()
+        computed.clear()
+        code, _, _ = run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", str(cache), "table")
+        assert code == 0 and computed == []
+        assert cache.read_bytes() == cache_bytes
+
     def test_corrupted_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text('{"schema": 0}\n')
@@ -178,6 +204,13 @@ class TestReports:
         code, out, _ = run(capsys, "--depth", "20", "--format", "json", "asymptotics")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("depth", ["1", "2"])
+    def test_asymptotics_shallow_depth(self, capsys, depth):
+        # Only three or four denominators are <= depth + 2 here.
+        code, out, _ = run(capsys, "--depth", depth, "asymptotics")
+        assert code == 0
+        assert "[PASS] ordering head" in out
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds", "--k0", "12")
