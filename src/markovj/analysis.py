@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cf import eval_periodic
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, eval_periodic
 from .integrals import CycleValue
 from .tree import (
     TIP_LEFT,
@@ -68,8 +68,8 @@ GP_RANGE_VALUE = (-1.10636, -0.07222)
 G_RANGE_CONJ = (-1.25946, 0.354112)
 GP_RANGE_CONJ = (0.04705, 1.10636)
 
-VALUE_BOX = (3.0 / 8.0, 29.0 / 12.0)
-CONJ_BOX = (-21.0 / 8.0, -2.0 / 5.0)
+VALUE_BOX = (STATE_MIN, STATE_MAX)
+CONJ_BOX = (CONJ_MIN, CONJ_MAX)
 
 
 def coincidence_envelope(r: int) -> float:

@@ -29,53 +29,55 @@ __all__ = [
     "cycle_states",
 ]
 
-VALID_DIGITS = (2, 3, 4)
-
 #: Cycle-state value range for Markov periods.
 STATE_MIN = 3.0 / 8.0
 STATE_MAX = 29.0 / 12.0
 CONJ_MIN = -21.0 / 8.0
 CONJ_MAX = -2.0 / 5.0
 
-TIP_LEFT_DIGITS = (3,)
-TIP_RIGHT_DIGITS = (2, 4)
-ROOT_DIGITS = (2, 3, 4)
+#: Fixed-point iterations stop at a step below CONVERGED, or fail after MAX_SWEEPS.
+CONVERGED = 1e-14
+MAX_SWEEPS = 10_000
 
 
 class PeriodError(ValueError):
     """Raised for malformed periods or a failed cycle check."""
 
 
-def _check_digits(digits: Sequence[int]) -> tuple[int, ...]:
-    digits = tuple(int(d) for d in digits)
-    if not digits:
-        raise PeriodError("period must be nonempty")
-    bad = [d for d in digits if d not in VALID_DIGITS]
-    if bad:
-        raise PeriodError(f"digits outside {{2,3,4}}: {bad}")
-    return digits
-
-
 @dataclass(frozen=True)
 class Period:
     """A cyclic word of partial quotients.
 
-    ``digits`` keeps the rotation it was constructed with (the one that
-    matches the tree pictures); equality and hashing use the
-    lexicographically least rotation, so two periods compare equal iff
-    one is a rotation of the other.
+    ``word`` holds one byte per digit in {2, 3, 4}, checked once on
+    construction, in the rotation it was built with (the one the tree
+    pictures show); ``digits`` is the same word as a tuple.  Equality and
+    hashing use the least rotation, so two periods are equal iff one is
+    a rotation of the other.
     """
 
-    digits: tuple[int, ...]
+    word: bytes
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _check_digits(self.digits))
+        word = self.word
+        try:
+            # Iterated, so that an int is refused rather than read as a length.
+            word = word if type(word) is bytes else bytes(iter(word))
+        except (TypeError, ValueError) as exc:
+            raise PeriodError(f"period digits must be integers in {{2,3,4}}: {exc}") from None
+        if not word or word.translate(None, b"\2\3\4"):
+            raise PeriodError("period must be a nonempty word over {2,3,4}, "
+                              f"not one over {sorted(set(word))}")
+        object.__setattr__(self, "word", word)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(self.word)
 
     @cached_property
     def canonical(self) -> tuple[int, ...]:
         """The least rotation, found with Booth's O(q) algorithm
         (K. S. Booth, Inf. Proc. Lett. 10, 1980) on first use."""
-        s = self.digits * 2
+        s = self.word * 2
         fail = [-1] * len(s)
         k = 0
         for j in range(1, len(s)):
@@ -91,10 +93,10 @@ class Period:
                 fail[j - k] = -1
             else:
                 fail[j - k] = i + 1
-        return self.digits[k:] + self.digits[:k]
+        return tuple(self.word[k:] + self.word[:k])
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self.word)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Period):
@@ -106,15 +108,15 @@ class Period:
 
     @property
     def digit_sum(self) -> int:
-        return sum(self.digits)
+        return sum(self.word)
 
     @property
     def cycle_length(self) -> int:
         """Length of the simple-form cycle, sum(a_i - 1)."""
-        return sum(d - 1 for d in self.digits)
+        return sum(self.word) - len(self.word)
 
     def reversed(self) -> "Period":
-        return Period(self.digits[::-1])
+        return Period(self.word[::-1])
 
     def __str__(self) -> str:
         return format_period(self)
@@ -122,7 +124,7 @@ class Period:
 
 def conjunction(left: Period, right: Period) -> Period:
     """Concatenate two periods (the child word on the tree)."""
-    return Period(left.digits + right.digits)
+    return Period(left.word + right.word)
 
 
 _RUN_RE = re.compile(r"^(\d+)(?:_(\d+))?$")
@@ -143,46 +145,40 @@ def parse_period(text: str) -> Period:
         if count < 1:
             raise PeriodError(f"bad repeat count in {chunk!r}")
         digits.extend([digit] * count)
-    return Period(tuple(digits))
+    return Period(digits)
 
 
 def format_period(period: Period, compact: bool = True) -> str:
     """Render a period, run-length compressed by default ("2,3_2,4")."""
+    word = period.word
     if not compact:
-        return ",".join(str(d) for d in period.digits)
+        return ",".join(map(str, word))
     parts: list[str] = []
     i = 0
-    digits = period.digits
-    while i < len(digits):
+    while i < len(word):
         j = i
-        while j < len(digits) and digits[j] == digits[i]:
+        while j < len(word) and word[j] == word[i]:
             j += 1
         run = j - i
-        parts.append(f"{digits[i]}_{run}" if run > 1 else str(digits[i]))
+        parts.append(f"{word[i]}_{run}" if run > 1 else str(word[i]))
         i = j
     return ",".join(parts)
 
 
-def eval_periodic(
-    period: Period | Sequence[int],
-    tol: float = 1e-14,
-    max_iter: int = 10_000,
-) -> float:
+def eval_periodic(period: Period | Sequence[int]) -> float:
     """Value of the purely periodic expansion, via fixed-point iteration
-    of the period's Mobius map starting at 2.
+    of the period's Mobius map starting at 2, to within CONVERGED.
     """
-    digits = period.digits if isinstance(period, Period) else _check_digits(period)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    period = period if isinstance(period, Period) else Period(period)
     x = 2.0
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         y = x
-        for d in reversed(digits):
+        for d in reversed(period.word):
             y = d - 1.0 / y
-        if abs(y - x) < tol:
+        if abs(y - x) < CONVERGED:
             return y
         x = y
-    raise PeriodError(f"fixed-point iteration did not converge for {digits}")
+    raise PeriodError(f"fixed-point iteration did not converge for {period}")
 
 
 def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -190,9 +186,9 @@ def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tupl
 
     det = 1 always; trace = 3c for the period of a Markov number c.
     """
-    digits = period.digits if isinstance(period, Period) else _check_digits(period)
     a, b, c, d = 1, 0, 0, 1
-    for digit in digits:
+    word = period.word if isinstance(period, Period) else Period(period).word
+    for digit in word:
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
     return ((a, b), (c, d))
 
@@ -212,12 +208,12 @@ class CycleStates:
         return len(self.values)
 
 
-def _rotation_values(digits: tuple[int, ...]) -> list[float]:
+def _rotation_values(digits: Sequence[int]) -> list[float]:
     """Values T_k of every rotation digits[k:] + digits[:k].
 
     Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
     update every T_k in turn.  Each T_k is kept from the first sweep in
-    which it moves by less than 1e-14, the rule :func:`eval_periodic`
+    which it moves by less than CONVERGED, the rule :func:`eval_periodic`
     applies to a single rotation (so T_0 is exactly its value), and the
     sweeps stop once every T_k is kept.  The map contracts by about
     1/eps^2 per sweep, so a few sweeps suffice.
@@ -227,20 +223,19 @@ def _rotation_values(digits: tuple[int, ...]) -> list[float]:
     kept: list = [None] * n
     left = n
     x = 2.0
-    for _ in range(10_000):
+    for _ in range(MAX_SWEEPS):
         for k in range(n - 1, -1, -1):
             x = digits[k] - 1.0 / x
-            if kept[k] is None and abs(x - prev[k]) < 1e-14:
+            if kept[k] is None and abs(x - prev[k]) < CONVERGED:
                 kept[k] = x
                 left -= 1
             prev[k] = x
         if not left:
             return kept
-    raise PeriodError(f"rotation sweep did not converge for {digits}")
+    raise PeriodError(f"rotation sweep did not converge for {Period(digits)}")
 
 
-def _exact_cycle(digits: tuple[int, ...], values: list[float],
-                 check_tol: float) -> None:
+def _exact_cycle(period: Period, values: list[float], check_tol: float) -> None:
     """Check ``values`` against the simple-form cycle walk run exactly.
 
     The walk starts at w - 1, w the attracting fixed point of the
@@ -250,7 +245,7 @@ def _exact_cycle(digits: tuple[int, ...], values: list[float],
     discriminant D (Zagier, Zetafunktionen und quadratische Koerper,
     1981).  The walk must close after exactly len(values) steps.
     """
-    (a, _b), (c, d) = period_matrix(digits)
+    (a, _b), (c, d) = period_matrix(period)
     disc = (a + d) ** 2 - 4
     root = math.isqrt(disc << 128)  # floor(sqrt(D) * 2^64)
     # D = t^2 - 4 with trace t >= 3 is never a square, so z >= 1 iff
@@ -263,7 +258,7 @@ def _exact_cycle(digits: tuple[int, ...], values: list[float],
         exact = ((p << 64) + root) / (q << 64)
         if abs(value - exact) > check_tol:
             raise PeriodError(
-                f"cycle state mismatch for {digits}: "
+                f"cycle state mismatch for {period}: "
                 f"{value} vs exact {exact}"
             )
         if q - p <= floor_sqrt:
@@ -272,11 +267,11 @@ def _exact_cycle(digits: tuple[int, ...], values: list[float],
             p = q - p
             q, rem = divmod(p * p - disc, q)
             if rem:
-                raise PeriodError(f"inexact cycle step for {digits}")
+                raise PeriodError(f"inexact cycle step for {period}")
             p -= q
     if (p, q) != start:
         raise PeriodError(
-            f"cycle of {digits} did not close after {len(values)} steps"
+            f"cycle of {period} did not close after {len(values)} steps"
         )
 
 
@@ -295,16 +290,18 @@ def cycle_states(
     O(q).  With ``cross_check`` the values are verified against an
     exact-arithmetic run of the cycle map.
     """
-    digits = period.digits if isinstance(period, Period) else _check_digits(period)
-    last = np.array(digits)
+    period = period if isinstance(period, Period) else Period(period)
+    word = period.word
+    # int64: a uint8 cumsum would wrap.
+    last = np.frombuffer(word, np.uint8).astype(np.int64)
     # pos[s]: the cyclic position of state s; a0 counts down to 1 within it.
-    pos = np.repeat(np.arange(len(digits)), last - 1)
+    pos = np.repeat(np.arange(len(word)), last - 1)
     a0 = np.cumsum(last - 1)[pos] - np.arange(len(pos))
     # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
-    tails = np.array(_rotation_values(digits[1:] + digits[:1]))
-    rev = np.array(_rotation_values(digits[::-1]))
+    tails = np.array(_rotation_values(word[1:] + word[:1]))
+    rev = np.array(_rotation_values(word[::-1]))
     values = a0 - 1.0 / tails[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
     if cross_check:
-        _exact_cycle(digits, values.tolist(), check_tol)
+        _exact_cycle(period, values.tolist(), check_tol)
     return CycleStates(a0=a0, values=values, conj_values=conj)

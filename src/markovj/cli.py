@@ -50,8 +50,9 @@ class RunConfig:
             raise ValueError("depth must be >= 1")
         if not 0.0 < self.tol <= 1e-4:
             raise ValueError("tol must be in (0, 1e-4]")
-        if self.series_order < 20:
-            raise ValueError("series order must be >= 20")
+        # c_m overflows floats near order 3180; the truncation bound is 0.0 from 200.
+        if not 20 <= self.series_order <= 1000:
+            raise ValueError("series order must be in [20, 1000]")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.jobs < 1:

@@ -42,6 +42,29 @@ class TestPeriod:
         with pytest.raises(PeriodError):
             Period(())
 
+    @pytest.mark.parametrize("digits", [(2, 300), (2, -1), (2, "2"), (2, 2.5), (), 3, "234"])
+    def test_bad_input_is_a_period_error(self, digits):
+        # Not a bare TypeError or ValueError from the byte conversion;
+        # an int is refused, not read as a length.
+        with pytest.raises(PeriodError):
+            Period(digits)
+
+    def test_parse_rejects_out_of_byte_digit(self):
+        with pytest.raises(PeriodError):
+            parse_period("2,300")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8])
+    def test_numpy_array_is_its_digits(self, dtype):
+        # Never taken as its raw buffer, which would be another word.
+        assert Period(np.array([2, 3, 4], dtype=dtype)).digits == (2, 3, 4)
+
+    def test_word_is_bytes(self):
+        p = Period((2, 3, 4))
+        assert p.word == b"\2\3\4"
+        assert Period(p.word) == p
+        assert conjunction(p, p).word == p.word * 2
+        assert p.reversed().word == b"\4\3\2"
+
     def test_cycle_length(self):
         assert Period((2, 3, 4)).cycle_length == 6
         assert Period((3,)).cycle_length == 2
@@ -105,9 +128,13 @@ class TestEval:
             y = d - 1.0 / y
         assert y == pytest.approx(x, abs=1e-9)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            eval_periodic((3,), tol=0.0)
+    def test_parabolic_word_does_not_converge(self):
+        # All-2 words have the parabolic value 1, which the iteration
+        # approaches too slowly; the message names the word as text.
+        with pytest.raises(PeriodError, match="did not converge for 2_2$"):
+            eval_periodic((2, 2))
+        with pytest.raises(PeriodError, match="did not converge for 2_2$"):
+            cf._rotation_values((2, 2))
 
 
 class TestMatrix:
@@ -159,6 +186,16 @@ class TestCycleStates:
 
     def test_conjunction(self):
         assert conjunction(Period((2, 3)), Period((4,))).digits == (2, 3, 4)
+
+    def test_period_and_its_digits_give_identical_states(self):
+        period = node_at("RLRLRLRLRLR").period
+        assert len(period) == 610
+        from_period = cycle_states(period)
+        from_digits = cycle_states(period.digits)
+        assert from_period.a0.dtype == from_digits.a0.dtype == np.int64
+        for field in ("a0", "values", "conj_values"):
+            got, want = getattr(from_period, field), getattr(from_digits, field)
+            assert got.tobytes() == want.tobytes()
 
 
 def _reference_cycle_states(digits):
@@ -256,16 +293,19 @@ class TestExactCheckFires:
             return values
 
         monkeypatch.setattr(cf, "_rotation_values", perturbed)
-        with pytest.raises(PeriodError, match="mismatch"):
+        with pytest.raises(PeriodError, match="mismatch") as info:
             cycle_states(node_at("LR").period.reversed())
+        # The word is named as format_period text, not as a bytes repr.
+        assert "for 4,3_2,2,4,3,2:" in str(info.value)
 
     def test_walk_that_does_not_close(self, monkeypatch):
         # The matrix of (3, 3, 2) starts a walk of length 5; six steps
         # of it cannot return to the start.
         other = period_matrix((3, 3, 2))
         monkeypatch.setattr(cf, "period_matrix", lambda digits: other)
-        with pytest.raises(PeriodError, match="did not close"):
+        with pytest.raises(PeriodError, match="did not close") as info:
             cycle_states((2, 3, 4), check_tol=math.inf)
+        assert "cycle of 2,3,4 did not close" in str(info.value)
 
 
 class TestCanonical:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -26,6 +27,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(series_order=10)
         with pytest.raises(ValueError):
+            RunConfig(series_order=1001)
+        RunConfig(series_order=1000)
+        with pytest.raises(ValueError):
             RunConfig(fmt="xml")
 
 
@@ -50,6 +54,14 @@ class TestTree:
         assert code == 2
         assert "depth" in err
 
+    def test_depth_twelve_listing_unchanged(self, capsys):
+        # SHA-256 of the listing, pinned so no change to the word
+        # format can alter it.
+        code, out, _ = run(capsys, "--depth", "12", "tree")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "78378a99ea1d36844206f9cf386c11b13e71d2f63ae94106f38ff1c213672f50")
+
 
 class TestValue:
     def test_left_tip(self, capsys):
@@ -68,6 +80,14 @@ class TestValue:
         code, _, err = run(capsys, "value", "3/5")
         assert code == 2
         assert "0/1" in err and "1/2" in err
+
+    def test_series_order_too_high(self, capsys):
+        # Past order ~3180 the coefficients overflow float64; the run is
+        # refused up front with one line instead of a traceback.
+        code, out, err = run(capsys, "--series-order", "3300", "value", "1/3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: series order must be in [20, 1000]\n"
 
     def test_path_target(self, capsys):
         code, out, _ = run(capsys, "value", "RL")
