@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, eval_periodic
-from .integrals import CycleValue
+from .integrals import CycleValue, log_epsilon
 from .tree import (
     TIP_LEFT,
     TIP_RIGHT,
@@ -457,19 +457,19 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     sorted as the published sequence (by q, ties by Markov number).
 
     Enumerates the infinite tree with pruning: q strictly increases
-    down every branch, so the search below qmax is finite.
+    down every branch, so the search below qmax is finite.  The walk
+    keeps its own stack, as a branch can be qmax levels deep.
     """
     out = [(1, 1), (2, 2)]
-
-    def rec(triple: MarkovTriple, q: int, ql: int, qr: int) -> None:
+    stack = [(MarkovTriple(2, 1, 5), 3, 1, 2)]
+    while stack:
+        triple, q, ql, qr = stack.pop()
         if q > qmax:
-            return
+            continue
         out.append((q, triple.c))
         tl, tr = vieta_children(triple)
-        rec(tl, q + ql, ql, q)
-        rec(tr, q + qr, q, qr)
-
-    rec(MarkovTriple(2, 1, 5), 3, 1, 2)
+        stack.append((tl, q + ql, ql, q))
+        stack.append((tr, q + qr, q, qr))
     return sorted(out)
 
 
@@ -527,7 +527,7 @@ def asymptotics_report(depth: int = 40, windows: int = 4) -> Report:
     slope = math.sqrt(3.0) / (math.sqrt(2.0 * ZAGIER_C) * math.pi)
     eps_dev = []
     for q, c in seq[2:]:
-        log_eps = math.log((3 * c + math.sqrt(9 * c * c - 4)) / 2.0)
+        log_eps = log_epsilon(c)
         eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
     means = _window_means(eps_dev, windows)
     report.add(CheckResult(

@@ -3,8 +3,9 @@
 Periods are cyclic words; a purely periodic expansion
 (a1, a2, ...) = a1 - 1/(a2 - 1/...) converges to a real > 1 whenever all
 digits are >= 2.  This module holds the combinatorics (conjunction of
-periods, least rotations) and the numerics (fixed-point evaluation,
-cycle-state enumeration and its exact integer check).
+periods, least rotations) and the numerics (fixed-point evaluation, and
+cycle-state enumeration with a contraction certificate that bounds
+every state's float error).
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ CONJ_MAX = -2.0 / 5.0
 #: Fixed-point iterations stop at a step below CONVERGED, or fail after MAX_SWEEPS.
 CONVERGED = 1e-14
 MAX_SWEEPS = 10_000
+
+#: cycle_states proves every state within CHECK_TOL of its exact value.
+CHECK_TOL = 1e-9
 
 
 class PeriodError(ValueError):
@@ -128,6 +132,9 @@ def conjunction(left: Period, right: Period) -> Period:
 
 
 _RUN_RE = re.compile(r"^(\d+)(?:_(\d+))?$")
+#: Digit bytes to their characters, and a run of two or more equal digits.
+_DIGIT_TEXT = bytes.maketrans(b"\2\3\4", b"234")
+_RUN_TEXT = re.compile(r"(\d)(?:,\1)+")
 
 
 def parse_period(text: str) -> Period:
@@ -150,35 +157,18 @@ def parse_period(text: str) -> Period:
 
 def format_period(period: Period, compact: bool = True) -> str:
     """Render a period, run-length compressed by default ("2,3_2,4")."""
-    word = period.word
+    text = ",".join(period.word.translate(_DIGIT_TEXT).decode())
     if not compact:
-        return ",".join(map(str, word))
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run = j - i
-        parts.append(f"{word[i]}_{run}" if run > 1 else str(word[i]))
-        i = j
-    return ",".join(parts)
+        return text
+    return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
 
 
 def eval_periodic(period: Period | Sequence[int]) -> float:
-    """Value of the purely periodic expansion, via fixed-point iteration
-    of the period's Mobius map starting at 2, to within CONVERGED.
+    """Value of the purely periodic expansion: its word's first rotation
+    value, iterated from 2 to within CONVERGED by :func:`_rotation_values`.
     """
     period = period if isinstance(period, Period) else Period(period)
-    x = 2.0
-    for _ in range(MAX_SWEEPS):
-        y = x
-        for d in reversed(period.word):
-            y = d - 1.0 / y
-        if abs(y - x) < CONVERGED:
-            return y
-        x = y
-    raise PeriodError(f"fixed-point iteration did not converge for {period}")
+    return _rotation_values(period.word)[0]
 
 
 def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -213,10 +203,9 @@ def _rotation_values(digits: Sequence[int]) -> list[float]:
 
     Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
     update every T_k in turn.  Each T_k is kept from the first sweep in
-    which it moves by less than CONVERGED, the rule :func:`eval_periodic`
-    applies to a single rotation (so T_0 is exactly its value), and the
-    sweeps stop once every T_k is kept.  The map contracts by about
-    1/eps^2 per sweep, so a few sweeps suffice.
+    which it moves by less than CONVERGED, and the sweeps stop once
+    every T_k is kept.  The map contracts by about 1/eps^2 per sweep, so
+    a few sweeps suffice.
     """
     n = len(digits)
     prev = [math.inf] * n
@@ -235,51 +224,50 @@ def _rotation_values(digits: Sequence[int]) -> list[float]:
     raise PeriodError(f"rotation sweep did not converge for {Period(digits)}")
 
 
-def _exact_cycle(period: Period, values: list[float], check_tol: float) -> None:
-    """Check ``values`` against the simple-form cycle walk run exactly.
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
-    The walk starts at w - 1, w the attracting fixed point of the
-    period matrix, and applies z -> z-1 (z >= 1) or z -> z/(1-z).  Each
-    z = (P + sqrt(D))/Q is kept as the integer pair (P, Q) with Q > 0
-    and Q | D - P^2: the reduction cycle of a binary quadratic form of
-    discriminant D (Zagier, Zetafunktionen und quadratische Koerper,
-    1981).  The walk must close after exactly len(values) steps.
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _certify(period: Period, sweep: str, digits: np.ndarray, t: np.ndarray) -> float:
+    """Prove each t_k within CHECK_TOL - 2^-50 of the exact rotation
+    value T*_k of ``digits``, or raise PeriodError; return the bound e.
+
+    Let delta = CHECK_TOL, lo = min t - delta and B the sup-norm ball of
+    radius delta about t.  If lo > 1, F(x)_k = d_k - 1/x_{k+1} (indices
+    mod n) contracts B by L = 1/lo^2 < 1, as |1/x - 1/y| = |x - y|/(xy).
+    With r = max |t - F(t)|, F maps B into B if e = r/(1 - L) <= delta;
+    then its one fixed point x* in B (Banach) has |x* - t| <=
+    L|x* - t| + r, so |x* - t| <= e.  Each x*_k > 1 is fixed by the
+    Mobius map of rotation k, whose other fixed point, the Galois
+    conjugate, lies in (0, 1) (a purely periodic expansion is reduced:
+    Zagier, Zetafunktionen und quadratische Koerper, 1981); so x* = T*.
+
+    Rounding, u = 2^-53: the float F(t)_k is off by <= u + 4u, and
+    t_k - F(t)_k rounds by <= u of itself, so r <= r'(1 + 2u) + 5u,
+    below r' + 2^-49 for a computed r' <= 1.  The later steps round
+    outward.  A state a0 - 1/t_k or conjugate -(b - 1/t_k) (a0, b <= 3)
+    rounds by <= 4u and moves by |1/t_k - 1/T*_k| <= e, as t_k, T*_k > 1;
+    so e + 2^-50 <= delta puts every state within CHECK_TOL.
     """
-    (a, _b), (c, d) = period_matrix(period)
-    disc = (a + d) ** 2 - 4
-    root = math.isqrt(disc << 128)  # floor(sqrt(D) * 2^64)
-    # D = t^2 - 4 with trace t >= 3 is never a square, so z >= 1 iff
-    # sqrt(D) > Q - P iff Q - P <= floor(sqrt(D)).
-    floor_sqrt = root >> 64
-    p, q = a - d - 2 * c, 2 * c
-    start = (p, q)
-    for value in values:
-        # int / int is correctly rounded at any size.
-        exact = ((p << 64) + root) / (q << 64)
-        if abs(value - exact) > check_tol:
-            raise PeriodError(
-                f"cycle state mismatch for {period}: "
-                f"{value} vs exact {exact}"
-            )
-        if q - p <= floor_sqrt:
-            p -= q
-        else:
-            p = q - p
-            q, rem = divmod(p * p - disc, q)
-            if rem:
-                raise PeriodError(f"inexact cycle step for {period}")
-            p -= q
-    if (p, q) != start:
-        raise PeriodError(
-            f"cycle of {period} did not close after {len(values)} steps"
-        )
+    lo = _down(float(t.min()) - CHECK_TOL)
+    if not lo > 1.0:  # NaN fails too
+        raise PeriodError(f"cycle state mismatch for {period}: {sweep} sweep "
+                          f"reaches {t.min():.17g}, not above 1 + {CHECK_TOL:g}")
+    residual = float(np.abs(t - (digits - 1.0 / np.concatenate((t[1:], t[:1])))).max())
+    contraction = _up(1.0 / _down(lo * lo))
+    bound = _up(_up(residual + 2.0 ** -49) / _down(1.0 - contraction))
+    if not _up(bound + 2.0 ** -50) <= CHECK_TOL:
+        raise PeriodError(f"cycle state mismatch for {period}: {sweep} sweep "
+                          f"residual {residual:.3g} certifies only {bound:.3g}, "
+                          f"not {CHECK_TOL:g}")
+    return bound
 
 
-def cycle_states(
-    period: Period | Sequence[int],
-    cross_check: bool = True,
-    check_tol: float = 1e-9,
-) -> CycleStates:
+def cycle_states(period: Period | Sequence[int]) -> CycleStates:
     """Enumerate the full cycle w^(1), ..., w^(l), l = sum(a_i - 1).
 
     States are produced in walk order: for each cyclic position the
@@ -287,8 +275,8 @@ def cycle_states(
     that follows digit a_i.  Conjugates come from the reversed-word
     formula.  Both families of rotation values come from cyclic sweeps
     and are spread over the states by array indexing, so a node costs
-    O(q).  With ``cross_check`` the values are verified against an
-    exact-arithmetic run of the cycle map.
+    O(q).  :func:`_certify` proves every value and conjugate within
+    CHECK_TOL of its exact value, or raises PeriodError.
     """
     period = period if isinstance(period, Period) else Period(period)
     word = period.word
@@ -300,8 +288,8 @@ def cycle_states(
     # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
     tails = np.array(_rotation_values(word[1:] + word[:1]))
     rev = np.array(_rotation_values(word[::-1]))
+    _certify(period, "rotation", np.concatenate((last[1:], last[:1])), tails)
+    _certify(period, "reversed-word", last[::-1], rev)
     values = a0 - 1.0 / tails[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
-    if cross_check:
-        _exact_cycle(period, values.tolist(), check_tol)
     return CycleStates(a0=a0, values=values, conj_values=conj)

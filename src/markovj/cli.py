@@ -20,6 +20,7 @@ from . import analysis
 from .cf import format_period
 from .integrals import (
     METHOD,
+    ArcIntegrator,
     CycleValue,
     QuadratureError,
     compute_values,
@@ -122,14 +123,12 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     return values
 
 
-def _emit_rows(rows: list[dict[str, str]], fieldnames: list[str],
-               fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit_rows(rows: list[dict[str, str]], fieldnames: list[str], fmt: str) -> None:
     if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
+        json.dump(rows, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -161,8 +160,6 @@ def _resolve_target(target: str) -> TreeNode:
 def cmd_value(target: str, config: RunConfig) -> int:
     node = _resolve_target(target)
     series = j_coefficients(config.series_order)
-    from .integrals import ArcIntegrator
-
     value = integrate_J(node, tol=config.tol, integrator=ArcIntegrator(series))
     row = _value_row(value)
     if config.fmt == "json":
@@ -179,11 +176,11 @@ def cmd_value(target: str, config: RunConfig) -> int:
     return 0
 
 
-def cmd_table(config: RunConfig, out=None) -> int:
+def cmd_table(config: RunConfig) -> int:
     nodes = _sorted_by_fraction(build_tree(config.depth))
     values = _values_with_cache(nodes, config)
     rows = [_value_row(values[n.path]) for n in nodes]
-    _emit_rows(rows, CSV_HEADER, config.fmt, out)
+    _emit_rows(rows, CSV_HEADER, config.fmt)
     return 0
 
 

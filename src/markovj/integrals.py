@@ -50,6 +50,13 @@ RULE_POINTS = (20, 16)
 METHOD = f"gauss-legendre-{RULE_POINTS[0]}/{RULE_POINTS[1]}"
 
 CACHE_SCHEMA = 2
+#: The type of each field of a cache record, as read back from JSON.
+CACHE_FIELDS = {
+    "schema": int, "path": str, "level": int, "p": int, "q": int, "c": str,
+    "J_re": float, "J_im": float, "j_re": float, "j_im": float,
+    "log_eps": float, "quad_err": float,
+    "tol": float, "series_order": int, "method": str,
+}
 
 
 class QuadratureError(RuntimeError):
@@ -261,14 +268,21 @@ def write_cache(values: Iterable[CycleValue], path) -> None:
 
 
 def read_cache(path) -> list[dict]:
+    """The records of a JSON-lines result cache.  A line that is not a
+    JSON object of this schema, with every CACHE_FIELDS key of its type,
+    raises ValueError naming the file and line."""
     records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            if rec.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"unsupported cache schema in {path}")
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not (isinstance(rec, dict) and rec.get("schema") == CACHE_SCHEMA and all(
+                    type(rec.get(key)) is kind for key, kind in CACHE_FIELDS.items())):
+                raise ValueError(f"{path} line {number} is not a schema-{CACHE_SCHEMA} "
+                                 "cache record")
             records.append(rec)
     return records

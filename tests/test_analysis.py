@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -237,6 +238,26 @@ class TestAsymptotics:
 
     def test_report_passes(self):
         report = asymptotics_report(depth=30)
+        assert report.passed
+
+    def test_sequence_needs_no_deep_recursion(self):
+        # The leftmost branch is qmax levels deep; a recursive walk
+        # overflowed the stack near qmax = 990.
+        frames, frame = 0, sys._getframe()
+        while frame is not None:
+            frames, frame = frames + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + 50)
+        try:
+            seq = denominator_sequence(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(seq) == 13700 and seq[-1][0] == 300
+
+    def test_markov_numbers_beyond_float_range(self):
+        # At depth 400 the largest c has 168 digits, so 9c^2 - 4
+        # overflows a float; log eps must come from the integer c.
+        report = asymptotics_report(depth=400)
         assert report.passed
 
 

@@ -174,15 +174,15 @@ class TestCycleStates:
         from markovj.tree import build_tree
 
         for node in build_tree(6):
-            states = cycle_states(node.period, cross_check=False)
+            states = cycle_states(node.period)
             for value, conj in zip(states.values, states.conj_values):
                 assert STATE_MIN - 1e-12 <= value <= STATE_MAX + 1e-12
                 assert CONJ_MIN - 1e-12 <= conj <= CONJ_MAX + 1e-12
 
     def test_exact_cross_check_long_period(self):
         # Length-28 cycle; a float walk drifts ~1e-6 here, the exact
-        # walk must still certify the closed forms at 1e-9.
-        cycle_states(node_at("L" * 11).period, cross_check=True)
+        # walk must still confirm the certified states at 1e-9.
+        _assert_oracle_agrees(node_at("L" * 11).period)
 
     def test_conjunction(self):
         assert conjunction(Period((2, 3)), Period((4,))).digits == (2, 3, 4)
@@ -225,7 +225,7 @@ def _loop_cycle_states(digits):
 
 
 def _assert_equals_loop(digits):
-    states = cycle_states(digits, cross_check=False)
+    states = cycle_states(digits)
     a0, values, conj = zip(*_loop_cycle_states(digits))
     assert states.a0.tolist() == list(a0)
     assert np.array_equal(states.values, values)
@@ -234,6 +234,77 @@ def _assert_equals_loop(digits):
 
 def _rotations(digits):
     return [digits[i:] + digits[:i] for i in range(len(digits))]
+
+
+def _exact_cycle(period: Period, values: list[float], check_tol: float) -> None:
+    """Check ``values`` against the simple-form cycle walk run exactly.
+
+    The walk starts at w - 1, w the attracting fixed point of the
+    period matrix, and applies z -> z-1 (z >= 1) or z -> z/(1-z).  Each
+    z = (P + sqrt(D))/Q is kept as the integer pair (P, Q) with Q > 0
+    and Q | D - P^2: the reduction cycle of a binary quadratic form of
+    discriminant D (Zagier, Zetafunktionen und quadratische Koerper,
+    1981).  The walk must close after exactly len(values) steps.
+    """
+    (a, _b), (c, d) = period_matrix(period)
+    disc = (a + d) ** 2 - 4
+    root = math.isqrt(disc << 128)  # floor(sqrt(D) * 2^64)
+    # D = t^2 - 4 with trace t >= 3 is never a square, so z >= 1 iff
+    # sqrt(D) > Q - P iff Q - P <= floor(sqrt(D)).
+    floor_sqrt = root >> 64
+    p, q = a - d - 2 * c, 2 * c
+    start = (p, q)
+    for value in values:
+        # int / int is correctly rounded at any size.
+        exact = ((p << 64) + root) / (q << 64)
+        if abs(value - exact) > check_tol:
+            raise PeriodError(
+                f"cycle state mismatch for {period}: "
+                f"{value} vs exact {exact}"
+            )
+        if q - p <= floor_sqrt:
+            p -= q
+        else:
+            p = q - p
+            q, rem = divmod(p * p - disc, q)
+            if rem:
+                raise PeriodError(f"inexact cycle step for {period}")
+            p -= q
+    if (p, q) != start:
+        raise PeriodError(
+            f"cycle of {period} did not close after {len(values)} steps"
+        )
+
+
+def _assert_oracle_agrees(period):
+    """The exact walk confirms the states of ``period`` and of its
+    reversal at CHECK_TOL.  The conjugates of a word are its reversal's
+    values, negated and in reverse order, so they are confirmed too."""
+    for p in (period, period.reversed()):
+        states = cycle_states(p)
+        _exact_cycle(p, states.values.tolist(), cf.CHECK_TOL)
+        _exact_cycle(p.reversed(), (-states.conj_values[::-1]).tolist(), cf.CHECK_TOL)
+
+
+class TestExactOracle:
+    def test_agrees_on_every_node_to_depth_nine(self):
+        from markovj.tree import build_tree
+
+        for node in build_tree(9):
+            _assert_oracle_agrees(node.period)
+
+    def test_largest_certified_bound(self, monkeypatch):
+        # Far inside CHECK_TOL on every node to depth 9 and at q = 1597.
+        from markovj.tree import build_tree
+
+        bounds = []
+        certify = cf._certify
+        monkeypatch.setattr(cf, "_certify", lambda *args: bounds.append(certify(*args)))
+        nodes = build_tree(9) + [node_at("RLRLRLRLRLRLR")]
+        for node in nodes:
+            cycle_states(node.period.reversed())
+        assert len(bounds) == 2 * len(nodes)
+        assert max(bounds) < 1e-13
 
 
 block_words = st.builds(
@@ -248,7 +319,7 @@ class TestOneSweepStates:
         lambda w: any(d > 2 for d in w)))
     def test_matches_per_rotation_reference(self, digits):
         digits = tuple(digits)
-        states = cycle_states(digits, cross_check=False)
+        states = cycle_states(digits)
         reference = _reference_cycle_states(digits)
         assert len(states) == len(reference)
         assert states.a0.tolist() == [a0 for a0, _, _ in reference]
@@ -272,15 +343,23 @@ class TestOneSweepStates:
             raise AssertionError("eval_periodic called")
 
         monkeypatch.setattr(cf, "eval_periodic", refuse)
-        cycle_states(node_at("RL").period.reversed(), cross_check=True)
+        cycle_states(node_at("RL").period.reversed())
 
     def test_deep_node_exact_check(self):
         # Level 14, q = 1597, c has 621 digits: far beyond float range,
-        # so the exact check must never convert c to a float.
+        # so the exact walk must never convert c to a float.
         node = node_at("RLRLRLRLRLRLR")
         assert (node.level, node.q, len(str(node.c))) == (14, 1597, 621)
-        states = cycle_states(node.period.reversed(), cross_check=True)
-        assert len(states) == node.period.cycle_length
+        _assert_oracle_agrees(node.period)
+        assert len(cycle_states(node.period)) == node.period.cycle_length
+
+    def test_needs_no_period_matrix(self, monkeypatch):
+        # No big-integer matrix at runtime, even at q = 1597.
+        def refuse(*args, **kwargs):
+            raise AssertionError("period_matrix called")
+
+        monkeypatch.setattr(cf, "period_matrix", refuse)
+        cycle_states(node_at("RLRLRLRLRLRLR").period.reversed())
 
 
 class TestExactCheckFires:
@@ -298,14 +377,60 @@ class TestExactCheckFires:
         # The word is named as format_period text, not as a bytes repr.
         assert "for 4,3_2,2,4,3,2:" in str(info.value)
 
+    def test_perturbed_reversed_sweep_is_a_mismatch(self, monkeypatch):
+        # Only the sweep that feeds the conjugates is off.
+        sweep = cf._rotation_values
+        calls = []
+
+        def perturbed(digits):
+            values = sweep(digits)
+            calls.append(digits)
+            if len(calls) == 2:
+                values[1] += 1e-6
+            return values
+
+        monkeypatch.setattr(cf, "_rotation_values", perturbed)
+        period = node_at("LR").period.reversed()
+        with pytest.raises(PeriodError, match="mismatch for 4,3_2,2,4,3,2: reversed-word"):
+            cycle_states(period)
+        assert calls[1] == period.word[::-1]
+
+    def test_sweep_at_or_below_one_is_refused(self, monkeypatch):
+        # The conjugate cycle solves the same recursion to rounding,
+        # with every value in (0, 1): only the bound lo > 1 tells it
+        # from the true values.
+        monkeypatch.setattr(cf, "_rotation_values", _conjugate_cycle)
+        for period in (Period((3,)), node_at("LR").period.reversed()):
+            x, n = _conjugate_cycle(period.word), len(period)
+            assert max(abs(x[k] - (period.word[k] - 1.0 / x[(k + 1) % n]))
+                       for k in range(n)) < 1e-15
+            with pytest.raises(PeriodError, match="mismatch.*not above 1"):
+                cycle_states(period)
+        monkeypatch.setattr(cf, "_rotation_values", lambda digits: [1.0] * len(digits))
+        with pytest.raises(PeriodError, match="mismatch.*not above 1"):
+            cycle_states(Period((3,)))
+
     def test_walk_that_does_not_close(self, monkeypatch):
         # The matrix of (3, 3, 2) starts a walk of length 5; six steps
         # of it cannot return to the start.
         other = period_matrix((3, 3, 2))
-        monkeypatch.setattr(cf, "period_matrix", lambda digits: other)
+        monkeypatch.setitem(globals(), "period_matrix", lambda digits: other)
+        values = cycle_states((2, 3, 4)).values.tolist()
         with pytest.raises(PeriodError, match="did not close") as info:
-            cycle_states((2, 3, 4), check_tol=math.inf)
+            _exact_cycle(Period((2, 3, 4)), values, math.inf)
         assert "cycle of 2,3,4 did not close" in str(info.value)
+
+
+def _conjugate_cycle(digits):
+    """The repelling cycle of T_k = d_k - 1/T_{k+1}, the Galois
+    conjugates of the rotation values: the inverse steps
+    T_{k+1} = 1/(d_k - T_k) are attracted to it."""
+    n = len(digits)
+    x = [0.5] * n
+    for _ in range(200):
+        for k in range(n):
+            x[(k + 1) % n] = 1.0 / (digits[k] - x[k])
+    return x
 
 
 class TestCanonical:

@@ -142,7 +142,7 @@ class TestTable:
         _, warm, _ = run(capsys, "--depth", "2", "--series-order", "30",
                          "--cache", cache, "table")
         assert len(computed) == 5
-        records = [json.loads(line) for line in open(cache)]
+        records = [json.loads(line) for line in Path(cache).read_text().splitlines()]
         assert {rec["series_order"] for rec in records} == {30}
         _, cold, _ = run(capsys, "--depth", "2", "--series-order", "30", "table")
         assert warm == cold
@@ -188,6 +188,23 @@ class TestTable:
         code, _, err = run(capsys, "--depth", "2", "--cache", str(cache), "table")
         assert code == 2
         assert "schema" in err
+
+    @pytest.mark.parametrize("damage", ["root_without_q", "not_an_object", "without_J_re"])
+    def test_malformed_cache_record_is_one_line(self, capsys, tmp_path, damage):
+        # Each once printed a traceback: KeyError 'q', AttributeError,
+        # KeyError 'J_re'.
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        lines = cache.read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["J_re"]
+        lines[1] = {"root_without_q": '{"schema": 2, "path": ""}',
+                    "not_an_object": "[1,2]",
+                    "without_J_re": json.dumps(rec)}[damage]
+        cache.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        assert code == 2 and out == ""
+        assert err == f"error: {cache} line 2 is not a schema-2 cache record\n"
 
 
 class TestFailures:

@@ -9,6 +9,7 @@ from markovj.cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cy
 from markovj.integrals import (
     ARC_HI,
     ARC_LO,
+    CACHE_FIELDS,
     METHOD,
     ArcIntegrator,
     QuadratureError,
@@ -182,6 +183,7 @@ class TestCache:
         rec = records[0]
         assert rec["path"] == "R"
         assert rec == cache_record(value)
+        assert {key: type(field) for key, field in rec.items()} == CACHE_FIELDS
         assert rec["J_re"] == value.J.real
         assert (rec["tol"], rec["series_order"], rec["method"]) == (1e-8, 40, METHOD)
 
