@@ -3,9 +3,9 @@
 Periods are cyclic words; a purely periodic expansion
 (a1, a2, ...) = a1 - 1/(a2 - 1/...) converges to a real > 1 whenever all
 digits are >= 2.  This module holds the combinatorics (conjunction of
-periods, least rotations) and the numerics (fixed-point evaluation, and
-cycle-state enumeration with a contraction certificate that bounds
-every state's float error).
+periods and of their compact texts, least rotations) and the numerics
+(fixed-point evaluation, and cycle-state enumeration with a contraction
+certificate that bounds every state's float error).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "conjunction",
     "parse_period",
     "format_period",
+    "join_texts",
     "eval_periodic",
     "period_matrix",
     "cycle_states",
@@ -163,6 +164,18 @@ def format_period(period: Period, compact: bool = True) -> str:
     return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
 
 
+def join_texts(left: str, right: str) -> str:
+    """``format_period(conjunction(a, b))`` from the compact texts of a
+    and b.  Runs are maximal in each text, so only the run that ends a
+    and the run that starts b can merge: "2,3_2" + "3,4" is "2,3_3,4"."""
+    head, _, last = left.rpartition(",")
+    first, _, tail = right.partition(",")
+    if last[0] != first[0]:
+        return f"{left},{right}"
+    run = f"{last[0]}_{int(last[2:] or 1) + int(first[2:] or 1)}"
+    return ",".join(filter(None, (head, run, tail)))
+
+
 def eval_periodic(period: Period | Sequence[int]) -> float:
     """Value of the purely periodic expansion: its word's first rotation
     value, iterated from 2 to within CONVERGED by :func:`_rotation_values`.
@@ -202,25 +215,21 @@ def _rotation_values(digits: Sequence[int]) -> list[float]:
     """Values T_k of every rotation digits[k:] + digits[:k].
 
     Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
-    update every T_k in turn.  Each T_k is kept from the first sweep in
-    which it moves by less than CONVERGED, and the sweeps stop once
-    every T_k is kept.  The map contracts by about 1/eps^2 per sweep, so
-    a few sweeps suffice.
+    run until T_0 moves by less than CONVERGED in one sweep; the last
+    sweep's values are returned.  The map contracts by about 1/eps^2
+    per sweep, so a few sweeps suffice, and :func:`_certify` bounds
+    every value's error.
     """
     n = len(digits)
-    prev = [math.inf] * n
-    kept: list = [None] * n
-    left = n
     x = 2.0
     for _ in range(MAX_SWEEPS):
+        start = x
+        values = [0.0] * n
         for k in range(n - 1, -1, -1):
             x = digits[k] - 1.0 / x
-            if kept[k] is None and abs(x - prev[k]) < CONVERGED:
-                kept[k] = x
-                left -= 1
-            prev[k] = x
-        if not left:
-            return kept
+            values[k] = x
+        if abs(x - start) < CONVERGED:
+            return values
     raise PeriodError(f"rotation sweep did not converge for {Period(digits)}")
 
 

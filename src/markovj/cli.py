@@ -13,11 +13,11 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import analysis
-from .cf import format_period
+from .cf import format_period, join_texts
 from .integrals import (
     METHOD,
     ArcIntegrator,
@@ -29,7 +29,15 @@ from .integrals import (
     write_cache,
 )
 from .jfunction import DEFAULT_ORDER, j_coefficients
-from .tree import TreeError, TreeNode, build_tree, find_fraction, node_at
+from .tree import (
+    TIP_LEFT,
+    TreeError,
+    TreeNode,
+    build_tree,
+    find_fraction,
+    joins_neighbours,
+    node_at,
+)
 
 CSV_HEADER = [
     "path", "level", "p", "q", "c",
@@ -64,8 +72,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _in_order(node: TreeNode) -> str:
+    """In-order position on the Stern-Brocot tree as a string: with
+    L < M < R, path + "M" sorts a node after its left subtree and before
+    its right one.  The tip 0/1 sorts first and 1/2 last."""
+    if node.level:
+        return node.path + "M"
+    return "" if node is TIP_LEFT else "S"
+
+
 def _sorted_by_fraction(nodes: list[TreeNode]) -> list[TreeNode]:
-    return sorted(nodes, key=lambda n: Fraction(n.farey.p, n.farey.q))
+    return sorted(nodes, key=_in_order)
 
 
 def _value_row(value: CycleValue) -> dict[str, str]:
@@ -128,22 +145,33 @@ def _emit_rows(rows: list[dict[str, str]], fieldnames: list[str], fmt: str) -> N
         json.dump(rows, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows(map(itemgetter(*fieldnames), rows))
+
+
+def _period_texts(nodes: list[TreeNode]) -> dict[str, str]:
+    """The compact period text of each node, by path.  In breadth-first
+    order a node's neighbours come before it, so a joined word's text is
+    its neighbours' texts joined; only the other words are formatted."""
+    texts: dict[str, str] = {}
+    for node in nodes:
+        texts[node.path] = (join_texts(texts[node.right.path], texts[node.left.path])
+                            if joins_neighbours(node.left) else format_period(node.period))
+    return texts
 
 
 def cmd_tree(config: RunConfig) -> int:
-    rows = []
-    for node in _sorted_by_fraction(build_tree(config.depth)):
-        rows.append({
-            "path": node.path,
-            "level": str(node.level),
-            "p": str(node.farey.p),
-            "q": str(node.farey.q),
-            "c": str(node.c),
-            "period": format_period(node.period),
-        })
+    nodes = build_tree(config.depth)
+    texts = _period_texts(nodes)
+    rows = [{
+        "path": node.path,
+        "level": str(node.level),
+        "p": str(node.farey.p),
+        "q": str(node.farey.q),
+        "c": str(node.c),
+        "period": texts[node.path],
+    } for node in _sorted_by_fraction(nodes)]
     _emit_rows(rows, ["path", "level", "p", "q", "c", "period"], config.fmt)
     return 0
 

@@ -254,9 +254,13 @@ def cache_record(value: CycleValue) -> dict:
 def write_cache(values: Iterable[CycleValue], path) -> None:
     """Rewrite the JSON-lines result cache atomically: the records go to
     a temp file beside it, which then replaces it, so an interrupted
-    write leaves the previous cache intact."""
+    write leaves the previous cache intact.  A temp file that cannot be
+    opened is reported under the cache's own path."""
     tmp = f"{os.fspath(path)}.tmp"
-    fh = open(tmp, "w")
+    try:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             for value in values:

@@ -30,6 +30,7 @@ __all__ = [
     "TreeNode",
     "TreeError",
     "vieta_children",
+    "joins_neighbours",
     "farey_median",
     "markov_k",
     "markov_form",
@@ -89,13 +90,18 @@ class FareyFraction:
         return f"{self.p}/{self.q}"
 
 
+def _vieta_child(t: MarkovTriple, step: str) -> MarkovTriple:
+    """Left child (c, b, 3bc - a) for step "L", right child (a, c, 3ac - b)
+    for "R"."""
+    a, b, c = t
+    if step == "L":
+        return MarkovTriple(c, b, 3 * b * c - a)
+    return MarkovTriple(a, c, 3 * a * c - b)
+
+
 def vieta_children(t: MarkovTriple) -> tuple[MarkovTriple, MarkovTriple]:
     """Left child (c, b, 3bc - a) and right child (a, c, 3ac - b)."""
-    a, b, c = t
-    return (
-        MarkovTriple(c, b, 3 * b * c - a),
-        MarkovTriple(a, c, 3 * a * c - b),
-    )
+    return _vieta_child(t, "L"), _vieta_child(t, "R")
 
 
 def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
@@ -207,20 +213,27 @@ ROOT = _make_node("", 1, MarkovTriple(2, 1, 5), FareyFraction(1, 3),
                   Period((2, 3, 4)), TIP_LEFT, TIP_RIGHT)
 
 
+def joins_neighbours(left: TreeNode | None) -> bool:
+    """Whether the node whose Farey interval starts at ``left`` has for
+    word its neighbours' words joined, the right one first.  The tips
+    (no left neighbour) and the branch down from the left tip, root
+    included, do not: their words are 3, 2 4 and 2 3^level 4."""
+    return left is not None and left is not TIP_LEFT
+
+
 def _child(node: TreeNode, step: str) -> TreeNode:
     """One step down the tree: the child's interval is the left or the
     right half of the node's, split at the node."""
-    tleft, tright = vieta_children(node.triple)
     if step == "L":
-        left, right, triple = node.left, node, tleft
+        left, right = node.left, node
     else:
-        left, right, triple = node, node.right, tright
+        left, right = node, node.right
     level = node.level + 1
     farey = farey_median(left.farey, right.farey)
-    # Down the branch from the left tip the word is 2 3^level 4.
-    period = (Period((2,) + (3,) * level + (4,)) if left is TIP_LEFT
-              else conjunction(right.period, left.period))
-    return _make_node(node.path + step, level, triple, farey, period, left, right)
+    period = (conjunction(right.period, left.period) if joins_neighbours(left)
+              else Period((2,) + (3,) * level + (4,)))
+    return _make_node(node.path + step, level, _vieta_child(node.triple, step),
+                      farey, period, left, right)
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from markovj import cf
 from markovj.cf import (
@@ -16,6 +16,7 @@ from markovj.cf import (
     cycle_states,
     eval_periodic,
     format_period,
+    join_texts,
     parse_period,
     period_matrix,
 )
@@ -24,6 +25,12 @@ from markovj.tree import TreeError, node_at
 # All-2 words are parabolic (value 1, not > 1) and outside the domain.
 digit_words = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=12).filter(
     lambda w: any(d > 2 for d in w)
+)
+# Words as runs of equal digits, so that long runs (counts of two digits
+# in the compact text) and runs meeting at a seam are common.
+run_words = st.lists(st.tuples(st.sampled_from([2, 3, 4]), st.integers(1, 12)),
+                     min_size=1, max_size=12).map(
+    lambda runs: [d for d, count in runs for _ in range(count)]
 )
 
 
@@ -89,6 +96,22 @@ class TestSerialization:
         assert parse_period(format_period(p)).digits == p.digits
         assert parse_period(format_period(p, compact=False)).digits == p.digits
 
+    @given(run_words, run_words)
+    @example([3], [3])
+    @example([2], [4])
+    @example([3] * 10, [3] * 11)
+    @example([2, 3, 3], [3, 3, 4])
+    @example([4, 2], [2, 4, 4])
+    @example([2] + [3] * 12 + [4], [4] * 10 + [2])
+    def test_joined_texts(self, left, right):
+        a, b = Period(left), Period(right)
+        assert join_texts(format_period(a), format_period(b)) == format_period(conjunction(a, b))
+
+    def test_joined_texts_merge_at_the_seam(self):
+        assert join_texts("2,3_2", "3,4") == "2,3_3,4"
+        assert join_texts("3_9", "3") == "3_10"
+        assert join_texts("2,4", "2,3,4") == "2,4,2,3,4"
+
 
 class TestTreeWords:
     def test_root_and_tips(self):
@@ -110,6 +133,26 @@ class TestTreeWords:
     def test_bad_path(self):
         with pytest.raises(TreeError):
             node_at("LX")
+
+
+def _per_position_values(digits):
+    """Rotation values by the per-position rule, the reference for the
+    whole-sweep rule of cf._rotation_values."""
+    n = len(digits)
+    prev = [math.inf] * n
+    kept = [None] * n
+    left = n
+    x = 2.0
+    for _ in range(cf.MAX_SWEEPS):
+        for k in range(n - 1, -1, -1):
+            x = digits[k] - 1.0 / x
+            if kept[k] is None and abs(x - prev[k]) < cf.CONVERGED:
+                kept[k] = x
+                left -= 1
+            prev[k] = x
+        if not left:
+            return kept
+    raise AssertionError("did not converge")
 
 
 class TestEval:
@@ -135,6 +178,19 @@ class TestEval:
             eval_periodic((2, 2))
         with pytest.raises(PeriodError, match="did not converge for 2_2$"):
             cf._rotation_values((2, 2))
+
+    def test_sweeps_agree_with_per_position_rule(self):
+        # The per-position rule keeps each value from the first sweep in
+        # which it moves by less than CONVERGED; whole sweeps until T_0
+        # settles may differ from it by a few ulps of values below 4.
+        from markovj.tree import build_tree
+
+        for node in build_tree(9):
+            word = node.period.word
+            for digits in (word, word[::-1]):
+                got = cf._rotation_values(digits)
+                want = _per_position_values(digits)
+                assert max(abs(x - y) for x, y in zip(got, want)) < 1e-14
 
 
 class TestMatrix:

@@ -2,12 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from markovj import cli
+from markovj.cf import format_period
 from markovj.cli import RunConfig, main
+from markovj.tree import build_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,6 +66,35 @@ class TestTree:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "78378a99ea1d36844206f9cf386c11b13e71d2f63ae94106f38ff1c213672f50")
+
+    def test_texts_match_format_period_to_depth_twelve(self):
+        nodes = build_tree(12)
+        texts = cli._period_texts(nodes)
+        assert len(texts) == len(nodes)
+        for node in nodes:
+            assert texts[node.path] == format_period(node.period), node.path
+
+    def test_in_order_sort_is_fraction_sort(self):
+        nodes = build_tree(12)
+        random.Random(0).shuffle(nodes)
+        got = [n.path for n in cli._sorted_by_fraction(nodes)]
+        want = [n.path for n in sorted(nodes, key=lambda n: Fraction(n.farey.p, n.farey.q))]
+        assert got == want
+        assert (got[0], got[-1]) == ("0/1", "1/2")
+
+    @pytest.mark.parametrize("depth", [1, 2, 8])
+    def test_formats_only_unjoined_words(self, capsys, monkeypatch, depth):
+        # The tips, the root and the branch from the left tip.
+        calls = []
+
+        def counting(period):
+            calls.append(period)
+            return format_period(period)
+
+        monkeypatch.setattr(cli, "format_period", counting)
+        code, _, _ = run(capsys, "--depth", str(depth), "tree")
+        assert code == 0
+        assert 0 < len(calls) <= depth + 3
 
 
 class TestValue:
@@ -205,6 +239,13 @@ class TestTable:
         code, out, err = run(capsys, "--depth", "2", "--cache", str(cache), "table")
         assert code == 2 and out == ""
         assert err == f"error: {cache} line 2 is not a schema-2 cache record\n"
+
+    def test_unwritable_cache_names_its_path(self, capsys, tmp_path):
+        # Once named the temp file beside it, "<cache>.tmp".
+        cache = tmp_path / "missing" / "x.jsonl"
+        code, out, err = run(capsys, "--depth", "3", "--cache", str(cache), "table")
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{cache}'\n"
 
 
 class TestFailures:

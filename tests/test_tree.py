@@ -34,6 +34,13 @@ class TestTriples:
         assert tuple(left) == (5, 1, 13)
         assert tuple(right) == (2, 5, 29)
 
+    def test_tree_children_are_vieta_children(self):
+        for node in build_tree(8):
+            if node.level > 1:
+                parent = node_at(node.path[:-1])
+                kept = vieta_children(parent.triple)["LR".index(node.path[-1])]
+                assert node.triple == kept, node.path
+
     def test_markov_numbers_to_depth_three(self):
         got = sorted(n.c for n in build_tree(3))
         assert got == [1, 2, 5, 13, 29, 34, 169, 194, 433]
