@@ -71,6 +71,22 @@ GP_RANGE_CONJ = (0.04705, 1.10636)
 VALUE_BOX = (STATE_MIN, STATE_MAX)
 CONJ_BOX = (CONJ_MIN, CONJ_MAX)
 
+#: Thresholds of the checks.  Interlacing violations beyond INTERLACE_TOL
+#: are counted, and those beyond INTERLACE_HARD_TOL fail; DELTA_SLACK is
+#: absolute slack on each delta_w bound; g and g' are sampled at GG_GRID
+#: points per axis, and their extrema must come within GG_ENDPOINT_RTOL
+#: times the stated range of its endpoints; COINCIDENCE_SAMPLES pairs of
+#: rotations are drawn with COINCIDENCE_SEED; the asymptotic trends are
+#: averaged over TREND_WINDOWS windows.
+INTERLACE_TOL = 1e-9
+INTERLACE_HARD_TOL = 1e-6
+DELTA_SLACK = 1e-6
+GG_GRID = 200
+GG_ENDPOINT_RTOL = 0.02
+COINCIDENCE_SAMPLES = 400
+COINCIDENCE_SEED = 0
+TREND_WINDOWS = 4
+
 
 def coincidence_envelope(r: int) -> float:
     """Bound on |u - v| for expansions sharing r leading quotients."""
@@ -204,37 +220,22 @@ def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
 # ---------------------------------------------------------------------------
 # interlacing
 
-def _between(x: float, a: float, b: float, tol: float) -> float:
-    """Violation magnitude of a <= x <= b (endpoints sorted), 0 if inside."""
+def _between(x: float, a: float, b: float) -> float:
+    """Violation magnitude of a <= x <= b (endpoints sorted) beyond
+    INTERLACE_TOL, 0 if inside."""
     lo, hi = min(a, b), max(a, b)
-    return max(0.0, lo - x - tol, x - hi - tol)
+    return max(0.0, lo - x - INTERLACE_TOL, x - hi - INTERLACE_TOL)
 
 
-def _segment_distance(x: complex, a: complex, b: complex) -> float:
-    d = b - a
-    if d == 0:
-        return abs(x - a)
-    t = ((x - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(x - (a + t * d))
-
-
-def check_interlacing(
-    values: dict[str, CycleValue],
-    nodes: Sequence[TreeNode],
-    tol: float = 1e-9,
-    hard_tol: float = 1e-6,
-    mode: str = "componentwise",
-) -> Report:
+def check_interlacing(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) -> Report:
     """Is j at each node of level >= 2 between j at its two
-    predecessors, the endpoints of its Farey interval?
+    predecessors, the endpoints of its Farey interval, in its real and
+    its imaginary part?
 
-    ``tol`` is reporting slack; only violations beyond ``hard_tol``
-    mark the report failed.  ``mode`` is "componentwise" (default,
-    real and imaginary parts separately) or "segment" (distance to the
-    complex segment joining the predecessors).
+    INTERLACE_TOL is reporting slack; only violations beyond
+    INTERLACE_HARD_TOL mark the report failed.
     """
-    report = Report(title=f"interlacing to depth {_depth(nodes)} ({mode})")
+    report = Report(title=f"interlacing to depth {_depth(nodes)} (componentwise)")
     worst = 0.0
     worst_node = ""
     violations = 0
@@ -245,13 +246,7 @@ def check_interlacing(
         jw = values[node.path].j
         ju = values[node.left.path].j
         jv = values[node.right.path].j
-        if mode == "segment":
-            viol = max(0.0, _segment_distance(jw, ju, jv) - tol)
-        else:
-            viol = max(
-                _between(jw.real, ju.real, jv.real, tol),
-                _between(jw.imag, ju.imag, jv.imag, tol),
-            )
+        viol = max(_between(jw.real, ju.real, jv.real), _between(jw.imag, ju.imag, jv.imag))
         if viol > 0.0:
             violations += 1
             branch = node.path[:1] or "root"
@@ -260,12 +255,12 @@ def check_interlacing(
             worst, worst_node = viol, node.path
     holds_from = max(branch_start.values(), default=2)
     report.add(CheckResult(
-        name="componentwise betweenness" if mode != "segment" else "segment betweenness",
-        status="pass" if worst <= hard_tol else "fail",
+        name="componentwise betweenness",
+        status="pass" if worst <= INTERLACE_HARD_TOL else "fail",
         measured=worst,
-        bound=hard_tol,
+        bound=INTERLACE_HARD_TOL,
         details=(
-            f"{violations} violation(s) beyond tol={tol:g}"
+            f"{violations} violation(s) beyond tol={INTERLACE_TOL:g}"
             + (f", worst at {worst_node!r}" if violations else "")
             + f"; holds from level {holds_from}"
         ),
@@ -276,14 +271,10 @@ def check_interlacing(
 # ---------------------------------------------------------------------------
 # local recursion errors
 
-def check_J_recursion(
-    values: dict[str, CycleValue],
-    nodes: Sequence[TreeNode],
-    slack: float = 1e-6,
-) -> Report:
+def check_J_recursion(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) -> Report:
     """delta_w = J(w) - J(u) - J(v), with u and v the endpoints of w's
-    Farey interval, against its geometric bounds at every node of
-    level >= 2."""
+    Farey interval, against its geometric bounds, up to DELTA_SLACK, at
+    every node of level >= 2."""
     depth = _depth(nodes)
     report = Report(title=f"local recursion errors to depth {depth}")
     max_ratio = 0.0
@@ -296,7 +287,7 @@ def check_J_recursion(
         decay = CONTRACTION ** (2 * (node.level - 1))
         bound_re = RE_DELTA_COEF * decay
         bound_im = IM_DELTA_COEF * decay
-        if abs(delta.real) > bound_re + slack or abs(delta.imag) > bound_im + slack:
+        if abs(delta.real) > bound_re + DELTA_SLACK or abs(delta.imag) > bound_im + DELTA_SLACK:
             violation = node.path
         ratio = max(abs(delta.real) / bound_re, abs(delta.imag) / bound_im)
         if ratio > max_ratio:
@@ -351,37 +342,36 @@ def _box_extrema(box: tuple[float, float], grid: int) -> list[tuple[float, float
     return [(float(min(lo for lo, _ in v)), float(max(hi for _, hi in v))) for v in (g, gp)]
 
 
-def gg_prime_ranges(grid: int = 200, endpoint_rtol: float = 0.02) -> Report:
-    """Sample g and g' over the value and conjugate boxes.
+def gg_prime_ranges() -> Report:
+    """Sample g and g' over the value and conjugate boxes, GG_GRID points
+    per axis.
 
     All samples must lie inside the stated intervals and the sampled
-    extrema must approach the interval endpoints to ``endpoint_rtol``.
+    extrema must approach the interval endpoints to GG_ENDPOINT_RTOL.
     """
-    if grid < 100:
-        raise ValueError("grid must be >= 100 per axis")
-    report = Report(title=f"g/g' ranges on a {grid}^3 grid")
+    report = Report(title=f"g/g' ranges on a {GG_GRID}^3 grid")
     cases = [
         ("g on value box", G_RANGE_VALUE),
         ("g' on value box", GP_RANGE_VALUE),
         ("g on conjugate box", G_RANGE_CONJ),
         ("g' on conjugate box", GP_RANGE_CONJ),
     ]
-    extrema = _box_extrema(VALUE_BOX, grid) + _box_extrema(CONJ_BOX, grid)
+    extrema = _box_extrema(VALUE_BOX, GG_GRID) + _box_extrema(CONJ_BOX, GG_GRID)
     # The stated interval endpoints are rounded to about six digits, so
     # true extrema can poke past them by a half-ulp of the printout.
     rounding = 5e-5
     for (name, rng), (vmin, vmax) in zip(cases, extrema):
         inside = rng[0] - rounding <= vmin and vmax <= rng[1] + rounding
         scale = rng[1] - rng[0]
-        near = (vmin - rng[0] <= endpoint_rtol * scale
-                and rng[1] - vmax <= endpoint_rtol * scale)
+        near = (vmin - rng[0] <= GG_ENDPOINT_RTOL * scale
+                and rng[1] - vmax <= GG_ENDPOINT_RTOL * scale)
         report.add(CheckResult(
             name=name,
             status="pass" if inside and near else "fail",
             measured=vmin,
             bound=rng[0],
             details=f"sampled [{vmin:.6f}, {vmax:.6f}] in stated "
-            f"[{rng[0]}, {rng[1]}], endpoints within {endpoint_rtol:.0%}: {near}",
+            f"[{rng[0]}, {rng[1]}], endpoints within {GG_ENDPOINT_RTOL:.0%}: {near}",
         ))
     return report
 
@@ -398,11 +388,11 @@ def _common_prefix(a: tuple[int, ...], b: tuple[int, ...], cap: int) -> int:
     return r
 
 
-def coincidence_bound(nodes: Sequence[TreeNode], samples: int = 400,
-                      seed: int = 0) -> Report:
+def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     """|u - v| <= 10 phi^(-2(r-1)) for expansions sharing r quotients,
-    sampled over the rotations of the nodes' periods, plus the geometric
-    tail-sum bound of the per-level envelope."""
+    on COINCIDENCE_SAMPLES pairs drawn from the rotations of the nodes'
+    periods, plus the geometric tail-sum bound of the per-level
+    envelope."""
     report = Report(title="coincidence bound")
     words: list[tuple[int, ...]] = []
     for node in nodes:
@@ -410,11 +400,11 @@ def coincidence_bound(nodes: Sequence[TreeNode], samples: int = 400,
         for i in range(len(digits)):
             words.append(digits[i:] + digits[:i])
     words = sorted(set(words))
-    rng = random.Random(seed)
+    rng = random.Random(COINCIDENCE_SEED)
     cap = 60
     worst_ratio = 0.0
     checked = 0
-    for _ in range(samples):
+    for _ in range(COINCIDENCE_SAMPLES):
         a, b = rng.sample(words, 2)
         r = _common_prefix(a, b, cap)
         if r == 0 or r >= cap:
@@ -473,25 +463,25 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _window_means(values: Sequence[float], windows: int) -> list[float]:
+def _window_means(values: Sequence[float]) -> list[float]:
     """Mean over geometrically growing index windows.
 
     The deviations decay like n^(-1/2), so equal-width windows average
     over incomparable scales and wobble; windows with edges at
-    n^(k/W) shrink by a fixed factor per window instead.
+    n^(k/TREND_WINDOWS) shrink by a fixed factor per window instead.
     """
-    n = len(values)
+    n, windows = len(values), TREND_WINDOWS
     if n < windows:
         return [float(np.mean(values))]
     edges = sorted({0, n} | {int(round(n ** (k / windows))) for k in range(windows + 1)})
     return [float(np.mean(values[a:b])) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def asymptotics_report(depth: int = 40, windows: int = 4) -> Report:
+def asymptotics_report(depth: int = 40) -> Report:
     """Convergence trends of the denominator and Markov-number growth.
 
-    Trends are reported, not thresholded: the windowed mean deviation
-    from each limit must be non-increasing across windows.
+    Trends are reported, not thresholded: the mean deviation from each
+    limit over TREND_WINDOWS windows must be non-increasing across them.
     """
     report = Report(title=f"asymptotics (denominators up to {depth + 2})")
     seq = denominator_sequence(depth + 2)
@@ -515,7 +505,7 @@ def asymptotics_report(depth: int = 40, windows: int = 4) -> Report:
     ]
     for name, ratios, target in trends:
         devs = np.abs(np.asarray(ratios) - target)
-        means = _window_means(devs, windows)
+        means = _window_means(devs)
         monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(means, means[1:]))
         report.add(CheckResult(
             name=name,
@@ -529,7 +519,7 @@ def asymptotics_report(depth: int = 40, windows: int = 4) -> Report:
     for q, c in seq[2:]:
         log_eps = log_epsilon(c)
         eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
-    means = _window_means(eps_dev, windows)
+    means = _window_means(eps_dev)
     report.add(CheckResult(
         name="log eps ~ slope q + log(3/2)",
         status="info",

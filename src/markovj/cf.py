@@ -156,11 +156,9 @@ def parse_period(text: str) -> Period:
     return Period(digits)
 
 
-def format_period(period: Period, compact: bool = True) -> str:
-    """Render a period, run-length compressed by default ("2,3_2,4")."""
+def format_period(period: Period) -> str:
+    """Render a period, run-length compressed ("2,3_2,4")."""
     text = ",".join(period.word.translate(_DIGIT_TEXT).decode())
-    if not compact:
-        return text
     return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .integrals import (
     ArcIntegrator,
     CycleValue,
     QuadratureError,
+    check_cache_writable,
     compute_values,
     integrate_J,
     read_cache,
@@ -64,8 +66,11 @@ class RunConfig:
             raise ValueError("series order must be in [20, 1000]")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        # Each job is a worker process; more than the CPUs this process may use only queue.
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if not 1 <= self.jobs <= cpus:
+            raise ValueError(f"jobs must be in [1, {cpus}], the CPUs this process may use")
 
 
 def _fmt(x: float) -> str:
@@ -109,6 +114,8 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     A cached record is used only if it matches the node (path, q, c)
     and the run (tol, series order, quadrature method); the other nodes
     are computed, and only then is the cache rewritten, in path order.
+    A cache that could not be written is refused before any value is
+    computed.
     """
     cached: dict[str, dict] = {}
     if config.cache and Path(config.cache).exists():
@@ -132,6 +139,8 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
         else:
             missing.append(node)
     if missing:
+        if config.cache:
+            check_cache_writable(config.cache)
         series = j_coefficients(config.series_order)
         values.update(compute_values(missing, tol=config.tol, series=series,
                                      jobs=config.jobs))
@@ -185,10 +194,9 @@ def _resolve_target(target: str) -> TreeNode:
     raise TreeError(f"cannot interpret {target!r} as p/q or an L/R path")
 
 
-def cmd_value(target: str, config: RunConfig) -> int:
+def cmd_value(config: RunConfig, target: str) -> int:
     node = _resolve_target(target)
-    series = j_coefficients(config.series_order)
-    value = integrate_J(node, tol=config.tol, integrator=ArcIntegrator(series))
+    value = integrate_J(node, config.tol, ArcIntegrator(j_coefficients(config.series_order)))
     row = _value_row(value)
     if config.fmt == "json":
         print(json.dumps(row, indent=2))
@@ -251,7 +259,7 @@ def cmd_verify(config: RunConfig) -> int:
     reports = [
         analysis.check_interlacing(values, nodes),
         analysis.check_J_recursion(values, nodes),
-        analysis.gg_prime_ranges(200),
+        analysis.gg_prime_ranges(),
         analysis.coincidence_bound([node for node in nodes if node.level <= 6]),
     ]
     chain = analysis.theorem2_constants(12)
@@ -267,56 +275,43 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, with RunConfig's defaults; each subcommand sets ``run``
+    to its cmd_ function, which takes the config and its own arguments."""
+    default = RunConfig()
     parser = argparse.ArgumentParser(
         prog="markovj",
         description="Cycle integrals of the j-function over the Markov tree.",
     )
-    parser.add_argument("--depth", type=int, default=5)
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--depth", type=int, default=default.depth)
+    parser.add_argument("--tol", type=float, default=default.tol,
                         help="relative bound on the quadrature estimate")
-    parser.add_argument("--series-order", type=int, default=DEFAULT_ORDER)
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--cache", default=None, help="JSONL result cache path")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--series-order", type=int, default=default.series_order)
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=default.fmt)
+    parser.add_argument("--cache", default=default.cache, help="JSONL result cache path")
+    parser.add_argument("--jobs", type=int, default=default.jobs)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("tree", help="list nodes, triples, and periods")
-    p_value = sub.add_parser("value", help="cycle integral at one node")
-    p_value.add_argument("target", help="fraction p/q or L/R path")
-    sub.add_parser("table", help="J/q and j for all nodes to depth")
-    sub.add_parser("interlace", help="check interlacing to depth")
-    sub.add_parser("asymptotics", help="growth trends of q and c")
-    p_bounds = sub.add_parser("bounds", help="asymptotic bound chain")
-    p_bounds.add_argument("--k0", type=int, default=12)
-    sub.add_parser("verify", help="run every analysis check")
+    for name, run, summary in (
+        ("tree", cmd_tree, "list nodes, triples, and periods"),
+        ("value", cmd_value, "cycle integral at one node"),
+        ("table", cmd_table, "J/q and j for all nodes to depth"),
+        ("interlace", cmd_interlace, "check interlacing to depth"),
+        ("asymptotics", cmd_asymptotics, "growth trends of q and c"),
+        ("bounds", cmd_bounds, "asymptotic bound chain"),
+        ("verify", cmd_verify, "run every analysis check"),
+    ):
+        sub.add_parser(name, help=summary).set_defaults(run=run)
+    sub.choices["value"].add_argument("target", help="fraction p/q or L/R path")
+    sub.choices["bounds"].add_argument("--k0", type=int, default=12)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    run = args.pop("run")
     try:
-        config = RunConfig(
-            depth=args.depth,
-            tol=args.tol,
-            series_order=args.series_order,
-            fmt=args.format,
-            cache=args.cache,
-            jobs=args.jobs,
-        )
-        if args.command == "tree":
-            return cmd_tree(config)
-        if args.command == "value":
-            return cmd_value(args.target, config)
-        if args.command == "table":
-            return cmd_table(config)
-        if args.command == "interlace":
-            return cmd_interlace(config)
-        if args.command == "asymptotics":
-            return cmd_asymptotics(config)
-        if args.command == "bounds":
-            return cmd_bounds(config, args.k0)
-        if args.command == "verify":
-            return cmd_verify(config)
-        raise AssertionError(args.command)
+        config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
+        return run(config, **args)
     except (ValueError, TreeError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

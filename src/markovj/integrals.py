@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
-from .jfunction import JSeries, DEFAULT_ORDER, j_coefficients, j_eval
+from .jfunction import JSeries, j_eval
 from .tree import TreeNode
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "compute_values",
     "ArcIntegrator",
     "cache_record",
+    "check_cache_writable",
     "write_cache",
     "read_cache",
 ]
@@ -113,8 +114,8 @@ class ArcIntegrator:
     read-only; process pools build one per worker from the same series.
     """
 
-    def __init__(self, series: JSeries | None = None):
-        self.series = series if series is not None else j_coefficients(DEFAULT_ORDER)
+    def __init__(self, series: JSeries):
+        self.series = series
         h = 0.5 * (ARC_HI - ARC_LO)
         # Both rules' nodes and weights, the value rule's first.
         x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
@@ -163,17 +164,12 @@ class CycleValue:
         return self.J / self.node.q
 
 
-def integrate_J(
-    node: TreeNode,
-    tol: float = 1e-10,
-    integrator: ArcIntegrator | None = None,
-) -> CycleValue:
+def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleValue:
     """Cycle integral J, the value j = J/(2 log eps), and the quadrature
-    error estimate for one tree node."""
+    error estimate for one tree node, by ``integrator``'s rules to
+    ``tol`` relative to |J|."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if integrator is None:
-        integrator = ArcIntegrator()
     # Reference orientation: cycle of the reversed word (see module doc).
     states = cycle_states(node.period.reversed())
     try:
@@ -186,33 +182,28 @@ def integrate_J(
                       tol=tol, series_order=integrator.series.order)
 
 
-def average_integral(
-    tol: float = 1e-8, integrator: ArcIntegrator | None = None
-) -> float:
+def average_integral(tol: float, integrator: ArcIntegrator) -> float:
     """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3], by
-    the same fixed rules; ``tol`` bounds their difference relative to
+    ``integrator``'s rules; ``tol`` bounds their difference relative to
     the value."""
-    if integrator is None:
-        integrator = ArcIntegrator()
     value, _ = _two_rules(integrator._wj, tol)
     return value.real
 
 
-def compute_values(
-    nodes: Iterable[TreeNode],
-    tol: float = 1e-10,
-    series: JSeries | None = None,
-    jobs: int = 1,
-) -> dict[str, CycleValue]:
-    """Evaluate integrate_J for many nodes, keyed by path.
+def compute_values(nodes: Iterable[TreeNode], tol: float, series: JSeries,
+                   jobs: int) -> dict[str, CycleValue]:
+    """Evaluate integrate_J to ``tol`` with ``series`` for many nodes,
+    keyed by path.
 
-    ``jobs > 1`` fans out over a process pool; results are merged by a
-    single writer so ordering is deterministic.
+    ``jobs > 1`` fans out over a process pool of at most ``jobs``
+    workers, one nonempty chunk each; results are merged by a single
+    writer so ordering is deterministic.
     """
     nodes = list(nodes)
     if jobs > 1 and len(nodes) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        jobs = min(jobs, len(nodes))
         chunks = [nodes[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(_compute_chunk, [(chunk, tol, series) for chunk in chunks])
@@ -220,11 +211,10 @@ def compute_values(
             for part in parts:
                 merged.update(part)
         return {n.path: merged[n.path] for n in nodes}
-    integrator = ArcIntegrator(series)
-    return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in nodes}
+    return _compute_chunk((nodes, tol, series))
 
 
-def _compute_chunk(args: tuple[list[TreeNode], float, JSeries | None]) -> dict[str, "CycleValue"]:
+def _compute_chunk(args: tuple[list[TreeNode], float, JSeries]) -> dict[str, "CycleValue"]:
     chunk, tol, series = args
     integrator = ArcIntegrator(series)
     return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in chunk}
@@ -251,16 +241,31 @@ def cache_record(value: CycleValue) -> dict:
     }
 
 
-def write_cache(values: Iterable[CycleValue], path) -> None:
-    """Rewrite the JSON-lines result cache atomically: the records go to
-    a temp file beside it, which then replaces it, so an interrupted
-    write leaves the previous cache intact.  A temp file that cannot be
-    opened is reported under the cache's own path."""
+def _open_temp(path):
+    """The temp file beside the cache at ``path``: its name and the file,
+    open for writing.  An OSError names the cache's own path."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        fh = open(tmp, "w")
+        return tmp, open(tmp, "w")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
+def check_cache_writable(path) -> None:
+    """Raise the OSError that write_cache(values, path) would raise on
+    opening its temp file, so a run can fail before it computes; leave
+    no file behind."""
+    tmp, fh = _open_temp(path)
+    fh.close()
+    os.unlink(tmp)
+
+
+def write_cache(values: Iterable[CycleValue], path) -> None:
+    """Rewrite the JSON-lines result cache atomically, one line per value:
+    the records go to a temp file beside it, which then replaces it, so
+    an interrupted write leaves the previous cache intact.  A temp file
+    that cannot be opened is reported under the cache's own path."""
+    tmp, fh = _open_temp(path)
     try:
         with fh:
             for value in values:

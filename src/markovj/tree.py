@@ -12,7 +12,9 @@ largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
 digit count grows by a factor of about phi per level, so depth 24 is
 about 7.6e4 digits); keep ``depth`` modest unless you know what you are
 doing.  Period words are bytes, one per digit, checked once on
-construction: 21.5 MB of words in the tree of depth 15.
+construction: 21.5 MB of words in the tree of depth 15.  The words of
+the tree of depth d total about 1.5 * 3^d bytes, so build_tree refuses
+depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ __all__ = [
     "TIP_RIGHT",
     "ROOT",
 ]
+
+
+#: The deepest tree build_tree builds, and the deepest level find_fraction searches.
+MAX_DEPTH = 18
+MAX_LEVEL = 200
 
 
 class TreeError(ValueError):
@@ -258,9 +265,13 @@ def build_tree(depth: int) -> list[TreeNode]:
     """All nodes with level <= depth plus the two level-0 tips.
 
     Breadth-first order: tips, then the 2^(n-1) nodes of each level n.
+    Depths outside [1, MAX_DEPTH] raise TreeError.
     """
     if depth < 1:
         raise TreeError("depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise TreeError(f"depth {depth} exceeds {MAX_DEPTH}: its words alone "
+                        f"would take over {1.5 * 3 ** (MAX_DEPTH + 1) / 1e9:.2g} GB")
     nodes = [TIP_LEFT, TIP_RIGHT, ROOT]
     frontier = [ROOT]
     for _ in range(2, depth + 1):
@@ -269,11 +280,11 @@ def build_tree(depth: int) -> list[TreeNode]:
     return nodes
 
 
-def find_fraction(p: int, q: int, max_level: int = 200) -> TreeNode:
+def find_fraction(p: int, q: int) -> TreeNode:
     """Locate the node with Farey fraction p/q by mediant search.
 
     Raises TreeError naming the nearest enclosing nodes when p/q is not
-    on the tree (not reduced, outside [0, 1/2], or too deep).
+    on the tree (not reduced, outside [0, 1/2], or below MAX_LEVEL).
     """
     if q < 1:
         raise TreeError("denominator must be positive")
@@ -290,12 +301,12 @@ def find_fraction(p: int, q: int, max_level: int = 200) -> TreeNode:
             f"{p}/{q} lies outside (0, 1/2); nearest valid nodes are 0/1 and 1/2"
         )
     node = ROOT
-    while node.level <= max_level:
+    while node.level <= MAX_LEVEL:
         value = node.farey.as_fraction()
         if target == value:
             return node
         node = _child(node, "L" if target < value else "R")
     raise TreeError(
-        f"{p}/{q} not found within {max_level} levels; "
+        f"{p}/{q} not found within {MAX_LEVEL} levels; "
         f"nearest nodes are {node.left.farey} and {node.right.farey}"
     )

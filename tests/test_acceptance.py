@@ -17,6 +17,7 @@ from markovj import (
     check_q_recursion,
     j_eval,
 )
+from markovj import analysis
 from markovj.analysis import (
     asymptotics_report,
     envelope_from_values,
@@ -79,13 +80,15 @@ def test_criterion_4_exact_structure(capsys):
 
 
 def test_criterion_5_local_recursion_bounds(capsys, depth9_values):
-    report = check_J_recursion(depth9_values, build_tree(9), slack=1e-6)
+    assert analysis.DELTA_SLACK == 1e-6
+    report = check_J_recursion(depth9_values, build_tree(9))
     ratio = report.checks[0].measured
     verdict(capsys, 5, report.passed, f"max |delta|/bound {ratio:.3g} over levels 2..9")
 
 
 def test_criterion_6_interlacing(capsys, depth9_values):
-    report = check_interlacing(depth9_values, build_tree(9), tol=1e-9, hard_tol=1e-6)
+    assert (analysis.INTERLACE_TOL, analysis.INTERLACE_HARD_TOL) == (1e-9, 1e-6)
+    report = check_interlacing(depth9_values, build_tree(9))
     verdict(capsys, 6, report.passed, report.checks[0].details)
 
 
@@ -124,7 +127,8 @@ def test_criterion_8_envelope(capsys, depth9_values, reference_values):
 
 
 def test_criterion_9_gg_ranges(capsys):
-    report = gg_prime_ranges(grid=200)
+    assert analysis.GG_GRID == 200
+    report = gg_prime_ranges()
     verdict(capsys, 9, report.passed, "; ".join(c.details for c in report.checks[:1]))
 
 

@@ -129,11 +129,6 @@ class TestInterlacing:
         assert report.passed
         assert "0 violation" in report.checks[0].details
 
-    def test_segment_mode(self, depth9_values):
-        report = check_interlacing(depth9_values, build_tree(4), tol=1e-6,
-                                   mode="segment")
-        assert report.checks[0].name.startswith("segment")
-
     def test_missing_values(self):
         with pytest.raises(KeyError):
             check_interlacing({}, build_tree(3))
@@ -176,12 +171,8 @@ class TestGGPrime:
         assert g_kernel(1.0, 1.0, math.pi / 2) == 0.0
 
     def test_ranges(self):
-        report = gg_prime_ranges(grid=120)
+        report = gg_prime_ranges()
         assert report.passed
-
-    def test_rejects_coarse_grid(self):
-        with pytest.raises(ValueError):
-            gg_prime_ranges(grid=50)
 
     @staticmethod
     def _brute_force_extrema(kernel, box, grid):
@@ -195,21 +186,22 @@ class TestGGPrime:
         return vmin, vmax
 
     @pytest.mark.parametrize("grid", [100, 200])
-    def test_fused_sampler_equals_kernels(self, grid):
+    def test_fused_sampler_equals_kernels(self, grid, monkeypatch):
         expected = [self._brute_force_extrema(kernel, box, grid)
                     for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
                     for kernel in (g_kernel, gp_kernel)]
         got = (analysis._box_extrema(analysis.VALUE_BOX, grid)
                + analysis._box_extrema(analysis.CONJ_BOX, grid))
         assert got == expected
-        report = gg_prime_ranges(grid)
+        monkeypatch.setattr(analysis, "GG_GRID", grid)
+        report = gg_prime_ranges()
         assert [c.measured for c in report.checks] == [lo for lo, _ in expected]
 
     def test_no_cube_sized_array(self):
         # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.
         tracemalloc.start()
         try:
-            gg_prime_ranges(200)
+            gg_prime_ranges()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -223,7 +215,7 @@ class TestCoincidence:
         assert coincidence_envelope(3) == pytest.approx(10 * phi**-4, rel=1e-12)
 
     def test_report(self):
-        report = coincidence_bound(build_tree(5), samples=200)
+        report = coincidence_bound(build_tree(5))
         assert report.passed
 
     def test_contraction_constant(self):

@@ -94,7 +94,7 @@ class TestSerialization:
     def test_round_trip(self, digits):
         p = Period(tuple(digits))
         assert parse_period(format_period(p)).digits == p.digits
-        assert parse_period(format_period(p, compact=False)).digits == p.digits
+        assert parse_period(",".join(map(str, p.digits))).digits == p.digits
 
     @given(run_words, run_words)
     @example([3], [3])

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -247,6 +248,16 @@ class TestTable:
         assert code == 2 and out == ""
         assert err == f"error: [Errno 2] No such file or directory: '{cache}'\n"
 
+    @pytest.mark.parametrize("command", ["table", "interlace", "verify"])
+    def test_unwritable_cache_refused_before_computing(self, capsys, tmp_path, computed,
+                                                       command):
+        cache = tmp_path / "missing" / "x.jsonl"
+        code, out, err = run(capsys, "--depth", "3", "--cache", str(cache), command)
+        assert code == 2 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{cache}'\n"
+        assert computed == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFailures:
     def test_quadrature_error_is_one_line(self, capsys, monkeypatch):
@@ -270,6 +281,34 @@ class TestFailures:
         assert code == 2 and out == ""
         assert re.fullmatch(r"error: quadrature estimate \S+ exceeds tol 1e-16 "
                             r"relative to \|value\| = \S+ at 0/1 \(path '0/1'\)\n", err)
+
+
+class TestRunSizes:
+    def test_jobs_above_cpus_refused_before_any_pool(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for jobs in (cpus + 1, 10**6):
+            code, out, err = run(capsys, "--depth", "3", "--jobs", str(jobs), "table")
+            assert code == 2 and out == ""
+            assert err == (f"error: jobs must be in [1, {cpus}], "
+                           "the CPUs this process may use\n")
+
+    def test_depth_above_eighteen_refused(self, capsys):
+        for command in ("tree", "table", "interlace", "verify"):
+            code, out, err = run(capsys, "--depth", "19", command)
+            assert code == 2 and out == ""
+            assert err == ("error: depth 19 exceeds 18: its words alone would "
+                           "take over 1.7 GB\n")
+
+    def test_asymptotics_builds_no_tree(self, capsys):
+        code, out, _ = run(capsys, "--depth", "400", "asymptotics")
+        assert code == 0
+        assert "result: PASS" in out
 
 
 class TestReports:

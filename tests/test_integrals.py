@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from markovj.integrals import (
     QuadratureError,
     average_integral,
     cache_record,
+    check_cache_writable,
     compute_values,
     integrate_J,
     log_epsilon,
@@ -79,9 +81,9 @@ class TestIntegrateJ:
         tight = integrate_J(ROOT, tol=1e-12, integrator=integ)
         assert abs(loose.J - tight.J) <= max(loose.quad_error, 1e-9) * 10
 
-    def test_rejects_bad_tol(self):
+    def test_rejects_bad_tol(self, series):
         with pytest.raises(ValueError):
-            integrate_J(ROOT, tol=0.0)
+            integrate_J(ROOT, 0.0, ArcIntegrator(series))
 
     def test_tol_is_relative(self, series):
         # |J| is about 1300 q, so a relative bound that a rounding-level
@@ -171,6 +173,32 @@ class TestComputeValues:
         for path in serial:
             assert serial[path].J == pytest.approx(parallel[path].J, rel=1e-12)
 
+    def test_no_empty_chunks(self, series, monkeypatch):
+        import concurrent.futures
+
+        workers, chunks = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                chunks.extend(items)
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        nodes = build_tree(1)
+        values = compute_values(nodes, 1e-9, series, 8)
+        assert list(values) == [n.path for n in nodes]
+        assert workers == [3]
+        assert [len(chunk) for chunk, _, _ in chunks] == [1, 1, 1]
+
 
 class TestCache:
     def test_round_trip(self, tmp_path, series):
@@ -212,6 +240,13 @@ class TestCache:
         assert path.read_bytes() == before
         assert read_cache(path) == [cache_record(value)]
         assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+    def test_writability_check_leaves_no_file(self, tmp_path):
+        check_cache_writable(tmp_path / "x.jsonl")
+        assert list(tmp_path.iterdir()) == []
+        missing = tmp_path / "missing" / "x.jsonl"
+        with pytest.raises(FileNotFoundError, match=re.escape(f"'{missing}'") + "$"):
+            check_cache_writable(missing)
 
     def test_schema_check(self, tmp_path):
         path = tmp_path / "cache.jsonl"

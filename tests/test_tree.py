@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from markovj.tree import (
+    MAX_DEPTH,
     ROOT,
     TIP_LEFT,
     TIP_RIGHT,
@@ -106,6 +107,14 @@ class TestStructure:
     def test_node_count(self):
         assert len(build_tree(9)) == 2 + (2**9 - 1)
 
+    def test_depth_bounds(self):
+        # Refused before any node is built: the words of depth 19 alone
+        # would take 1.7 GB.
+        assert MAX_DEPTH == 18
+        for depth in (0, MAX_DEPTH + 1, 10**9):
+            with pytest.raises(TreeError, match="depth"):
+                build_tree(depth)
+
     def test_leftmost_denominators(self):
         for n in range(1, 10):
             assert node_at("L" * (n - 1)).q == n + 2
@@ -130,5 +139,5 @@ class TestLookup:
             find_fraction(3, 5)
 
     def test_depth_budget(self):
-        with pytest.raises(TreeError, match="nearest nodes"):
-            find_fraction(1, 1000, max_level=5)
+        with pytest.raises(TreeError, match="nearest nodes are 0/1 and 1/202$"):
+            find_fraction(1, 1000)
