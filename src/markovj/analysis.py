@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -45,6 +46,7 @@ __all__ = [
     "RE_DELTA_COEF",
     "IM_DELTA_COEF",
     "CONTRACTION",
+    "CHAIN_K0",
     "ZAGIER_C",
     "PUBLISHED_RE_ENVELOPE",
     "PUBLISHED_IM_ENVELOPE",
@@ -60,6 +62,8 @@ Q_GROWTH = math.pi * math.sqrt(2.0 / 3.0)
 #: Computed J/q envelope over levels <= 12 (real and imaginary parts).
 PUBLISHED_RE_ENVELOPE = (1251.36168, 1359.5674)
 PUBLISHED_IM_ENVELOPE = (-0.4813, 0.0)
+#: The level at which `bounds` and `verify` evaluate the bound chain.
+CHAIN_K0 = 12
 
 #: Ranges of g on the state-value box and of g' there, and on the
 #: conjugate box.
@@ -477,7 +481,7 @@ def _window_means(values: Sequence[float]) -> list[float]:
     return [float(np.mean(values[a:b])) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def asymptotics_report(depth: int = 40) -> Report:
+def asymptotics_report(depth: int) -> Report:
     """Convergence trends of the denominator and Markov-number growth.
 
     Trends are reported, not thresholded: the mean deviation from each
@@ -564,15 +568,17 @@ class BoundChain:
 
 
 def _delta_terms(coef: float, k0: int) -> tuple[float, float, float, float]:
-    turn = coef / 4.0 * CONTRACTION ** (2 * k0 - 3)
-    middle = coef / k0 * CONTRACTION ** (2 * k0 - 1)
-    top = coef / (k0 + 1) * CONTRACTION ** (2 * k0)
-    pure = coef / (k0 + 3) * CONTRACTION ** (2 * k0 - 5)
+    # In floats: past half the largest float the powers are 0, not an OverflowError.
+    k = float(k0)
+    turn = coef / 4.0 * CONTRACTION ** (2 * k - 3)
+    middle = coef / k * CONTRACTION ** (2 * k - 1)
+    top = coef / (k + 1) * CONTRACTION ** (2 * k)
+    pure = coef / (k + 3) * CONTRACTION ** (2 * k - 5)
     return (turn, middle, top, pure)
 
 
 def theorem2_constants(
-    k0: int = 12,
+    k0: int,
     re_envelope: tuple[float, float] | None = None,
     im_envelope: tuple[float, float] | None = None,
 ) -> BoundChain:
@@ -583,6 +589,8 @@ def theorem2_constants(
     """
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
+    if k0 > sys.float_info.max:
+        raise ValueError(f"k0 must be at most {sys.float_info.max:g}, the largest float")
     re_env = re_envelope if re_envelope is not None else PUBLISHED_RE_ENVELOPE
     im_env = im_envelope if im_envelope is not None else PUBLISHED_IM_ENVELOPE
     re_terms = _delta_terms(RE_DELTA_COEF, k0)

@@ -15,22 +15,20 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from pathlib import Path
 
 from . import analysis
 from .cf import format_period, join_texts
 from .integrals import (
-    METHOD,
     ArcIntegrator,
     CycleValue,
     QuadratureError,
+    cache_index,
+    cached_value,
     check_cache_writable,
     compute_values,
     integrate_J,
-    read_cache,
     write_cache,
 )
-from .jfunction import DEFAULT_ORDER, j_coefficients
 from .tree import (
     TIP_LEFT,
     TreeError,
@@ -51,7 +49,6 @@ CSV_HEADER = [
 class RunConfig:
     depth: int = 5
     tol: float = 1e-10
-    series_order: int = DEFAULT_ORDER
     fmt: str = "csv"
     cache: str | None = None
     jobs: int = 1
@@ -61,9 +58,6 @@ class RunConfig:
             raise ValueError("depth must be >= 1")
         if not 0.0 < self.tol <= 1e-4:
             raise ValueError("tol must be in (0, 1e-4]")
-        # c_m overflows floats near order 3180; the truncation bound is 0.0 from 200.
-        if not 20 <= self.series_order <= 1000:
-            raise ValueError("series order must be in [20, 1000]")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         # Each job is a worker process; more than the CPUs this process may use only queue.
@@ -111,39 +105,24 @@ def _value_row(value: CycleValue) -> dict[str, str]:
 def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, CycleValue]:
     """Compute values for the nodes, consulting the JSONL cache.
 
-    A cached record is used only if it matches the node (path, q, c)
-    and the run (tol, series order, quadrature method); the other nodes
-    are computed, and only then is the cache rewritten, in path order.
-    A cache that could not be written is refused before any value is
-    computed.
+    A node's cached record is used only if it matches the node and the
+    run (integrals.cached_value); the other nodes are computed, and only
+    then is the cache rewritten, in path order.  A cache that could not
+    be written is refused before any value is computed.
     """
-    cached: dict[str, dict] = {}
-    if config.cache and Path(config.cache).exists():
-        cached = {rec["path"]: rec for rec in read_cache(config.cache)}
+    cached = cache_index(config.cache) if config.cache else {}
     values: dict[str, CycleValue] = {}
     missing: list[TreeNode] = []
     for node in nodes:
-        rec = cached.get(node.path)
-        if rec is not None and (
-            rec["q"], rec["c"], rec["tol"], rec["series_order"], rec["method"]
-        ) == (node.q, str(node.c), config.tol, config.series_order, METHOD):
-            values[node.path] = CycleValue(
-                node=node,
-                J=complex(rec["J_re"], rec["J_im"]),
-                j=complex(rec["j_re"], rec["j_im"]),
-                log_eps=rec["log_eps"],
-                quad_error=rec["quad_err"],
-                tol=rec["tol"],
-                series_order=rec["series_order"],
-            )
-        else:
+        value = cached_value(cached.get(node.path), node, config.tol)
+        if value is None:
             missing.append(node)
+        else:
+            values[node.path] = value
     if missing:
         if config.cache:
             check_cache_writable(config.cache)
-        series = j_coefficients(config.series_order)
-        values.update(compute_values(missing, tol=config.tol, series=series,
-                                     jobs=config.jobs))
+        values.update(compute_values(missing, tol=config.tol, jobs=config.jobs))
         if config.cache:
             write_cache([values[p] for p in sorted(values)], config.cache)
     return values
@@ -196,7 +175,7 @@ def _resolve_target(target: str) -> TreeNode:
 
 def cmd_value(config: RunConfig, target: str) -> int:
     node = _resolve_target(target)
-    value = integrate_J(node, config.tol, ArcIntegrator(j_coefficients(config.series_order)))
+    value = integrate_J(node, config.tol, ArcIntegrator())
     row = _value_row(value)
     if config.fmt == "json":
         print(json.dumps(row, indent=2))
@@ -262,12 +241,12 @@ def cmd_verify(config: RunConfig) -> int:
         analysis.gg_prime_ranges(),
         analysis.coincidence_bound([node for node in nodes if node.level <= 6]),
     ]
-    chain = analysis.theorem2_constants(12)
+    chain = analysis.theorem2_constants(analysis.CHAIN_K0)
     chain_ok = abs(chain.re_delta_bound - 1.41173) < 1e-3
     for report in reports:
         print(report.to_text())
         print()
-    print(f"bound chain at k0=12: |Re delta|/q <= {chain.re_delta_bound:.5f} "
+    print(f"bound chain at k0={chain.k0}: |Re delta|/q <= {chain.re_delta_bound:.5f} "
           f"({'consistent' if chain_ok else 'INCONSISTENT'})")
     ok = chain_ok and all(r.passed for r in reports)
     print(f"verify: {'PASS' if ok else 'FAIL'}")
@@ -285,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=default.depth)
     parser.add_argument("--tol", type=float, default=default.tol,
                         help="relative bound on the quadrature estimate")
-    parser.add_argument("--series-order", type=int, default=default.series_order)
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=default.fmt)
     parser.add_argument("--cache", default=default.cache, help="JSONL result cache path")
     parser.add_argument("--jobs", type=int, default=default.jobs)
@@ -301,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, help=summary).set_defaults(run=run)
     sub.choices["value"].add_argument("target", help="fraction p/q or L/R path")
-    sub.choices["bounds"].add_argument("--k0", type=int, default=12)
+    sub.choices["bounds"].add_argument("--k0", type=int, default=analysis.CHAIN_K0)
     return parser
 
 
@@ -309,12 +287,21 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     del args["command"]
     run = args.pop("run")
+    # Admitted nodes have Markov numbers of up to about 4 600 digits, past
+    # the 4 300 to which Python (3.11, and 3.10 from 3.10.7) limits the
+    # conversion of an int to text by default.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
         return run(config, **args)
     except (ValueError, TreeError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
-from .jfunction import JSeries, j_eval
+from .jfunction import SERIES_ORDER, j_coefficients, j_eval
 from .tree import TreeNode
 
 __all__ = [
@@ -37,9 +37,11 @@ __all__ = [
     "compute_values",
     "ArcIntegrator",
     "cache_record",
+    "cached_value",
     "check_cache_writable",
     "write_cache",
     "read_cache",
+    "cache_index",
 ]
 
 ARC_LO = math.pi / 3.0
@@ -102,7 +104,8 @@ def _two_rules(terms: np.ndarray, tol: float) -> tuple[complex, float]:
 
 
 class ArcIntegrator:
-    """The fixed Gauss-Legendre rules on the arc for one j-series.
+    """The fixed Gauss-Legendre rules on the arc, with the j-series of
+    order SERIES_ORDER.
 
     The kernel's poles are the cycle states, which stay in fixed boxes
     on the real axis at every depth (checked on every call), at distance
@@ -111,16 +114,15 @@ class ArcIntegrator:
     converges geometrically (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19).  The weights g_m = h w_m j(z_m) i z_m
     at the nodes z_m = e^(i theta_m) are computed once.  Instances are
-    read-only; process pools build one per worker from the same series.
+    read-only; process pools build one per worker.
     """
 
-    def __init__(self, series: JSeries):
-        self.series = series
+    def __init__(self):
         h = 0.5 * (ARC_HI - ARC_LO)
         # Both rules' nodes and weights, the value rule's first.
         x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
         z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
-        self._wj = h * w * j_eval(z, self.series)
+        self._wj = h * w * j_eval(z, j_coefficients(SERIES_ORDER))
         self._g = self._wj * 1j * z
         self._zbar = z.conj()
         self._x = z.real[:, None]
@@ -157,7 +159,6 @@ class CycleValue:
     log_eps: float
     quad_error: float
     tol: float
-    series_order: int
 
     @property
     def J_over_q(self) -> complex:
@@ -178,8 +179,7 @@ def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleV
         raise QuadratureError(f"{exc} at {node.farey} (path {node.path!r})",
                               exc.estimate) from exc
     le = log_epsilon(node.c)
-    return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err,
-                      tol=tol, series_order=integrator.series.order)
+    return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
 
 
 def average_integral(tol: float, integrator: ArcIntegrator) -> float:
@@ -190,10 +190,8 @@ def average_integral(tol: float, integrator: ArcIntegrator) -> float:
     return value.real
 
 
-def compute_values(nodes: Iterable[TreeNode], tol: float, series: JSeries,
-                   jobs: int) -> dict[str, CycleValue]:
-    """Evaluate integrate_J to ``tol`` with ``series`` for many nodes,
-    keyed by path.
+def compute_values(nodes: Iterable[TreeNode], tol: float, jobs: int) -> dict[str, CycleValue]:
+    """Evaluate integrate_J to ``tol`` for many nodes, keyed by path.
 
     ``jobs > 1`` fans out over a process pool of at most ``jobs``
     workers, one nonempty chunk each; results are merged by a single
@@ -206,17 +204,17 @@ def compute_values(nodes: Iterable[TreeNode], tol: float, series: JSeries,
         jobs = min(jobs, len(nodes))
         chunks = [nodes[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_compute_chunk, [(chunk, tol, series) for chunk in chunks])
+            parts = pool.map(_compute_chunk, [(chunk, tol) for chunk in chunks])
             merged: dict[str, CycleValue] = {}
             for part in parts:
                 merged.update(part)
         return {n.path: merged[n.path] for n in nodes}
-    return _compute_chunk((nodes, tol, series))
+    return _compute_chunk((nodes, tol))
 
 
-def _compute_chunk(args: tuple[list[TreeNode], float, JSeries]) -> dict[str, "CycleValue"]:
-    chunk, tol, series = args
-    integrator = ArcIntegrator(series)
+def _compute_chunk(args: tuple[list[TreeNode], float]) -> dict[str, "CycleValue"]:
+    chunk, tol = args
+    integrator = ArcIntegrator()
     return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in chunk}
 
 
@@ -236,9 +234,21 @@ def cache_record(value: CycleValue) -> dict:
         "log_eps": value.log_eps,
         "quad_err": value.quad_error,
         "tol": value.tol,
-        "series_order": value.series_order,
+        "series_order": SERIES_ORDER,
         "method": METHOD,
     }
+
+
+def cached_value(rec: dict | None, node: TreeNode, tol: float) -> CycleValue | None:
+    """The value a cache record holds for ``node`` at ``tol``, or None
+    unless the record matches the node (q, c) and the run (tol, series
+    order, quadrature method)."""
+    if rec is None or (rec["q"], rec["c"], rec["tol"], rec["series_order"], rec["method"]) != (
+            node.q, str(node.c), tol, SERIES_ORDER, METHOD):
+        return None
+    return CycleValue(node=node, J=complex(rec["J_re"], rec["J_im"]),
+                      j=complex(rec["j_re"], rec["j_im"]), log_eps=rec["log_eps"],
+                      quad_error=rec["quad_err"], tol=rec["tol"])
 
 
 def _open_temp(path):
@@ -295,3 +305,9 @@ def read_cache(path) -> list[dict]:
                                  "cache record")
             records.append(rec)
     return records
+
+
+def cache_index(path) -> dict[str, dict]:
+    """The records of the result cache at ``path`` keyed by node path;
+    empty when there is no such file."""
+    return {rec["path"]: rec for rec in read_cache(path)} if os.path.exists(path) else {}

@@ -14,7 +14,10 @@ about 7.6e4 digits); keep ``depth`` modest unless you know what you are
 doing.  Period words are bytes, one per digit, checked once on
 construction: 21.5 MB of words in the tree of depth 15.  The words of
 the tree of depth d total about 1.5 * 3^d bytes, so build_tree refuses
-depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).
+depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).  Along
+one path the word length q grows like the Fibonacci numbers, so no
+node is built whose word is longer than MAX_Q, the longest of that
+tree, and no path goes below MAX_LEVEL.
 """
 
 from __future__ import annotations
@@ -48,9 +51,13 @@ __all__ = [
 ]
 
 
-#: The deepest tree build_tree builds, and the deepest level find_fraction searches.
+#: The deepest tree build_tree builds, and the deepest level find_fraction
+#: searches and walk_path walks to.
 MAX_DEPTH = 18
 MAX_LEVEL = 200
+#: The longest word of build_tree(MAX_DEPTH), at the zigzag path RLRL...R:
+#: the Fibonacci number F(MAX_DEPTH + 3).  No node's word is longer.
+MAX_Q = 10_946
 
 
 class TreeError(ValueError):
@@ -237,6 +244,9 @@ def _child(node: TreeNode, step: str) -> TreeNode:
         left, right = node, node.right
     level = node.level + 1
     farey = farey_median(left.farey, right.farey)
+    if farey.q > MAX_Q:
+        raise TreeError(f"node {farey} (path {node.path + step!r}): its word of {farey.q} "
+                        f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
     period = (conjunction(right.period, left.period) if joins_neighbours(left)
               else Period((2,) + (3,) * level + (4,)))
     return _make_node(node.path + step, level, _vieta_child(node.triple, step),
@@ -244,9 +254,13 @@ def _child(node: TreeNode, step: str) -> TreeNode:
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:
-    """Yield the nodes from the root down along ``path``."""
+    """Yield the nodes from the root down along ``path``, which may
+    reach at most level MAX_LEVEL."""
     if any(s not in "LR" for s in path):
         raise TreeError(f"path must be a word over L/R: {path!r}")
+    if len(path) >= MAX_LEVEL:
+        raise TreeError(f"a path of {len(path)} steps reaches level {len(path) + 1}, "
+                        f"below the deepest level {MAX_LEVEL}")
     node = ROOT
     yield node
     for step in path:

@@ -33,14 +33,14 @@ def reference_rows():
 
 
 @pytest.fixture(scope="session")
-def depth9_values(series):
+def depth9_values():
     """Cycle values for every node with level <= 9, keyed by path."""
-    return compute_values(build_tree(9), tol=1e-10, series=series, jobs=_JOBS)
+    return compute_values(build_tree(9), tol=1e-10, jobs=_JOBS)
 
 
 @pytest.fixture(scope="session")
-def reference_values(series, reference_rows):
+def reference_values(reference_rows):
     """Computed values at the 80 published fractions, keyed by (p, q)."""
     nodes = [find_fraction(r["p"], r["q"]) for r in reference_rows]
-    values = compute_values(nodes, tol=1e-10, series=series, jobs=_JOBS)
+    values = compute_values(nodes, tol=1e-10, jobs=_JOBS)
     return {(n.farey.p, n.farey.q): values[n.path] for n in nodes}

@@ -50,8 +50,8 @@ def test_criterion_1_golden_tables(capsys, reference_rows, reference_values):
     verdict(capsys, 1, worst < 1e-7, f"80 rows, worst per-part error {worst:.3g}")
 
 
-def test_criterion_2_arc_average(capsys, series):
-    avg = average_integral(tol=1e-9, integrator=ArcIntegrator(series))
+def test_criterion_2_arc_average(capsys):
+    avg = average_integral(tol=1e-9, integrator=ArcIntegrator())
     err = abs(avg - 753.982)
     verdict(capsys, 2, err < 1e-3, f"arc average {avg:.6f}, |diff| {err:.2g}")
 

@@ -277,6 +277,15 @@ class TestBoundChain:
         with pytest.raises(ValueError):
             theorem2_constants(1)
 
+    def test_k0_up_to_the_largest_float(self):
+        # A k0 past float range once raised OverflowError from the powers.
+        for k0 in (10**8, int(sys.float_info.max)):
+            chain = theorem2_constants(k0)
+            assert chain.re_delta_bound == chain.im_delta_bound == 0.0
+        for k0 in (int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(ValueError, match="^k0 must be at most 1.79769e"):
+                theorem2_constants(k0)
+
     def test_computed_envelope_mode(self, depth9_values):
         re_env, im_env = envelope_from_values(depth9_values.values())
         chain = theorem2_constants(12, re_envelope=re_env, im_envelope=im_env)

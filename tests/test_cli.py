@@ -5,12 +5,13 @@ import json
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from markovj import cli
+from markovj import analysis, cli
 from markovj.cf import format_period
 from markovj.cli import RunConfig, main
 from markovj.tree import build_tree
@@ -30,11 +31,6 @@ class TestConfig:
             RunConfig(depth=0)
         with pytest.raises(ValueError):
             RunConfig(tol=1e-3)
-        with pytest.raises(ValueError):
-            RunConfig(series_order=10)
-        with pytest.raises(ValueError):
-            RunConfig(series_order=1001)
-        RunConfig(series_order=1000)
         with pytest.raises(ValueError):
             RunConfig(fmt="xml")
 
@@ -116,13 +112,41 @@ class TestValue:
         assert code == 2
         assert "0/1" in err and "1/2" in err
 
-    def test_series_order_too_high(self, capsys):
-        # Past order ~3180 the coefficients overflow float64; the run is
-        # refused up front with one line instead of a traceback.
-        code, out, err = run(capsys, "--series-order", "3300", "value", "1/3")
-        assert code == 2
-        assert out == ""
-        assert err == "error: series order must be in [20, 1000]\n"
+    def test_series_order_is_not_a_flag(self, capsys):
+        # Every order from 14 up gives the same values, so it is fixed.
+        with pytest.raises(SystemExit) as exc:
+            main(["--series-order=40", "value", "1/3"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.out == ""
+        assert out.err.endswith("error: unrecognized arguments: --series-order=40\n")
+
+    def test_path_below_the_deepest_level(self, capsys):
+        code, out, err = run(capsys, "value", "L" * 200)
+        assert code == 2 and out == ""
+        assert err == "error: a path of 200 steps reaches level 201, below the deepest level 200\n"
+
+    def test_word_longer_than_the_deepest_tree(self, capsys):
+        code, out, err = run(capsys, "value", "RL" * 9)
+        assert code == 2 and out == ""
+        assert err.startswith("error: node ") and len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python does not limit int-to-text conversion")
+    def test_c_past_the_int_digit_limit(self, capsys):
+        # c of 1 005 digits, over the lowest limit Python allows; admitted
+        # nodes reach 4 570 digits (59/10946), over its default of 4 300.
+        c = str(cli.node_at("RL" * 7).c)
+        assert len(c) == 1005
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, "value", "RL" * 7)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and err == ""
+        assert f"c         {c}\n" in out
 
     def test_path_target(self, capsys):
         code, out, _ = run(capsys, "value", "RL")
@@ -171,15 +195,17 @@ class TestTable:
         return nodes
 
     def test_cache_not_served_across_series_order(self, capsys, tmp_path, computed):
-        cache = str(tmp_path / "cache.jsonl")
-        run(capsys, "--depth", "2", "--series-order", "40", "--cache", cache, "table")
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        records[2]["series_order"] = 30
+        cache.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
         computed.clear()
-        _, warm, _ = run(capsys, "--depth", "2", "--series-order", "30",
-                         "--cache", cache, "table")
-        assert len(computed) == 5
-        records = [json.loads(line) for line in Path(cache).read_text().splitlines()]
-        assert {rec["series_order"] for rec in records} == {30}
-        _, cold, _ = run(capsys, "--depth", "2", "--series-order", "30", "table")
+        _, warm, _ = run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        assert [node.path for node in computed] == [records[2]["path"]]
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert {rec["series_order"] for rec in records} == {40}
+        _, cold, _ = run(capsys, "--depth", "2", "table")
         assert warm == cold
 
     def test_cache_not_served_across_tol(self, capsys, tmp_path, computed):
@@ -328,6 +354,19 @@ class TestReports:
         code, out, _ = run(capsys, "--depth", depth, "asymptotics")
         assert code == 0
         assert "[PASS] ordering head" in out
+
+    def test_bounds_default_k0(self, capsys):
+        code, out, _ = run(capsys, "bounds")
+        assert code == 0
+        assert out.startswith(f"k0 = {analysis.CHAIN_K0}\n") and analysis.CHAIN_K0 == 12
+
+    def test_bounds_k0_past_float_range(self, capsys):
+        code, out, err = run(capsys, "bounds", "--k0", "1" + "0" * 400)
+        assert code == 2 and out == ""
+        assert err == "error: k0 must be at most 1.79769e+308, the largest float\n"
+        code, out, _ = run(capsys, "bounds", "--k0", "100000000")
+        assert code == 0
+        assert "|Re delta|/q <= 0.00000\n" in out
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "bounds", "--k0", "12")

@@ -15,7 +15,9 @@ from markovj.integrals import (
     ArcIntegrator,
     QuadratureError,
     average_integral,
+    cache_index,
     cache_record,
+    cached_value,
     check_cache_writable,
     compute_values,
     integrate_J,
@@ -23,7 +25,7 @@ from markovj.integrals import (
     read_cache,
     write_cache,
 )
-from markovj.jfunction import j_eval
+from markovj.jfunction import SERIES_ORDER, j_coefficients, j_eval
 from markovj.tree import ROOT, TIP_LEFT, TIP_RIGHT, build_tree, node_at
 
 
@@ -58,47 +60,47 @@ class TestLogEpsilon:
 
 
 class TestIntegrateJ:
-    def test_left_tip(self, series):
-        v = integrate_J(TIP_LEFT, tol=1e-10, integrator=ArcIntegrator(series))
+    def test_left_tip(self):
+        v = integrate_J(TIP_LEFT, tol=1e-10, integrator=ArcIntegrator())
         assert v.J_over_q.real == pytest.approx(1359.56741044, rel=1e-9)
         assert abs(v.J_over_q.imag) < 1e-9
         assert v.j.real == pytest.approx(706.324813541, rel=1e-9)
 
-    def test_right_tip(self, series):
-        v = integrate_J(TIP_RIGHT, tol=1e-10, integrator=ArcIntegrator(series))
+    def test_right_tip(self):
+        v = integrate_J(TIP_RIGHT, tol=1e-10, integrator=ArcIntegrator())
         assert v.J_over_q.real == pytest.approx(1251.36168734, rel=1e-9)
         assert v.j.real == pytest.approx(709.892890920, rel=1e-9)
 
-    def test_root(self, series):
-        v = integrate_J(ROOT, tol=1e-10, integrator=ArcIntegrator(series))
+    def test_root(self):
+        v = integrate_J(ROOT, tol=1e-10, integrator=ArcIntegrator())
         assert v.log_eps == pytest.approx(2.703575830931402, rel=1e-13)
         assert v.j == v.J / (2 * v.log_eps)
         assert v.J_over_q.imag < 0  # reference orientation
 
-    def test_error_estimate_is_honest(self, series):
-        integ = ArcIntegrator(series)
+    def test_error_estimate_is_honest(self):
+        integ = ArcIntegrator()
         loose = integrate_J(ROOT, tol=1e-6, integrator=integ)
         tight = integrate_J(ROOT, tol=1e-12, integrator=integ)
         assert abs(loose.J - tight.J) <= max(loose.quad_error, 1e-9) * 10
 
-    def test_rejects_bad_tol(self, series):
+    def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            integrate_J(ROOT, 0.0, ArcIntegrator(series))
+            integrate_J(ROOT, 0.0, ArcIntegrator())
 
-    def test_tol_is_relative(self, series):
+    def test_tol_is_relative(self):
         # |J| is about 1300 q, so a relative bound that a rounding-level
         # estimate meets is far below it as an absolute one.
-        integ = ArcIntegrator(series)
+        integ = ArcIntegrator()
         node = node_at("RLRLRLRLRLRLR")
         v = integrate_J(node, tol=1e-13, integrator=integ)
         assert 1e-13 < v.quad_error <= 1e-13 * abs(v.J)
         with pytest.raises(QuadratureError):
             integrate_J(node, tol=1e-20, integrator=integ)
 
-    def test_error_names_the_node(self, series):
+    def test_error_names_the_node(self):
         node = node_at("RL")
         with pytest.raises(QuadratureError) as info:
-            integrate_J(node, tol=1e-20, integrator=ArcIntegrator(series))
+            integrate_J(node, tol=1e-20, integrator=ArcIntegrator())
         assert str(info.value).endswith(" at 3/8 (path 'RL')")
         assert 0.0 < info.value.estimate < math.inf
 
@@ -121,7 +123,7 @@ class TestIntegrateJ:
 
 class TestFixedRule:
     def test_matches_oracle_to_depth_seven(self, series):
-        integ = ArcIntegrator(series)
+        integ = ArcIntegrator()
         for node in build_tree(7):
             J = integrate_J(node, tol=1e-10, integrator=integ).J
             ref = _oracle_J(node, series)
@@ -130,7 +132,7 @@ class TestFixedRule:
     def test_matches_oracle_at_level_fourteen(self, series):
         node = node_at("RLRLRLRLRLRLR")
         assert node.q == 1597
-        J = integrate_J(node, tol=1e-10, integrator=ArcIntegrator(series)).J
+        J = integrate_J(node, tol=1e-10, integrator=ArcIntegrator()).J
         ref = _oracle_J(node, series)
         assert abs(J - ref) <= 1e-13 * abs(ref)
 
@@ -141,39 +143,58 @@ class TestFixedRule:
         ("conj_values", -STATE_MIN + 1e-9),
         ("values", math.nan),
     ])
-    def test_state_outside_box_raises(self, series, field, value):
+    def test_state_outside_box_raises(self, field, value):
         states = cycle_states(ROOT.period.reversed())
         arrays = {"values": states.values.copy(),
                   "conj_values": states.conj_values.copy()}
         arrays[field][2] = value
         pushed = CycleStates(a0=states.a0, **arrays)
-        integ = ArcIntegrator(series)
+        integ = ArcIntegrator()
         integ.integrate_states(states, 1e-10)  # the unpushed states pass
         with pytest.raises(QuadratureError, match="certified box"):
             integ.integrate_states(pushed, 1e-10)
 
-    def test_forward_word_is_outside_the_box(self, series):
+    def test_forward_word_is_outside_the_box(self):
         # The boxes are those of the reference (reversed) orientation.
         with pytest.raises(QuadratureError, match="certified box"):
-            ArcIntegrator(series).integrate_states(cycle_states(ROOT.period), 1e-10)
+            ArcIntegrator().integrate_states(cycle_states(ROOT.period), 1e-10)
 
 
 class TestAverage:
-    def test_value(self, series):
-        avg = average_integral(tol=1e-9, integrator=ArcIntegrator(series))
+    def test_value(self):
+        avg = average_integral(tol=1e-9, integrator=ArcIntegrator())
         assert avg == pytest.approx(753.9822368615, abs=1e-6)
 
 
+class TestSeriesOrder:
+    @pytest.mark.parametrize("order", [14, 20, 100, 300])
+    def test_arc_weights_bit_identical_across_orders(self, monkeypatch, order):
+        # Why the order is a constant: no order from 14 up changes a bit.
+        import markovj.integrals as integrals
+
+        fixed = ArcIntegrator()._wj
+        monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(order))
+        assert np.array_equal(ArcIntegrator()._wj, fixed)
+
+    def test_order_thirteen_differs(self, monkeypatch):
+        # The comparison above can fail: one order lower it does.
+        import markovj.integrals as integrals
+
+        fixed = ArcIntegrator()._wj
+        monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(13))
+        assert not np.array_equal(ArcIntegrator()._wj, fixed)
+
+
 class TestComputeValues:
-    def test_parallel_matches_serial(self, series):
+    def test_parallel_matches_serial(self):
         nodes = build_tree(3)
-        serial = compute_values(nodes, tol=1e-9, series=series, jobs=1)
-        parallel = compute_values(nodes, tol=1e-9, series=series, jobs=2)
+        serial = compute_values(nodes, tol=1e-9, jobs=1)
+        parallel = compute_values(nodes, tol=1e-9, jobs=2)
         assert serial.keys() == parallel.keys()
         for path in serial:
             assert serial[path].J == pytest.approx(parallel[path].J, rel=1e-12)
 
-    def test_no_empty_chunks(self, series, monkeypatch):
+    def test_no_empty_chunks(self, monkeypatch):
         import concurrent.futures
 
         workers, chunks = [], []
@@ -194,16 +215,16 @@ class TestComputeValues:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         nodes = build_tree(1)
-        values = compute_values(nodes, 1e-9, series, 8)
+        values = compute_values(nodes, 1e-9, 8)
         assert list(values) == [n.path for n in nodes]
         assert workers == [3]
-        assert [len(chunk) for chunk, _, _ in chunks] == [1, 1, 1]
+        assert [len(chunk) for chunk, _ in chunks] == [1, 1, 1]
 
 
 class TestCache:
-    def test_round_trip(self, tmp_path, series):
+    def test_round_trip(self, tmp_path):
         node = node_at("R")
-        value = integrate_J(node, tol=1e-8, integrator=ArcIntegrator(series))
+        value = integrate_J(node, tol=1e-8, integrator=ArcIntegrator())
         path = tmp_path / "cache.jsonl"
         write_cache([value], path)
         records = read_cache(path)
@@ -214,11 +235,33 @@ class TestCache:
         assert {key: type(field) for key, field in rec.items()} == CACHE_FIELDS
         assert rec["J_re"] == value.J.real
         assert (rec["tol"], rec["series_order"], rec["method"]) == (1e-8, 40, METHOD)
+        assert SERIES_ORDER == 40
+        assert cached_value(rec, node, 1e-8) == value
 
-    def test_interrupted_write_keeps_previous_cache(self, tmp_path, series, monkeypatch):
+    @pytest.mark.parametrize("field, other", [
+        ("q", 6), ("c", "30"), ("tol", 1e-9), ("series_order", 30),
+        ("method", "gauss-legendre-16/12"),
+    ])
+    def test_cached_value_refuses_other_node_or_run(self, field, other):
+        node = node_at("R")
+        value = integrate_J(node, tol=1e-8, integrator=ArcIntegrator())
+        rec = cache_record(value)
+        assert cached_value(rec, node, 1e-8) == value
+        assert cached_value({**rec, field: other}, node, 1e-8) is None
+        assert cached_value(None, node, 1e-8) is None
+
+    def test_index_by_path(self, tmp_path):
+        integ = ArcIntegrator()
+        values = [integrate_J(node_at(p), tol=1e-8, integrator=integ) for p in ("L", "R")]
+        path = tmp_path / "cache.jsonl"
+        assert cache_index(path) == {}
+        write_cache(values, path)
+        assert cache_index(path) == {v.node.path: cache_record(v) for v in values}
+
+    def test_interrupted_write_keeps_previous_cache(self, tmp_path, monkeypatch):
         import markovj.integrals as integrals
 
-        integ = ArcIntegrator(series)
+        integ = ArcIntegrator()
         value = integrate_J(node_at("R"), tol=1e-8, integrator=integ)
         other = integrate_J(node_at("L"), tol=1e-8, integrator=integ)
         path = tmp_path / "cache.jsonl"
@@ -254,9 +297,9 @@ class TestCache:
         with pytest.raises(ValueError):
             read_cache(path)
 
-    def test_refuses_adaptive_era_cache(self, tmp_path, series):
+    def test_refuses_adaptive_era_cache(self, tmp_path):
         # Schema-1 records carried no tol, series order or method.
-        value = integrate_J(node_at("R"), tol=1e-8, integrator=ArcIntegrator(series))
+        value = integrate_J(node_at("R"), tol=1e-8, integrator=ArcIntegrator())
         rec = cache_record(value)
         old = {k: v for k, v in rec.items() if k not in ("tol", "series_order", "method")}
         old["schema"] = 1

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from markovj import tree
 from markovj.tree import (
     MAX_DEPTH,
+    MAX_LEVEL,
+    MAX_Q,
     ROOT,
     TIP_LEFT,
     TIP_RIGHT,
@@ -114,6 +117,44 @@ class TestStructure:
         for depth in (0, MAX_DEPTH + 1, 10**9):
             with pytest.raises(TreeError, match="depth"):
                 build_tree(depth)
+
+    def test_longest_word_is_on_the_zigzag(self):
+        # The longest word of each level is at RLRL...: a Fibonacci number.
+        fib = [1, 1]
+        while len(fib) < MAX_DEPTH + 4:
+            fib.append(fib[-1] + fib[-2])
+        for depth in range(1, 12):
+            longest = max(build_tree(depth), key=lambda node: node.q)
+            assert longest.path == ("RL" * depth)[:depth - 1]
+            assert longest.q == fib[depth + 2]
+        assert MAX_Q == fib[MAX_DEPTH + 2]
+
+    def test_longest_word_of_the_deepest_tree_is_built(self):
+        node = node_at("RL" * 8 + "R")
+        assert (node.level, node.q) == (MAX_DEPTH, MAX_Q)
+
+    def test_longer_word_refused_before_it_is_built(self, monkeypatch):
+        lengths = []
+        join = tree.conjunction
+
+        def counting(u, v):
+            lengths.append(len(u) + len(v))
+            return join(u, v)
+
+        monkeypatch.setattr(tree, "conjunction", counting)
+        with pytest.raises(TreeError, match=r"^node \d+/17711 \(path 'RLRLRLRLRLRLRLRLRL'\): "
+                                            r"its word of 17711 digits exceeds 10946"):
+            node_at("RL" * 9)
+        assert lengths and max(lengths) == MAX_Q
+
+    def test_path_depth_budget(self):
+        # Once walked 10 300 levels down the left branch for 212 s.
+        assert MAX_LEVEL == 200
+        assert node_at("L" * (MAX_LEVEL - 1)).level == MAX_LEVEL
+        for steps in (MAX_LEVEL, 10_300):
+            with pytest.raises(TreeError, match=f"^a path of {steps} steps reaches level "
+                                                f"{steps + 1}, below the deepest level 200$"):
+                node_at("L" * steps)
 
     def test_leftmost_denominators(self):
         for n in range(1, 10):
