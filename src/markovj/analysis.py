@@ -20,16 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, eval_periodic
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _mat_mul, eval_periodic
 from .integrals import CycleValue, log_epsilon
-from .tree import (
-    TIP_LEFT,
-    TIP_RIGHT,
-    MarkovTriple,
-    TreeError,
-    TreeNode,
-    vieta_children,
-)
+from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
 
 __all__ = [
     "BoundChain",
@@ -157,13 +150,6 @@ def _depth(nodes: Sequence[TreeNode]) -> int:
 
 # ---------------------------------------------------------------------------
 # exact q recursions
-
-def _mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
 
 def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
     """Exact integer checks of the denominator recursions at every node
@@ -455,12 +441,12 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     keeps its own stack, as a branch can be qmax levels deep.
     """
     out = [(1, 1), (2, 2)]
-    stack = [(MarkovTriple(2, 1, 5), 3, 1, 2)]
+    stack = [((2, 1, 5), 3, 1, 2)]
     while stack:
         triple, q, ql, qr = stack.pop()
         if q > qmax:
             continue
-        out.append((q, triple.c))
+        out.append((q, triple[2]))
         tl, tr = vieta_children(triple)
         stack.append((tl, q + ql, ql, q))
         stack.append((tr, q + qr, q, qr))
@@ -481,11 +467,34 @@ def _window_means(values: Sequence[float]) -> list[float]:
     return [float(np.mean(values[a:b])) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _trend_check(name: str, ratios: Sequence[float], target: float) -> CheckResult:
+    """Does ``ratios`` tend to ``target`` on average?  The signed
+    deviation, averaged over each window of :func:`_window_means`, must
+    shrink strictly in size from each window to the next.
+
+    The mean of |deviation| would not do: Markov numbers of equal q
+    spread in log c (c has about 0.418 q decimal digits on the Fibonacci
+    branch and 0.383 q on the Pell branch), so log(c_n) sqrt(C/n) keeps
+    a spread of about 0.025 about its limit however far the sequence
+    goes, and the mean |deviation| levels off at it (0.0225 from depth
+    700 on) while the signed mean still falls.  A sequence that stays
+    off its limit, or drifts away, keeps or grows its window means.
+    """
+    means = _window_means(np.asarray(ratios) - target)
+    shrinking = all(abs(b) < abs(a) for a, b in zip(means, means[1:]))
+    return CheckResult(
+        name=name,
+        status="pass" if shrinking else "fail",
+        measured=means[-1],
+        details="window mean deviations " + ", ".join(f"{m:+.4f}" for m in means),
+    )
+
+
 def asymptotics_report(depth: int) -> Report:
     """Convergence trends of the denominator and Markov-number growth.
 
-    Trends are reported, not thresholded: the mean deviation from each
-    limit over TREND_WINDOWS windows must be non-increasing across them.
+    Trends are reported, not thresholded: each must pass
+    :func:`_trend_check` over TREND_WINDOWS windows.
     """
     report = Report(title=f"asymptotics (denominators up to {depth + 2})")
     seq = denominator_sequence(depth + 2)
@@ -498,25 +507,11 @@ def asymptotics_report(depth: int) -> Report:
         status="pass" if head == [1, 2, 3, 4, 5, 5][:len(head)] else "fail",
         details=f"first denominators {head}",
     ))
-    trends = [
-        ("q_n / sqrt(n) -> pi sqrt(2/3)", qs / np.sqrt(ns), Q_GROWTH),
-        ("log(c_n) sqrt(C/n) -> 1", logc * math.sqrt(ZAGIER_C) / np.sqrt(ns), 1.0),
-        (
-            "log(c_n)/q_n -> sqrt(3)/(pi sqrt(2C))",
-            logc[2:] / qs[2:],
-            math.sqrt(3.0) / (math.pi * math.sqrt(2.0 * ZAGIER_C)),
-        ),
-    ]
-    for name, ratios, target in trends:
-        devs = np.abs(np.asarray(ratios) - target)
-        means = _window_means(devs)
-        monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(means, means[1:]))
-        report.add(CheckResult(
-            name=name,
-            status="pass" if monotone else "fail",
-            measured=means[-1],
-            details="window deviations " + ", ".join(f"{m:.4f}" for m in means),
-        ))
+    report.add(_trend_check("q_n / sqrt(n) -> pi sqrt(2/3)", qs / np.sqrt(ns), Q_GROWTH))
+    report.add(_trend_check("log(c_n) sqrt(C/n) -> 1",
+                            logc * math.sqrt(ZAGIER_C) / np.sqrt(ns), 1.0))
+    report.add(_trend_check("log(c_n)/q_n -> sqrt(3)/(pi sqrt(2C))", logc[2:] / qs[2:],
+                            math.sqrt(3.0) / (math.pi * math.sqrt(2.0 * ZAGIER_C))))
     # log(eps_n) against its linear-in-q_n prediction.
     slope = math.sqrt(3.0) / (math.sqrt(2.0 * ZAGIER_C) * math.pi)
     eps_dev = []

@@ -5,7 +5,9 @@ Periods are cyclic words; a purely periodic expansion
 digits are >= 2.  This module holds the combinatorics (conjunction of
 periods and of their compact texts, least rotations) and the numerics
 (fixed-point evaluation, and cycle-state enumeration with a contraction
-certificate that bounds every state's float error).
+certificate that bounds every state's float error).  Only the cycle
+states need numpy, and they import it when first called, so the word
+layer loads without it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Period",
@@ -186,12 +189,21 @@ def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tupl
     """Product of the step matrices [[a,-1],[1,0]], exact integers.
 
     det = 1 always; trace = 3c for the period of a Markov number c.
+    The matrix of a joined word u + v is the product of u's and v's.
     """
     a, b, c, d = 1, 0, 0, 1
     word = period.word if isinstance(period, Period) else Period(period).word
     for digit in word:
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
     return ((a, b), (c, d))
+
+
+def _mat_mul(A, B):
+    """The product AB of two 2x2 integer matrices given as row pairs."""
+    return (
+        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +272,8 @@ def _certify(period: Period, sweep: str, digits: np.ndarray, t: np.ndarray) -> f
     rounds by <= 4u and moves by |1/t_k - 1/T*_k| <= e, as t_k, T*_k > 1;
     so e + 2^-50 <= delta puts every state within CHECK_TOL.
     """
+    import numpy as np
+
     lo = _down(float(t.min()) - CHECK_TOL)
     if not lo > 1.0:  # NaN fails too
         raise PeriodError(f"cycle state mismatch for {period}: {sweep} sweep "
@@ -285,6 +299,8 @@ def cycle_states(period: Period | Sequence[int]) -> CycleStates:
     O(q).  :func:`_certify` proves every value and conjugate within
     CHECK_TOL of its exact value, or raises PeriodError.
     """
+    import numpy as np
+
     period = period if isinstance(period, Period) else Period(period)
     word = period.word
     # int64: a uint8 cumsum would wrap.

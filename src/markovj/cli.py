@@ -4,6 +4,9 @@ Subcommands: tree, value, table, interlace, asymptotics, bounds,
 verify.  Numbers are printed with 12 significant digits; the table
 matches the published layout when sorted by p/q.  A JSON-lines cache
 (--cache) makes warm reruns byte-identical without re-integrating.
+The numeric layers (integrals, analysis, and numpy with them) are
+imported by the commands that compute values, so ``tree`` runs without
+them.
 """
 
 from __future__ import annotations
@@ -15,20 +18,9 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from . import analysis
 from .cf import format_period, join_texts
-from .integrals import (
-    ArcIntegrator,
-    CycleValue,
-    QuadratureError,
-    cache_index,
-    cached_value,
-    check_cache_writable,
-    compute_values,
-    integrate_J,
-    write_cache,
-)
 from .tree import (
     TIP_LEFT,
     TreeError,
@@ -38,6 +30,10 @@ from .tree import (
     joins_neighbours,
     node_at,
 )
+
+if TYPE_CHECKING:
+    from .analysis import Report
+    from .integrals import CycleValue
 
 CSV_HEADER = [
     "path", "level", "p", "q", "c",
@@ -110,21 +106,23 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     then is the cache rewritten, in path order.  A cache that could not
     be written is refused before any value is computed.
     """
-    cached = cache_index(config.cache) if config.cache else {}
+    from . import integrals
+
+    cached = integrals.cache_index(config.cache) if config.cache else {}
     values: dict[str, CycleValue] = {}
     missing: list[TreeNode] = []
     for node in nodes:
-        value = cached_value(cached.get(node.path), node, config.tol)
+        value = integrals.cached_value(cached.get(node.path), node, config.tol)
         if value is None:
             missing.append(node)
         else:
             values[node.path] = value
     if missing:
         if config.cache:
-            check_cache_writable(config.cache)
-        values.update(compute_values(missing, tol=config.tol, jobs=config.jobs))
+            integrals.check_cache_writable(config.cache)
+        values.update(integrals.compute_values(missing, tol=config.tol, jobs=config.jobs))
         if config.cache:
-            write_cache([values[p] for p in sorted(values)], config.cache)
+            integrals.write_cache([values[p] for p in sorted(values)], config.cache)
     return values
 
 
@@ -174,8 +172,10 @@ def _resolve_target(target: str) -> TreeNode:
 
 
 def cmd_value(config: RunConfig, target: str) -> int:
+    from . import integrals
+
     node = _resolve_target(target)
-    value = integrate_J(node, config.tol, ArcIntegrator())
+    value = integrals.integrate_J(node, config.tol, integrals.ArcIntegrator())
     row = _value_row(value)
     if config.fmt == "json":
         print(json.dumps(row, indent=2))
@@ -199,23 +199,29 @@ def cmd_table(config: RunConfig) -> int:
     return 0
 
 
-def _print_report(report: analysis.Report, fmt: str) -> int:
+def _print_report(report: Report, fmt: str) -> int:
     print(report.to_json() if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
 
 
 def cmd_interlace(config: RunConfig) -> int:
+    from . import analysis
+
     nodes = build_tree(config.depth)
     values = _values_with_cache(nodes, config)
     return _print_report(analysis.check_interlacing(values, nodes), config.fmt)
 
 
 def cmd_asymptotics(config: RunConfig) -> int:
+    from . import analysis
+
     return _print_report(analysis.asymptotics_report(config.depth), config.fmt)
 
 
-def cmd_bounds(config: RunConfig, k0: int) -> int:
-    chain = analysis.theorem2_constants(k0)
+def cmd_bounds(config: RunConfig, k0: int | None) -> int:
+    from . import analysis
+
+    chain = analysis.theorem2_constants(analysis.CHAIN_K0 if k0 is None else k0)
     if config.fmt == "json":
         print(json.dumps({
             "k0": chain.k0,
@@ -232,6 +238,8 @@ def cmd_bounds(config: RunConfig, k0: int) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    from . import analysis
+
     nodes = build_tree(config.depth)
     analysis.check_q_recursion(nodes)  # raises on failure
     values = _values_with_cache(nodes, config)
@@ -279,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sub.add_parser(name, help=summary).set_defaults(run=run)
     sub.choices["value"].add_argument("target", help="fraction p/q or L/R path")
-    sub.choices["bounds"].add_argument("--k0", type=int, default=analysis.CHAIN_K0)
+    # Unset means analysis.CHAIN_K0, read when the command runs.
+    sub.choices["bounds"].add_argument("--k0", type=int)
     return parser
 
 
@@ -296,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
         return run(config, **args)
-    except (ValueError, TreeError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

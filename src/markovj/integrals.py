@@ -62,7 +62,7 @@ CACHE_FIELDS = {
 }
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     """Quadrature failed to reach the tolerance; carries the estimate."""
 
     def __init__(self, message: str, estimate: float):

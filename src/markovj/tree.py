@@ -7,11 +7,18 @@ that a failure of the unicity conjecture could never corrupt lookups.
 The two tips (1,1,1) <-> 0/1 and (1,1,2) <-> 1/2 are level-0 boundary
 nodes.
 
+Each node carries the period matrix M of its word (cf.period_matrix),
+which is ((3c + k, -c), (l + 3k, -k)) with k^2 + 1 = lc (Cohn, Approach
+to Markoff's minimal forms through modular functions, Ann. Math. 1955).
+A joined word's M is the product of its neighbours' matrices.  c, k and
+the form are read off M, with no per-node modular arithmetic, and every
+node checks Cohn's identity trace M = 3c.
+
 Memory note: Markov numbers grow doubly exponentially with depth (the
 largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
 digit count grows by a factor of about phi per level, so depth 24 is
-about 7.6e4 digits); keep ``depth`` modest unless you know what you are
-doing.  Period words are bytes, one per digit, checked once on
+about 7.6e4 digits); each node holds four integers of about the size
+of its c in M.  Period words are bytes, one per digit, checked once on
 construction: 21.5 MB of words in the tree of depth 15.  The words of
 the tree of depth d total about 1.5 * 3^d bytes, so build_tree refuses
 depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).  Along
@@ -27,20 +34,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .cf import Period, conjunction
+from .cf import Period, _mat_mul, conjunction, period_matrix
 
 __all__ = [
-    "MarkovTriple",
     "FareyFraction",
     "TreeNode",
     "TreeError",
     "vieta_children",
     "joins_neighbours",
     "farey_median",
-    "markov_k",
-    "markov_form",
-    "markov_irrational",
-    "markov_constant",
     "build_tree",
     "node_at",
     "walk_path",
@@ -61,27 +63,7 @@ MAX_Q = 10_946
 
 
 class TreeError(ValueError):
-    """Raised for invalid triples, fractions, or paths."""
-
-
-@dataclass(frozen=True)
-class MarkovTriple:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if min(a, b, c) < 1:
-            raise TreeError(f"triple must be positive: {(a, b, c)}")
-        if a * a + b * b + c * c != 3 * a * b * c:
-            raise TreeError(f"not a Markov triple: {(a, b, c)}")
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
-
-    def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
+    """Raised for invalid fractions or paths, or a node failing its checks."""
 
 
 @dataclass(frozen=True)
@@ -104,18 +86,10 @@ class FareyFraction:
         return f"{self.p}/{self.q}"
 
 
-def _vieta_child(t: MarkovTriple, step: str) -> MarkovTriple:
-    """Left child (c, b, 3bc - a) for step "L", right child (a, c, 3ac - b)
-    for "R"."""
-    a, b, c = t
-    if step == "L":
-        return MarkovTriple(c, b, 3 * b * c - a)
-    return MarkovTriple(a, c, 3 * a * c - b)
-
-
-def vieta_children(t: MarkovTriple) -> tuple[MarkovTriple, MarkovTriple]:
+def vieta_children(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Left child (c, b, 3bc - a) and right child (a, c, 3ac - b)."""
-    return _vieta_child(t, "L"), _vieta_child(t, "R")
+    a, b, c = t
+    return (c, b, 3 * b * c - a), (a, c, 3 * a * c - b)
 
 
 def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
@@ -126,76 +100,50 @@ def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
     return FareyFraction(p, q)
 
 
-def markov_k(t: MarkovTriple) -> int:
-    """The unique 0 <= k < c with a*k = b (mod c)."""
-    a, b, c = t
-    if c == 1:
-        return 0
-    try:
-        k = (b * pow(a, -1, c)) % c
-    except ValueError as exc:
-        raise TreeError(f"a={a} not invertible mod c={c}") from exc
-    if (k * k + 1) % c != 0:
-        raise TreeError(f"c={c} does not divide k^2+1 for k={k}")
-    return k
-
-
-def markov_form(c: int, k: int) -> tuple[int, int, int]:
-    """The quadratic form [c, 3c-2k, l-3k] with l = (k^2+1)/c."""
-    if c < 1:
-        raise TreeError("c must be >= 1")
-    if (k * k + 1) % c != 0:
-        raise TreeError(f"c={c} does not divide k^2+1={k * k + 1}")
-    ell = (k * k + 1) // c
-    form = (c, 3 * c - 2 * k, ell - 3 * k)
-    a, b, cf = form
-    if b * b - 4 * a * cf != 9 * c * c - 4:
-        raise TreeError(f"form {form} does not have discriminant 9c^2-4")
-    return form
-
-
-def markov_irrational(c: int, k: int) -> float:
-    """(3c - 2k + sqrt(9c^2 - 4)) / (2c), good to ~1e-15 relative.
-
-    Works for arbitrarily large c: both summands stay in (0, 3] as
-    exact Fractions until the final correctly-rounded float conversion.
-    """
-    if c < 1 or not 0 <= k < c:
-        raise TreeError(f"bad (c, k) = ({c}, {k})")
-    rational = float(Fraction(3 * c - 2 * k, 2 * c))
-    return rational + math.sqrt(float(Fraction(9 * c * c - 4, 4 * c * c)))
-
-
-def markov_constant(c: int) -> float:
-    """sqrt(9 - 4/c^2), the Lagrange/Markov constant of the node."""
-    if c < 1:
-        raise TreeError("c must be >= 1")
-    return math.sqrt(9.0 - 4.0 / (float(c) * float(c)))
-
-
 @dataclass(frozen=True)
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
-    ``left`` and ``right`` are the endpoints of the node's Farey
-    interval: the two predecessors whose fractions it is the mediant of
-    (``None`` at the tips).  They take no part in equality, hashing or
-    repr, so none of those walks up the tree.
+    ``matrix`` is the period matrix M of the word; c, k, the form and
+    the triple are read off it.  ``left`` and ``right`` are the
+    endpoints of the node's Farey interval: the two predecessors whose
+    fractions it is the mediant of (``None`` at the tips).  They take no
+    part in equality, hashing or repr, so none of those walks up the
+    tree.
     """
 
     path: str
     level: int
-    triple: MarkovTriple
     farey: FareyFraction
     period: Period
-    k: int
-    form: tuple[int, int, int]
+    matrix: tuple[tuple[int, int], tuple[int, int]]
     left: TreeNode | None = field(compare=False, repr=False)
     right: TreeNode | None = field(compare=False, repr=False)
 
     @property
     def c(self) -> int:
-        return self.triple.c
+        return -self.matrix[0][1]
+
+    @property
+    def k(self) -> int:
+        """The 0 <= k < c with c | k^2 + 1 that the word gives."""
+        return -self.matrix[1][1]
+
+    @property
+    def form(self) -> tuple[int, int, int]:
+        """The quadratic form (c, 3c - 2k, l - 3k), l = (k^2 + 1)/c, of
+        discriminant 9c^2 - 4."""
+        c, k = self.c, self.k
+        ell = self.matrix[1][0] - 3 * k
+        return (c, 3 * c - 2 * k, ell - 3 * k)
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(right.c, left.c, c): the Markov numbers of the node's Farey
+        neighbours and its own; (1, 1, c) at the tips."""
+        if self.left is None:
+            return (1, 1, self.c)
+        return (self.right.c, self.left.c, self.c)
 
     @property
     def q(self) -> int:
@@ -206,25 +154,31 @@ class TreeNode:
         return f"<node {label} {self.farey}>"
 
 
-def _make_node(path: str, level: int, triple: MarkovTriple, farey: FareyFraction,
-               period: Period, left: TreeNode | None = None,
-               right: TreeNode | None = None) -> TreeNode:
-    k = markov_k(triple)
-    form = markov_form(triple.c, k)
+def _make_node(path: str, level: int, farey: FareyFraction, period: Period,
+               matrix: tuple[tuple[int, int], tuple[int, int]],
+               left: TreeNode | None, right: TreeNode | None) -> TreeNode:
+    (m00, m01), (_, m11) = matrix
+    if m00 + m11 != -3 * m01:
+        raise TreeError(f"period matrix of {path!r} has trace {m00 + m11}, "
+                        f"not 3c = {-3 * m01}")
     if len(period) != farey.q:
         raise TreeError(
             f"period length {len(period)} != Farey denominator {farey.q} at {path!r}"
         )
-    return TreeNode(path=path, level=level, triple=triple, farey=farey,
-                    period=period, k=k, form=form, left=left, right=right)
+    return TreeNode(path=path, level=level, farey=farey, period=period, matrix=matrix,
+                    left=left, right=right)
 
 
-TIP_LEFT = _make_node("0/1", 0, MarkovTriple(1, 1, 1), FareyFraction(0, 1),
-                      Period((3,)))
-TIP_RIGHT = _make_node("1/2", 0, MarkovTriple(1, 1, 2), FareyFraction(1, 2),
-                       Period((2, 4)))
-ROOT = _make_node("", 1, MarkovTriple(2, 1, 5), FareyFraction(1, 3),
-                  Period((2, 3, 4)), TIP_LEFT, TIP_RIGHT)
+def _from_word(path: str, level: int, farey: FareyFraction, digits: tuple[int, ...],
+               left: TreeNode | None = None, right: TreeNode | None = None) -> TreeNode:
+    """A node whose word is not its neighbours' words joined: M from the word."""
+    period = Period(digits)
+    return _make_node(path, level, farey, period, period_matrix(period), left, right)
+
+
+TIP_LEFT = _from_word("0/1", 0, FareyFraction(0, 1), (3,))
+TIP_RIGHT = _from_word("1/2", 0, FareyFraction(1, 2), (2, 4))
+ROOT = _from_word("", 1, FareyFraction(1, 3), (2, 3, 4), TIP_LEFT, TIP_RIGHT)
 
 
 def joins_neighbours(left: TreeNode | None) -> bool:
@@ -242,15 +196,15 @@ def _child(node: TreeNode, step: str) -> TreeNode:
         left, right = node.left, node
     else:
         left, right = node, node.right
-    level = node.level + 1
+    path, level = node.path + step, node.level + 1
     farey = farey_median(left.farey, right.farey)
     if farey.q > MAX_Q:
-        raise TreeError(f"node {farey} (path {node.path + step!r}): its word of {farey.q} "
+        raise TreeError(f"node {farey} (path {path!r}): its word of {farey.q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
-    period = (conjunction(right.period, left.period) if joins_neighbours(left)
-              else Period((2,) + (3,) * level + (4,)))
-    return _make_node(node.path + step, level, _vieta_child(node.triple, step),
-                      farey, period, left, right)
+    if not joins_neighbours(left):
+        return _from_word(path, level, farey, (2,) + (3,) * level + (4,), left, right)
+    return _make_node(path, level, farey, conjunction(right.period, left.period),
+                      _mat_mul(right.matrix, left.matrix), left, right)
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:

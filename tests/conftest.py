@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from markovj import build_tree, compute_values, find_fraction, j_coefficients
+from markovj.integrals import compute_values
+from markovj.jfunction import j_coefficients
+from markovj.tree import build_tree, find_fraction
 
 DATA = Path(__file__).parent / "data"
 

@@ -252,6 +252,33 @@ class TestAsymptotics:
         report = asymptotics_report(depth=400)
         assert report.passed
 
+    def test_log_c_trend_passes_at_depth_eight_hundred(self):
+        # Once FAILed: the mean |deviation| levels off at the spread of
+        # log c among equal q (0.0225 in the last two windows).
+        report = asymptotics_report(depth=800)
+        check = next(c for c in report.checks if c.name == "log(c_n) sqrt(C/n) -> 1")
+        assert check.status == "pass" and report.passed
+        assert -0.002 < check.measured < 0
+
+    @staticmethod
+    def _ratios(deviation):
+        n = np.arange(1, 100_001, dtype=float)
+        return 1.0 + deviation(n)
+
+    def test_trend_with_a_spread_floor_passes(self):
+        # Converging on average, with a spread of 0.03 that never shrinks.
+        ratios = self._ratios(lambda n: -1 / np.sqrt(n) + 0.03 * (-1.0) ** n)
+        assert analysis._trend_check("floor", ratios, 1.0).status == "pass"
+
+    @pytest.mark.parametrize("deviation", [
+        lambda n: np.full_like(n, 0.05),  # stays off its limit
+        lambda n: 0.01 * np.log(n),  # drifts away
+        lambda n: 0.2 * np.sin(np.log(n)),  # wanders
+    ], ids=["offset", "drift", "wander"])
+    def test_trend_that_does_not_converge_fails(self, deviation):
+        check = analysis._trend_check("synthetic", self._ratios(deviation), 1.0)
+        assert check.status == "fail", check.details
+
 
 class TestBoundChain:
     def test_published_constants(self):

@@ -5,12 +5,14 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import markovj
 from markovj import analysis, cli
 from markovj.cf import format_period
 from markovj.cli import RunConfig, main
@@ -182,16 +184,16 @@ class TestTable:
     @pytest.fixture
     def computed(self, monkeypatch):
         """The nodes the cli computes instead of reading from the cache."""
-        import markovj.cli as cli
+        import markovj.integrals as integrals
 
         nodes = []
-        compute = cli.compute_values
+        compute = integrals.compute_values
 
         def counting(missing, **kwargs):
             nodes.extend(missing)
             return compute(missing, **kwargs)
 
-        monkeypatch.setattr(cli, "compute_values", counting)
+        monkeypatch.setattr(integrals, "compute_values", counting)
         return nodes
 
     def test_cache_not_served_across_series_order(self, capsys, tmp_path, computed):
@@ -218,19 +220,19 @@ class TestTable:
         assert len(computed) == 5
 
     def test_warm_run_does_not_rewrite_cache(self, capsys, tmp_path, monkeypatch):
-        import markovj.cli as cli
+        import markovj.integrals as integrals
 
         cache = str(tmp_path / "cache.jsonl")
         args = ("--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
         run(capsys, *args)
         writes = []
-        write = cli.write_cache
+        write = integrals.write_cache
 
         def counting(values, path):
             writes.append(path)
             return write(values, path)
 
-        monkeypatch.setattr(cli, "write_cache", counting)
+        monkeypatch.setattr(integrals, "write_cache", counting)
         run(capsys, *args)
         assert writes == []
 
@@ -409,3 +411,45 @@ class TestReports:
         code, _, _ = run(capsys, "--depth", "5", command)
         assert code == 0
         assert calls == [5]
+
+
+class TestFreshInterpreter:
+    """Each command as the first thing a new interpreter runs.  Tests in
+    this process have every layer loaded already, so only a child can
+    show that a layer a command needs is imported when it runs."""
+
+    ENV = dict(os.environ, PYTHONPATH=str(Path(markovj.__file__).parents[1]))
+    PROBE = ("import json, sys\n"
+             "from markovj import cli\n"
+             "try:\n"
+             "    rc = cli.main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    rc = exc.code\n"
+             "print(json.dumps([rc, 'numpy' in sys.modules]), file=sys.stderr)\n")
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["--depth", "3", "tree"], 0),
+        (["--help"], 0),
+        (["--depth", "0", "tree"], 2),
+        (["--depth", "19", "tree"], 2),
+    ], ids=["tree", "help", "depth_0", "depth_19"])
+    def test_tree_and_refusals_load_no_numpy(self, argv, rc):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
+                              text=True, timeout=120, env=self.ENV)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [rc, False], proc.stderr
+
+    @pytest.mark.parametrize("argv, sha", [
+        (["--depth", "3", "table"],
+         "7083f0aee81b024417c7c05d18a22f078b8bc76472477d14ab1b132ee168285e"),
+        (["--depth", "3", "verify"],
+         "d03a3717ca2b09691d833c8264bd9e754fa9319423d1955db7506a2983aa1f95"),
+        (["value", "RL"], "cc1edd64b05f272e9d8e40f57bb88c37c2533ae401e7da898d58b37564e12284"),
+        (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
+    ], ids=["table", "verify", "value", "bounds"])
+    def test_value_commands_load_their_layers(self, argv, sha):
+        # SHA-256 of each output as it was when every layer loaded with
+        # the package.
+        proc = subprocess.run([sys.executable, "-m", "markovj", *argv], capture_output=True,
+                              timeout=120, env=self.ENV)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == sha

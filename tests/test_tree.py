@@ -1,9 +1,20 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from markov_oracles import (
+    MarkovTriple,
+    markov_constant,
+    markov_form,
+    markov_irrational,
+    markov_k,
+    vieta_triple,
+)
 from markovj import tree
+from markovj.cf import Period, period_matrix
 from markovj.tree import (
     MAX_DEPTH,
     MAX_LEVEL,
@@ -12,15 +23,11 @@ from markovj.tree import (
     TIP_LEFT,
     TIP_RIGHT,
     FareyFraction,
-    MarkovTriple,
     TreeError,
     build_tree,
     farey_median,
     find_fraction,
-    markov_constant,
-    markov_form,
-    markov_irrational,
-    markov_k,
+    joins_neighbours,
     node_at,
     vieta_children,
 )
@@ -92,6 +99,76 @@ class TestFormData:
     def test_constant(self):
         assert markov_constant(1) == pytest.approx(math.sqrt(5), rel=1e-15)
         assert markov_constant(5) == pytest.approx(math.sqrt(9 - 4 / 25), rel=1e-15)
+
+
+def oracle_mismatches(node) -> list[str]:
+    """The fields of ``node`` that differ from the oracles: its triple
+    by Vieta involutions (the Markov equation checked on the way), k by
+    a modular inverse, the form from (c, k), the matrix from the word."""
+    if node.level:
+        triple = vieta_triple(node.path)
+    else:
+        triple = MarkovTriple(1, 1, node.c)
+    k = markov_k(triple)
+    want = {"triple": tuple(triple), "c": triple.c, "k": k,
+            "form": markov_form(triple.c, k), "matrix": period_matrix(node.period)}
+    return [name for name, value in want.items() if getattr(node, name) != value]
+
+
+class TestCohnMatrix:
+    def test_every_node_to_depth_twelve_matches_the_oracles(self):
+        nodes = build_tree(12)
+        assert len(nodes) == 4097
+        for node in nodes:
+            assert oracle_mismatches(node) == [], node.path
+
+    def test_seeded_samples_at_depth_fourteen_match_the_oracles(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            node = node_at("".join(rng.choice("LR") for _ in range(13)))
+            assert node.level == 14
+            assert oracle_mismatches(node) == [], node.path
+
+    def test_one_digit_change_in_a_joined_word_fails_the_trace(self):
+        checked = 0
+        for node in build_tree(6):
+            if not joins_neighbours(node.left):
+                continue
+            word = node.period.word
+            for i, digit in enumerate(word):
+                for other in {2, 3, 4} - {digit}:
+                    changed_word = word[:i] + bytes([other]) + word[i + 1:]
+                    (a, _), (_, d) = period_matrix(Period(changed_word))
+                    assert a + d != 3 * node.c, (node.path, i, other)
+                    checked += 1
+        assert checked > 1000
+
+    def test_one_digit_change_at_the_seam_is_refused(self, monkeypatch):
+        # M(u') = M(u) ((1, 0), (1, 1)) M(v) when the last digit of the
+        # right word u drops by one.
+        product = tree._mat_mul
+        monkeypatch.setattr(tree, "_mat_mul",
+                            lambda A, B: product(product(A, ((1, 0), (1, 1))), B))
+        with pytest.raises(TreeError, match=r"^period matrix of 'R' has trace \d+, not 3c = \d+$"):
+            build_tree(2)
+
+    def test_one_digit_change_in_a_branch_word_is_refused(self, monkeypatch):
+        # The left branch's word 2 3^n 4 ending in 3 instead.
+        matrix_of = tree.period_matrix
+        monkeypatch.setattr(tree, "period_matrix",
+                            lambda period: matrix_of(Period(period.word[:-1] + b"\3")))
+        with pytest.raises(TreeError, match="^period matrix of 'L' has trace"):
+            node_at("L")
+
+    @pytest.mark.parametrize("entry", ["k", "l", "c"])
+    def test_mutated_matrix_fails_the_oracle(self, entry):
+        # Each mutation keeps trace M = 3c, so only the oracle can see it.
+        for node in build_tree(5)[2:]:
+            (m00, m01), (m10, m11) = node.matrix
+            matrix = {"k": ((m00 - 1, m01), (m10, m11 + 1)),
+                      "l": ((m00, m01), (m10 + 1, m11)),
+                      "c": ((m00 + 3, m01 - 1), (m10, m11))}[entry]
+            assert oracle_mismatches(dataclasses.replace(node, matrix=matrix)), node.path
 
 
 class TestStructure:
