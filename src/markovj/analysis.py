@@ -315,16 +315,19 @@ def gp_kernel(x, y, theta):
 def _box_extrema(box: tuple[float, float], grid: int) -> list[tuple[float, float]]:
     """[(min, max) of g, (min, max) of g'] over box x box x theta, by the
     steps of g_kernel/gp_kernel in their order, so bit-identical to them,
-    with the theta-free factors formed once and one den per theta."""
+    with the theta-free factors formed once and one den per theta.
+    Only pairs x_i <= x_j are sampled: x_i x_j, a_i a_j and
+    (-x_i) - x_j = -(x_i + x_j) are the same floats with i and j swapped."""
     xs = np.linspace(box[0], box[1], grid)
-    xy, minus_sum = np.multiply.outer(xs, xs), np.subtract.outer(-xs, xs)
+    i, j = np.triu_indices(grid)
+    xy, minus_sum = xs[i] * xs[j], -xs[i] - xs[j]
     one_minus, one_plus = 1.0 - xy, 1.0 + xy
-    buf = np.empty((grid, grid))
+    buf = np.empty(len(xy))
     g, gp = [], []
     for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
         s, c = np.sin(theta), np.cos(theta)
         a = (c - xs) ** 2 + s**2
-        den = np.multiply.outer(a, a)
+        den = a[i] * a[j]
         np.divide(np.multiply(-s, one_minus, out=buf), den, out=buf)
         g.append((buf.min(), buf.max()))
         np.divide(np.add(minus_sum, np.multiply(c, one_plus, out=buf), out=buf), den, out=buf)

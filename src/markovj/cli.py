@@ -12,12 +12,10 @@ them.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .cf import format_period, join_texts
@@ -32,6 +30,8 @@ from .tree import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
     from .analysis import Report
     from .integrals import CycleValue
 
@@ -80,22 +80,13 @@ def _sorted_by_fraction(nodes: list[TreeNode]) -> list[TreeNode]:
     return sorted(nodes, key=_in_order)
 
 
-def _value_row(value: CycleValue) -> dict[str, str]:
+def _value_row(value: CycleValue) -> tuple[str, ...]:
+    """The CSV_HEADER fields of one value."""
     node = value.node
     Jq = value.J_over_q
-    return {
-        "path": node.path,
-        "level": str(node.level),
-        "p": str(node.farey.p),
-        "q": str(node.farey.q),
-        "c": str(node.c),
-        "Jq_re": _fmt(Jq.real),
-        "Jq_im": _fmt(Jq.imag),
-        "j_re": _fmt(value.j.real),
-        "j_im": _fmt(value.j.imag),
-        "log_eps": _fmt(value.log_eps),
-        "quad_err": _fmt(value.quad_error),
-    }
+    return (node.path, str(node.level), str(node.farey.p), str(node.farey.q), str(node.c),
+            _fmt(Jq.real), _fmt(Jq.imag), _fmt(value.j.real), _fmt(value.j.imag),
+            _fmt(value.log_eps), _fmt(value.quad_error))
 
 
 def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, CycleValue]:
@@ -126,14 +117,20 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     return values
 
 
-def _emit_rows(rows: list[dict[str, str]], fieldnames: list[str], fmt: str) -> None:
+def _write_rows(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) -> None:
+    """Write the rows as json.dump(rows as dicts, indent=2) with a final
+    newline, or as CSV lines under a header line, each turned into text
+    once and quoted as csv.writer quotes it.  Fields are numbers, L/R
+    paths and period texts, which hold no quote and no line break, so a
+    field is quoted exactly when it holds a comma."""
+    write = sys.stdout.write
     if fmt == "json":
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        json.dump([dict(zip(header, row)) for row in rows], sys.stdout, indent=2)
+        write("\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(fieldnames)
-        writer.writerows(map(itemgetter(*fieldnames), rows))
+        write(",".join(header) + "\n")
+        for row in rows:
+            write(",".join([f'"{f}"' if "," in f else f for f in row]) + "\n")
 
 
 def _period_texts(nodes: list[TreeNode]) -> dict[str, str]:
@@ -150,15 +147,9 @@ def _period_texts(nodes: list[TreeNode]) -> dict[str, str]:
 def cmd_tree(config: RunConfig) -> int:
     nodes = build_tree(config.depth)
     texts = _period_texts(nodes)
-    rows = [{
-        "path": node.path,
-        "level": str(node.level),
-        "p": str(node.farey.p),
-        "q": str(node.farey.q),
-        "c": str(node.c),
-        "period": texts[node.path],
-    } for node in _sorted_by_fraction(nodes)]
-    _emit_rows(rows, ["path", "level", "p", "q", "c", "period"], config.fmt)
+    rows = ((node.path, str(node.level), str(node.farey.p), str(node.farey.q), str(node.c),
+             texts[node.path]) for node in _sorted_by_fraction(nodes))
+    _write_rows(["path", "level", "p", "q", "c", "period"], rows, config.fmt)
     return 0
 
 
@@ -176,9 +167,8 @@ def cmd_value(config: RunConfig, target: str) -> int:
 
     node = _resolve_target(target)
     value = integrals.integrate_J(node, config.tol, integrals.ArcIntegrator())
-    row = _value_row(value)
     if config.fmt == "json":
-        print(json.dumps(row, indent=2))
+        print(json.dumps(dict(zip(CSV_HEADER, _value_row(value))), indent=2))
     else:
         Jq, jv = value.J_over_q, value.j
         print(f"node      {node.farey}  (path {node.path!r}, level {node.level})")
@@ -194,8 +184,7 @@ def cmd_value(config: RunConfig, target: str) -> int:
 def cmd_table(config: RunConfig) -> int:
     nodes = _sorted_by_fraction(build_tree(config.depth))
     values = _values_with_cache(nodes, config)
-    rows = [_value_row(values[n.path]) for n in nodes]
-    _emit_rows(rows, CSV_HEADER, config.fmt)
+    _write_rows(CSV_HEADER, (_value_row(values[n.path]) for n in nodes), config.fmt)
     return 0
 
 
@@ -304,7 +293,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
-        return run(config, **args)
+        code = run(config, **args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped (`| head`); the unwritten rest goes to devnull, not to stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import markovj
 from markovj import analysis, cli
@@ -287,6 +289,46 @@ class TestTable:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRowWriter:
+    """The rows as text, against csv.writer and the outputs it and json.dump wrote."""
+
+    # Every character a field can hold: digits, period texts, L/R paths,
+    # signs and exponents, and the letters of nan and inf.
+    FIELD = st.text(alphabet="0123456789,_/-+.eLRnaif", max_size=12)
+    HEADERS = [cli.CSV_HEADER, ["path", "level", "p", "q", "c", "period"]]
+
+    @staticmethod
+    def _written(header, rows, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_rows(header, rows, fmt)
+        return out.getvalue()
+
+    @given(st.sampled_from(HEADERS), st.data())
+    def test_csv_is_csv_writer_output(self, header, data):
+        rows = data.draw(st.lists(st.lists(self.FIELD, min_size=len(header),
+                                           max_size=len(header)), max_size=5))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert self._written(header, rows, "csv") == want.getvalue()
+
+    @pytest.mark.parametrize("argv, sha", [
+        (["--format", "json", "--depth", "3", "tree"],
+         "ee73be0a85dab8e31c2e065478b0a65fc8a70cdf4427ee856ad1c3a0dbe0afee"),
+        (["--format", "json", "--depth", "3", "table"],
+         "35988d16493494337357e5f900aa6d79b61ba8d71be8f4f609f6c979f6c3e487"),
+        (["--depth", "9", "table"],
+         "4f021ea5b858617f8c26eca611b3d5e6bfa6bec32e0d646939ed8029e08b7835"),
+    ], ids=["json_tree", "json_table", "cold_table_depth_nine"])
+    def test_output_unchanged(self, capsys, argv, sha):
+        # SHA-256 of each output as the csv and json modules wrote it.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 class TestFailures:
     def test_quadrature_error_is_one_line(self, capsys, monkeypatch):
         from markovj.integrals import ArcIntegrator, QuadratureError
@@ -453,3 +495,26 @@ class TestFreshInterpreter:
                               timeout=120, env=self.ENV)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert hashlib.sha256(proc.stdout).hexdigest() == sha
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["--depth", "12", "tree"], 1),
+        (["--depth", "9", "table"], 1),
+        (["--depth", "2", "tree"], 0),
+    ], ids=["tree", "table", "reader_gone_before_output"])
+    def test_closed_pipe_is_not_an_error(self, argv, lines):
+        # The tree and the table are longer than a 64 KiB pipe holds, so the
+        # child is still writing when the reader closes after the header
+        # line; the short tree is still in the child's buffer, to be flushed
+        # at the end, when the reader is gone.  stdout is block-buffered,
+        # as it is unless PYTHONUNBUFFERED is set.
+        env = {k: v for k, v in self.ENV.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "markovj", *argv], bufsize=0,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            head = [proc.stdout.readline() for _ in range(lines)]  # unbuffered: these only
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert all(line.startswith(b"path,level,p,q,c,") for line in head)
+        assert (proc.returncode, err) == (1, b"")
