@@ -15,7 +15,6 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, asdict
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np

@@ -18,23 +18,28 @@ Memory note: Markov numbers grow doubly exponentially with depth (the
 largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
 digit count grows by a factor of about phi per level, so depth 24 is
 about 7.6e4 digits); each node holds four integers of about the size
-of its c in M.  Period words are bytes, one per digit, checked once on
-construction: 21.5 MB of words in the tree of depth 15.  The words of
-the tree of depth d total about 1.5 * 3^d bytes, so build_tree refuses
+of its c in M.  A node's word (bytes, one per digit) is joined from its
+neighbours' words the first time something reads it, and is then kept
+on the node: build_tree holds no words, and `markovj tree` never joins
+one.  Once every word of the tree of depth d has been read, they total
+about 1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree refuses
 depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).  Along
 one path the word length q grows like the Fibonacci numbers, so no
-node is built whose word is longer than MAX_Q, the longest of that
-tree, and no path goes below MAX_LEVEL.
+node is built whose word would be longer than MAX_Q, the longest of
+that tree, and no path goes below MAX_LEVEL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator
 
 from .cf import Period, _mat_mul, conjunction, period_matrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FareyFraction",
@@ -80,6 +85,8 @@ class FareyFraction:
             raise TreeError(f"fraction {self.p}/{self.q} outside [0, 1/2]")
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.p, self.q)
 
     def __str__(self) -> str:
@@ -93,14 +100,15 @@ def vieta_children(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple
 
 
 def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
-    """Mediant of two Farey neighbours; rejects non-neighbours."""
-    p, q = x.p + y.p, x.q + y.q
-    if math.gcd(p, q) != 1:
-        raise TreeError(f"mediant of {x} and {y} is reducible: not neighbours")
-    return FareyFraction(p, q)
+    """Mediant of Farey neighbours x < y, which have y.p x.q - x.p y.q = 1
+    (so the mediant is reduced); rejects any other pair, the same two
+    neighbours in the other order included."""
+    if y.p * x.q - x.p * y.q != 1:
+        raise TreeError(f"{x} and {y} are not Farey neighbours in increasing order")
+    return FareyFraction(x.p + y.p, x.q + y.q)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
@@ -108,17 +116,35 @@ class TreeNode:
     the triple are read off it.  ``left`` and ``right`` are the
     endpoints of the node's Farey interval: the two predecessors whose
     fractions it is the mediant of (``None`` at the tips).  They take no
-    part in equality, hashing or repr, so none of those walks up the
-    tree.
+    part in equality or repr, so neither walks up the tree.  The word,
+    ``period``, is no field: it is built when first read.
     """
 
     path: str
     level: int
     farey: FareyFraction
-    period: Period
     matrix: tuple[tuple[int, int], tuple[int, int]]
     left: TreeNode | None = field(compare=False, repr=False)
     right: TreeNode | None = field(compare=False, repr=False)
+
+    @cached_property
+    def period(self) -> Period:
+        """The node's word, built the first time it is read and then kept:
+        3 and 2 4 at the tips, 2 3^level 4 on the branch down from the
+        left tip, and otherwise the right neighbour's word followed by
+        the left's.  Its length is checked against q here; its matrix
+        passed trace M = 3c when the node was built."""
+        if joins_neighbours(self.left):
+            word = conjunction(self.right.period, self.left.period)
+        elif self.level:
+            word = Period(b"\2" + b"\3" * self.level + b"\4")
+        else:
+            word = Period(b"\3" if self.farey.p == 0 else b"\2\4")
+        if len(word) != self.q:
+            raise TreeError(
+                f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
+            )
+        return word
 
     @property
     def c(self) -> int:
@@ -154,39 +180,33 @@ class TreeNode:
         return f"<node {label} {self.farey}>"
 
 
-def _make_node(path: str, level: int, farey: FareyFraction, period: Period,
-               matrix: tuple[tuple[int, int], tuple[int, int]],
-               left: TreeNode | None, right: TreeNode | None) -> TreeNode:
-    (m00, m01), (_, m11) = matrix
-    if m00 + m11 != -3 * m01:
-        raise TreeError(f"period matrix of {path!r} has trace {m00 + m11}, "
-                        f"not 3c = {-3 * m01}")
-    if len(period) != farey.q:
-        raise TreeError(
-            f"period length {len(period)} != Farey denominator {farey.q} at {path!r}"
-        )
-    return TreeNode(path=path, level=level, farey=farey, period=period, matrix=matrix,
-                    left=left, right=right)
-
-
-def _from_word(path: str, level: int, farey: FareyFraction, digits: tuple[int, ...],
-               left: TreeNode | None = None, right: TreeNode | None = None) -> TreeNode:
-    """A node whose word is not its neighbours' words joined: M from the word."""
-    period = Period(digits)
-    return _make_node(path, level, farey, period, period_matrix(period), left, right)
-
-
-TIP_LEFT = _from_word("0/1", 0, FareyFraction(0, 1), (3,))
-TIP_RIGHT = _from_word("1/2", 0, FareyFraction(1, 2), (2, 4))
-ROOT = _from_word("", 1, FareyFraction(1, 3), (2, 3, 4), TIP_LEFT, TIP_RIGHT)
-
-
 def joins_neighbours(left: TreeNode | None) -> bool:
     """Whether the node whose Farey interval starts at ``left`` has for
     word its neighbours' words joined, the right one first.  The tips
     (no left neighbour) and the branch down from the left tip, root
     included, do not: their words are 3, 2 4 and 2 3^level 4."""
     return left is not None and left is not TIP_LEFT
+
+
+def _make_node(path: str, level: int, farey: FareyFraction,
+               matrix: tuple[tuple[int, int], tuple[int, int]] | None,
+               left: TreeNode | None, right: TreeNode | None) -> TreeNode:
+    """A node checked against Cohn's identity trace M = 3c.  A node whose
+    word is not its neighbours' words joined (``matrix`` None) takes M
+    from its word, which is then built."""
+    node = TreeNode(path, level, farey, matrix, left, right)
+    if matrix is None:
+        node.matrix = matrix = period_matrix(node.period)
+    (m00, m01), (_, m11) = matrix
+    if m00 + m11 != -3 * m01:
+        raise TreeError(f"period matrix of {path!r} has trace {m00 + m11}, "
+                        f"not 3c = {-3 * m01}")
+    return node
+
+
+TIP_LEFT = _make_node("0/1", 0, FareyFraction(0, 1), None, None, None)
+TIP_RIGHT = _make_node("1/2", 0, FareyFraction(1, 2), None, None, None)
+ROOT = _make_node("", 1, FareyFraction(1, 3), None, TIP_LEFT, TIP_RIGHT)
 
 
 def _child(node: TreeNode, step: str) -> TreeNode:
@@ -201,10 +221,8 @@ def _child(node: TreeNode, step: str) -> TreeNode:
     if farey.q > MAX_Q:
         raise TreeError(f"node {farey} (path {path!r}): its word of {farey.q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
-    if not joins_neighbours(left):
-        return _from_word(path, level, farey, (2,) + (3,) * level + (4,), left, right)
-    return _make_node(path, level, farey, conjunction(right.period, left.period),
-                      _mat_mul(right.matrix, left.matrix), left, right)
+    matrix = _mat_mul(right.matrix, left.matrix) if joins_neighbours(left) else None
+    return _make_node(path, level, farey, matrix, left, right)
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:
@@ -259,21 +277,22 @@ def find_fraction(p: int, q: int) -> TreeNode:
     if math.gcd(p, q) != 1:
         g = math.gcd(p, q)
         raise TreeError(f"{p}/{q} is not reduced (equals {p // g}/{q // g})")
-    target = Fraction(p, q)
-    if target == 0:
+    # Reduced, with q > 0: p/q is 0/1 or 1/2 exactly when 2p is 0 or q,
+    # and p/q against a node's p'/q' is p q' against p' q.
+    if p == 0:
         return TIP_LEFT
-    if target == Fraction(1, 2):
+    if 2 * p == q:
         return TIP_RIGHT
-    if not 0 < target < Fraction(1, 2):
+    if not 0 < 2 * p < q:
         raise TreeError(
             f"{p}/{q} lies outside (0, 1/2); nearest valid nodes are 0/1 and 1/2"
         )
     node = ROOT
     while node.level <= MAX_LEVEL:
-        value = node.farey.as_fraction()
-        if target == value:
+        cross = p * node.farey.q - node.farey.p * q
+        if cross == 0:
             return node
-        node = _child(node, "L" if target < value else "R")
+        node = _child(node, "L" if cross < 0 else "R")
     raise TreeError(
         f"{p}/{q} not found within {MAX_LEVEL} levels; "
         f"nearest nodes are {node.left.farey} and {node.right.farey}"

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import markovj
-from markovj import analysis, cli
+from markovj import analysis, cli, tree
 from markovj.cf import format_period
 from markovj.cli import RunConfig, main
-from markovj.tree import build_tree
+from markovj.tree import build_tree, joins_neighbours
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +96,16 @@ class TestTree:
         code, _, _ = run(capsys, "--depth", str(depth), "tree")
         assert code == 0
         assert 0 < len(calls) <= depth + 3
+
+    def test_lists_without_joining_a_word(self, capsys, monkeypatch):
+        _, want, _ = run(capsys, "--depth", "8", "tree")
+
+        def refused(u, v):
+            raise AssertionError("tree joined a word")
+
+        monkeypatch.setattr(tree, "conjunction", refused)
+        code, out, _ = run(capsys, "--depth", "8", "tree")
+        assert (code, out) == (0, want)
 
 
 class TestValue:
@@ -176,6 +186,22 @@ class TestTable:
         _, warm, _ = run(capsys, *args)
         assert warm == cold
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
+
+    def test_joins_each_joined_word_once(self, capsys, monkeypatch):
+        # 65 nodes less the two tips, the root and the five left-branch nodes.
+        lengths = []
+        join = tree.conjunction
+
+        def counting(u, v):
+            lengths.append(len(u) + len(v))
+            return join(u, v)
+
+        monkeypatch.setattr(tree, "conjunction", counting)
+        code, _, _ = run(capsys, "--depth", "6", "table")
+        assert code == 0
+        joined = [node.q for node in build_tree(6) if joins_neighbours(node.left)]
+        assert len(lengths) == len(joined) == 57
+        assert sorted(lengths) == sorted(joined)
 
     def test_default_tol_at_depth_ten(self, capsys):
         # The adaptive rule's absolute per-panel tolerance raised here.
@@ -479,6 +505,17 @@ class TestFreshInterpreter:
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
                               text=True, timeout=120, env=self.ENV)
         assert json.loads(proc.stderr.splitlines()[-1]) == [rc, False], proc.stderr
+
+    def test_tree_loads_no_fractions(self):
+        # fractions imports decimal: about 3 ms of every start.
+        probe = ("import sys\n"
+                 "from markovj import cli\n"
+                 "rc = cli.main(sys.argv[1:])\n"
+                 "print(rc, 'fractions' in sys.modules, 'decimal' in sys.modules, "
+                 "file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "--depth", "3", "tree"],
+                              capture_output=True, text=True, timeout=120, env=self.ENV)
+        assert proc.stderr == "0 False False\n"
 
     @pytest.mark.parametrize("argv, sha", [
         (["--depth", "3", "table"],

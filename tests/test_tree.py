@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,13 @@ class TestFarey:
         assert farey_median(FareyFraction(1, 3), FareyFraction(1, 2)) == FareyFraction(2, 5)
         with pytest.raises(TreeError):
             farey_median(FareyFraction(1, 4), FareyFraction(1, 2))
+
+    @pytest.mark.parametrize("x, y", [((1, 5), (1, 2)), ((1, 2), (1, 3)), ((1, 4), (1, 2))],
+                             ids=["reduced_mediant", "reversed", "reducible_mediant"])
+    def test_median_of_non_neighbours_refused(self, x, y):
+        # 1/5 and 1/2 have the reduced mediant 2/7, but 1*5 - 1*2 = 3.
+        with pytest.raises(TreeError, match="not Farey neighbours"):
+            farey_median(FareyFraction(*x), FareyFraction(*y))
 
     def test_depth_three_fractions(self):
         got = {str(n.farey) for n in build_tree(3)}
@@ -210,7 +218,9 @@ class TestStructure:
         node = node_at("RL" * 8 + "R")
         assert (node.level, node.q) == (MAX_DEPTH, MAX_Q)
 
-    def test_longer_word_refused_before_it_is_built(self, monkeypatch):
+    @staticmethod
+    def _count_joins(monkeypatch) -> list[int]:
+        """The length of every word the tree joins from here on."""
         lengths = []
         join = tree.conjunction
 
@@ -219,10 +229,43 @@ class TestStructure:
             return join(u, v)
 
         monkeypatch.setattr(tree, "conjunction", counting)
+        return lengths
+
+    def test_longest_word_joins_up_to_max_q(self, monkeypatch):
+        lengths = self._count_joins(monkeypatch)
+        node = node_at("RL" * 8 + "R")
+        assert lengths == []
+        assert len(node.period) == MAX_Q
+        assert max(lengths) == MAX_Q
+
+    def test_longer_word_refused_before_it_is_built(self, monkeypatch):
+        lengths = self._count_joins(monkeypatch)
         with pytest.raises(TreeError, match=r"^node \d+/17711 \(path 'RLRLRLRLRLRLRLRLRL'\): "
                                             r"its word of 17711 digits exceeds 10946"):
             node_at("RL" * 9)
-        assert lengths and max(lengths) == MAX_Q
+        assert all(length <= MAX_Q for length in lengths)
+
+    def test_joined_word_of_wrong_length_refused(self, monkeypatch):
+        join = tree.conjunction
+        monkeypatch.setattr(tree, "conjunction", lambda u, v: Period(join(u, v).word[:-1]))
+        # RL's right neighbour R is a join too, and its word is read first.
+        node = node_at("RL")
+        with pytest.raises(TreeError, match=r"^period length 4 != Farey denominator 5 at 'R'$"):
+            node.period
+
+    def test_spine_word_builds_at_the_default_recursion_limit(self, monkeypatch):
+        # The word of R^n is 2 4 joined to the word of R^(n-1), so the
+        # deepest node of the spine reads a chain of 199 words on demand.
+        lengths = self._count_joins(monkeypatch)
+        node = node_at("R" * (MAX_LEVEL - 1))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            word = node.period.word
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (len(word), node.q, len(lengths)) == (401, 401, 199)
+        assert word == b"\2\4" * 199 + b"\2\3\4"
 
     def test_path_depth_budget(self):
         # Once walked 10 300 levels down the left branch for 212 s.
