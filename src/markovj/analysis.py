@@ -118,12 +118,12 @@ class Report:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
+    def to_dict(self) -> dict:
+        return {"title": self.title, "passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"title": self.title, "passed": self.passed,
-             "checks": [asdict(c) for c in self.checks]},
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [f"== {self.title} =="]
@@ -311,27 +311,167 @@ def gp_kernel(x, y, theta):
     return (-x - y + c * (1.0 + x * y)) / den
 
 
+#: The search over the grid (see gg_prime_ranges): a block with no index
+#: range longer than _LEAF_WIDTH is a leaf, evaluated sample by sample;
+#: leaves are evaluated _LEAF_BATCH at a time, so that no leaf array holds
+#: more than 4 096 entries (larger batches, of up to 20 100 samples, left
+#: the process's peak RSS higher by up to 0.6 MB, though no faster);
+#: _SEED_POINTS points per axis seed the incumbents; _SAMPLE_PAD bounds
+#: one float sample's own rounding.
+_LEAF_WIDTH = 3
+_LEAF_BATCH = 4096 // _LEAF_WIDTH**3
+_SEED_POINTS = 17
+_SAMPLE_PAD = 2.0**-40
+
+
+def _down(v):
+    return np.nextafter(v, -np.inf)
+
+
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
+def _imul(al, ah, bl, bh):
+    """Enclosure of [al, ah] * [bl, bh], rounded outward."""
+    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
+    return (_down(np.minimum(np.minimum(p, q), np.minimum(r, s))),
+            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
+
+
+def _isquare(lo, hi):
+    """Enclosure of [lo, hi]^2, rounded outward."""
+    lo2, hi2 = lo * lo, hi * hi
+    low = np.where(lo > 0.0, lo2, np.where(hi < 0.0, hi2, 0.0))
+    return np.maximum(_down(low), 0.0), _up(np.maximum(lo2, hi2))
+
+
+def _idiv(nl, nh, dl, dh):
+    """Enclosure of [nl, nh] / [dl, dh] for dl > 0, rounded outward."""
+    return (_down(np.minimum(nl / dl, nl / dh)), _up(np.maximum(nh / dl, nh / dh)))
+
+
+def _range_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse tables of v: row r holds the min (max) of v[k : k + 2^r]."""
+    lo, hi = np.full((2, int(len(v)).bit_length(), len(v)), np.nan)
+    lo[0] = hi[0] = v
+    for r in range(1, len(lo)):
+        w = 1 << (r - 1)
+        m = len(v) - 2 * w + 1
+        lo[r, :m] = np.minimum(lo[r - 1, :m], lo[r - 1, w:w + m])
+        hi[r, :m] = np.maximum(hi[r - 1, :m], hi[r - 1, w:w + m])
+    return lo, hi
+
+
+def _range(table: tuple[np.ndarray, np.ndarray], k0, k1):
+    """Min and max of v[k0:k1] for index arrays k0 < k1, from _range_table(v)."""
+    r = np.frexp(k1 - k0)[1] - 1  # the largest r with 2^r <= k1 - k0
+    k2 = k1 - (1 << r)
+    lo, hi = table
+    return np.minimum(lo[r, k0], lo[r, k2]), np.maximum(hi[r, k0], hi[r, k2])
+
+
+def _enclosures(blocks, xs, sin_table, cos_table):
+    """Lower bounds of g, -g, g' and -g' on each block, as an (n, 4) array.
+
+    A block is a row (box, i0, i1, j0, j1, k0, k1): the samples at
+    x = xs[box, i0:i1], y = xs[box, j0:j1] and theta index k0:k1.
+    """
+    b = blocks[:, 0]
+    # linspace is nondecreasing, so its first and last points bound a range.
+    xl, xh = xs[b, blocks[:, 1]], xs[b, blocks[:, 2] - 1]
+    yl, yh = xs[b, blocks[:, 3]], xs[b, blocks[:, 4] - 1]
+    sl, sh = _range(sin_table, blocks[:, 5], blocks[:, 6])
+    cl, ch = _range(cos_table, blocks[:, 5], blocks[:, 6])
+    s2l, s2h = _down(sl * sl), _up(sh * sh)  # s > 0
+
+    def pole(lo, hi):  # (c - x)^2 + s^2
+        t2l, t2h = _isquare(_down(cl - hi), _up(ch - lo))
+        return _down(t2l + s2l), _up(t2h + s2h)
+
+    (axl, axh), (ayl, ayh) = pole(xl, xh), pole(yl, yh)
+    dl, dh = _down(axl * ayl), _up(axh * ayh)
+    pl, ph = _imul(xl, xh, yl, yh)
+    gl, gh = _idiv(*_imul(-sh, -sl, _down(1.0 - ph), _up(1.0 - pl)), dl, dh)
+    ul, uh = _imul(cl, ch, _down(1.0 + pl), _up(1.0 + ph))
+    gpl, gph = _idiv(_down(_down(-xh - yh) + ul), _up(_up(-xl - yl) + uh), dl, dh)
+    return _down(np.stack([gl, -gh, gpl, -gph], axis=1) - _SAMPLE_PAD)
+
+
+def _sample(best, b, i, j, k, on, xs, thetas) -> None:
+    """Evaluate g_kernel and gp_kernel at the samples (box b, x_i, x_j,
+    theta_k) of the broadcast index arrays where ``on`` holds, and fold
+    their extrema into best."""
+    shape = np.broadcast_shapes(b.shape, i.shape, j.shape, k.shape)
+    on = np.broadcast_to(on, shape)
+    b, i, j, k = (np.broadcast_to(a, shape)[on] for a in (b, i, j, k))
+    x, y, theta = xs[b, i], xs[b, j], thetas[k]
+    g, gp = g_kernel(x, y, theta), gp_kernel(x, y, theta)
+    for box in range(len(best)):
+        mine = b == box
+        if mine.any():
+            gb, gpb = g[mine], gp[mine]
+            best[box] = np.minimum(best[box], (gb.min(), -gb.max(), gpb.min(), -gpb.max()))
+
+
+def _grid(boxes, grid: int):
+    """The grid's x values (one row per box) and theta values, with the
+    range tables of sin and cos over the thetas."""
+    xs = np.array([np.linspace(lo, hi, grid) for lo, hi in boxes])
+    thetas = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid)
+    return xs, thetas, _range_table(np.sin(thetas)), _range_table(np.cos(thetas))
+
+
+def _grid_extrema(boxes, grid: int) -> list[list[tuple[float, float]]]:
+    """Per box, [(min, max) of g, (min, max) of g'] over the grid of
+    box x box x theta, by branch-and-bound over blocks of grid indices
+    (see gg_prime_ranges)."""
+    xs, thetas, sin_table, cos_table = _grid(boxes, grid)
+    # Incumbents: min g, -max g, min g', -max g' per box, so that one
+    # comparison with an enclosure's lower bounds serves all four.
+    best = np.full((len(boxes), 4), np.inf)
+    seed = np.linspace(0, grid - 1, min(grid, _SEED_POINTS)).round().astype(np.intp)
+    i, j = seed[:, None, None], seed[:, None]
+    _sample(best, np.arange(len(boxes))[:, None, None, None], i, j, seed, i <= j, xs, thetas)
+    offsets = np.arange(_LEAF_WIDTH)
+    blocks = np.array([(box, 0, grid, 0, grid, 0, grid) for box in range(len(boxes))])
+    while len(blocks):
+        # Drop blocks below the diagonal (i > j throughout: g and g' are
+        # symmetric in x and y, bit for bit) and blocks that cannot beat
+        # any incumbent strictly.
+        keep = blocks[:, 1] < blocks[:, 4]
+        keep[keep] = (_enclosures(blocks[keep], xs, sin_table, cos_table)
+                      < best[blocks[keep, 0]]).any(axis=1)
+        blocks = blocks[keep]
+        widths = blocks[:, 2::2] - blocks[:, 1::2]
+        widest = widths.max(axis=1)
+        leaf = widest <= _LEAF_WIDTH
+        leaves = blocks[leaf]
+        for start in range(0, len(leaves), _LEAF_BATCH):
+            batch = leaves[start:start + _LEAF_BATCH, :, None, None, None]
+            i = batch[:, 1] + offsets[:, None, None]
+            j = batch[:, 3] + offsets[:, None]
+            k = batch[:, 5] + offsets
+            on = (i < batch[:, 2]) & (j < batch[:, 4]) & (k < batch[:, 6]) & (i <= j)
+            _sample(best, batch[:, 0], i, j, k, on, xs, thetas)
+        # Bisect the widest index range of every other block.
+        blocks, widths, widest = blocks[~leaf], widths[~leaf], widest[~leaf]
+        rows = np.arange(len(blocks))
+        col = 1 + 2 * widths.argmax(axis=1)
+        mid = blocks[rows, col] + widest // 2
+        left, right = blocks.copy(), blocks
+        left[rows, col + 1] = mid
+        right[rows, col] = mid
+        blocks = np.concatenate([left, right])
+    return [[(float(lo_g), float(-neg_hi_g)), (float(lo_gp), float(-neg_hi_gp))]
+            for lo_g, neg_hi_g, lo_gp, neg_hi_gp in best]
+
+
 def _box_extrema(box: tuple[float, float], grid: int) -> list[tuple[float, float]]:
-    """[(min, max) of g, (min, max) of g'] over box x box x theta, by the
-    steps of g_kernel/gp_kernel in their order, so bit-identical to them,
-    with the theta-free factors formed once and one den per theta.
-    Only pairs x_i <= x_j are sampled: x_i x_j, a_i a_j and
-    (-x_i) - x_j = -(x_i + x_j) are the same floats with i and j swapped."""
-    xs = np.linspace(box[0], box[1], grid)
-    i, j = np.triu_indices(grid)
-    xy, minus_sum = xs[i] * xs[j], -xs[i] - xs[j]
-    one_minus, one_plus = 1.0 - xy, 1.0 + xy
-    buf = np.empty(len(xy))
-    g, gp = [], []
-    for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
-        s, c = np.sin(theta), np.cos(theta)
-        a = (c - xs) ** 2 + s**2
-        den = a[i] * a[j]
-        np.divide(np.multiply(-s, one_minus, out=buf), den, out=buf)
-        g.append((buf.min(), buf.max()))
-        np.divide(np.add(minus_sum, np.multiply(c, one_plus, out=buf), out=buf), den, out=buf)
-        gp.append((buf.min(), buf.max()))
-    return [(float(min(lo for lo, _ in v)), float(max(hi for _, hi in v))) for v in (g, gp)]
+    """[(min, max) of g, (min, max) of g'] over the grid of box x box x
+    theta, grid points per axis, equal bit for bit to g_kernel and
+    gp_kernel sampled on the whole grid."""
+    return _grid_extrema([box], grid)[0]
 
 
 def gg_prime_ranges() -> Report:
@@ -340,6 +480,44 @@ def gg_prime_ranges() -> Report:
 
     All samples must lie inside the stated intervals and the sampled
     extrema must approach the interval endpoints to GG_ENDPOINT_RTOL.
+
+    The extrema are those of the whole grid, bit for bit, but they are
+    found by branch-and-bound (Moore, Kearfott & Cloud, *Introduction
+    to Interval Analysis*, SIAM 2009), which evaluates about 26 000 of
+    the grid's 8 million samples (pairs x_i <= x_j, both boxes):
+
+    - A block is an i-range x j-range x theta-range of grid indices;
+      each box starts as one block, and each level of the search is one
+      int array of blocks.
+    - Each block gets an enclosure of g and of g' by interval
+      arithmetic, every operation rounded outward with np.nextafter.
+      Its inputs are the block's floats: x and y from the ends of
+      their linspace ranges, s and c from the min and max of the grid's
+      sin and cos over its thetas (np.sin and np.cos of gathered thetas
+      in g_kernel give the same floats).  That encloses the exact
+      kernels at every float input of the block.
+    - A float sample differs from the exact kernel at its inputs by its
+      own rounding, so the enclosure is widened by _SAMPLE_PAD = 2^-40.
+      With u = 2^-53, |x|, |y| <= 21/8, |c| <= 1/2 and s >= sin(pi/3),
+      so den >= 9/16: each float factor (c - x)^2 + s^2 is within
+      relative 4u of the exact one, den within 9u, and the quotient
+      adds u.  The float numerator -s(1 - xy) is within
+      |xy| u + 2 |1 - xy| u <= 23u of the exact one, and
+      -x - y + c(1 + xy) within 26u.  Over den that is at most 47u,
+      plus 10u times |g|, |g'| <= 16.4: under 220u, or 2^-45, so the
+      pad holds it 37 times over.  (The enclosure also follows
+      g_kernel's order of operations, so it holds the float samples
+      even without the pad; the pad does not rest on that.)
+    - Each box keeps four incumbents, the min and max of g and of g',
+      seeded by _SEED_POINTS points per axis, both ends included.  A
+      block is dropped when its enclosure cannot strictly beat any
+      incumbent, or when i > j throughout it (g and g' are symmetric
+      in x and y, bit for bit); the others are bisected across their
+      widest index range.
+    - A block no range of which is longer than _LEAF_WIDTH is a leaf:
+      g_kernel and gp_kernel evaluate its samples with i <= j.  No
+      dropped sample could beat the incumbents, which are samples
+      themselves, so they end as the grid's extrema.
     """
     report = Report(title=f"g/g' ranges on a {GG_GRID}^3 grid")
     cases = [
@@ -348,7 +526,7 @@ def gg_prime_ranges() -> Report:
         ("g on conjugate box", G_RANGE_CONJ),
         ("g' on conjugate box", GP_RANGE_CONJ),
     ]
-    extrema = _box_extrema(VALUE_BOX, GG_GRID) + _box_extrema(CONJ_BOX, GG_GRID)
+    extrema = [r for box in _grid_extrema([VALUE_BOX, CONJ_BOX], GG_GRID) for r in box]
     # The stated interval endpoints are rounded to about six digits, so
     # true extrema can poke past them by a half-ulp of the printout.
     rounding = 5e-5

@@ -240,13 +240,21 @@ def cmd_verify(config: RunConfig) -> int:
     ]
     chain = analysis.theorem2_constants(analysis.CHAIN_K0)
     chain_ok = abs(chain.re_delta_bound - 1.41173) < 1e-3
-    for report in reports:
-        print(report.to_text())
-        print()
-    print(f"bound chain at k0={chain.k0}: |Re delta|/q <= {chain.re_delta_bound:.5f} "
-          f"({'consistent' if chain_ok else 'INCONSISTENT'})")
     ok = chain_ok and all(r.passed for r in reports)
-    print(f"verify: {'PASS' if ok else 'FAIL'}")
+    if config.fmt == "json":
+        print(json.dumps({
+            "reports": [report.to_dict() for report in reports],
+            "bound_chain": {"k0": chain.k0, "re_delta_bound": chain.re_delta_bound,
+                            "consistent": chain_ok},
+            "passed": ok,
+        }, indent=2))
+    else:
+        for report in reports:
+            print(report.to_text())
+            print()
+        print(f"bound chain at k0={chain.k0}: |Re delta|/q <= {chain.re_delta_bound:.5f} "
+              f"({'consistent' if chain_ok else 'INCONSISTENT'})")
+        print(f"verify: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

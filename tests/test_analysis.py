@@ -185,7 +185,7 @@ class TestGGPrime:
             vmax = max(vmax, float(vals.max()))
         return vmin, vmax
 
-    @pytest.mark.parametrize("grid", [100, 200])
+    @pytest.mark.parametrize("grid", [2, 3, 7, 37, 100, 101, 200])
     def test_fused_sampler_equals_kernels(self, grid, monkeypatch):
         expected = [self._brute_force_extrema(kernel, box, grid)
                     for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
@@ -196,6 +196,73 @@ class TestGGPrime:
         monkeypatch.setattr(analysis, "GG_GRID", grid)
         report = gg_prime_ranges()
         assert [c.measured for c in report.checks] == [lo for lo, _ in expected]
+
+    @settings(deadline=None, max_examples=200)
+    @given(grid=st.integers(2, 40), box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]),
+           data=st.data())
+    def test_enclosure_holds_every_sample(self, grid, box, data):
+        xs, thetas, sin_table, cos_table = analysis._grid([box], grid)
+        block = [0]
+        for _ in range(3):  # x, y, theta; small widths give tight enclosures
+            lo = data.draw(st.integers(0, grid - 1))
+            width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, grid)))
+            block += [lo, min(lo + width, grid)]
+        lows = analysis._enclosures(np.array([block]), xs, sin_table, cos_table)[0]
+        x, y, theta = np.meshgrid(xs[0, block[1]:block[2]], xs[0, block[3]:block[4]],
+                                  thetas[block[5]:block[6]], indexing="ij")
+        for kernel, (lo, neg_hi) in ((g_kernel, lows[:2]), (gp_kernel, lows[2:])):
+            values = kernel(x, y, theta)
+            assert lo <= values.min() and values.max() <= -neg_hi
+
+    @given(ends=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+           t=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+    def test_interval_operations_hold_their_points(self, ends, t, u):
+        (al, ah), (bl, bh) = sorted(ends[:2]), sorted(ends[2:])
+        # Both ends, 0 where the interval holds it, and one point inside.
+        xs = {al, ah, min(max(0.0, al), ah), min(al + t * (ah - al), ah)}
+        ys = {bl, bh, min(max(0.0, bl), bh), min(bl + u * (bh - bl), bh)}
+        prod = analysis._imul(*map(np.float64, (al, ah, bl, bh)))
+        square = analysis._isquare(np.float64(al), np.float64(ah))
+        quot = analysis._idiv(*map(np.float64, (al, ah, bl + 5.0, bh + 5.0)))
+        for x in xs:
+            assert square[0] <= x * x <= square[1]
+            for y in ys:
+                assert prod[0] <= x * y <= prod[1]
+                assert quot[0] <= x / (y + 5.0) <= quot[1]
+
+    @pytest.mark.parametrize("grid", [2, 7, 13])
+    def test_unpruned_search_samples_each_pair_once(self, grid, monkeypatch):
+        # With no block ever dropped by its enclosure, the leaves must
+        # hold every sample with i <= j exactly once.
+        calls = []
+
+        def recording(x, y, theta):
+            calls.append(list(zip(x.tolist(), y.tolist(), theta.tolist())))
+            return g_kernel(x, y, theta)
+
+        monkeypatch.setattr(analysis, "g_kernel", recording)
+        monkeypatch.setattr(analysis, "_enclosures",
+                            lambda blocks, *_: np.full((len(blocks), 4), -np.inf))
+        analysis._box_extrema(analysis.VALUE_BOX, grid)
+        xs, thetas, _, _ = analysis._grid([analysis.VALUE_BOX], grid)
+        pairs = [(xs[0, i], xs[0, j], t) for i in range(grid) for j in range(i, grid)
+                 for t in thetas]
+        leaf_samples = [sample for call in calls[1:] for sample in call]  # calls[0] is the seed
+        assert sorted(leaf_samples) == sorted(pairs)
+
+    def test_search_evaluates_few_samples(self, monkeypatch):
+        sizes = []
+
+        def counting(x, y, theta):
+            sizes.append(np.size(x))
+            return g_kernel(x, y, theta)
+
+        monkeypatch.setattr(analysis, "g_kernel", counting)
+        assert gg_prime_ranges().passed
+        grid = analysis.GG_GRID
+        samples = 2 * grid * grid * (grid + 1) // 2  # both boxes, pairs i <= j
+        assert sizes and max(sizes) <= 20_100
+        assert sum(sizes) < 0.02 * samples
 
     def test_no_cube_sized_array(self):
         # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.

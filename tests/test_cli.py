@@ -463,6 +463,24 @@ class TestReports:
         assert code == 0
         assert out == (DATA / "verify_depth7.txt").read_text()
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["pass", "fail"])
+    def test_verify_json(self, capsys, monkeypatch, fail):
+        if fail:
+            monkeypatch.setattr(analysis, "INTERLACE_HARD_TOL", -1.0)
+        code, out, _ = run(capsys, "--format", "json", "--depth", "3", "verify")
+        rec = json.loads(out)
+        assert code == (1 if fail else 0)
+        assert rec["passed"] is (code == 0)
+        assert [r["title"] for r in rec["reports"]] == [
+            "interlacing to depth 3 (componentwise)",
+            "local recursion errors to depth 3",
+            f"g/g' ranges on a {analysis.GG_GRID}^3 grid",
+            "coincidence bound",
+        ]
+        assert [r["passed"] for r in rec["reports"]] == [not fail, True, True, True]
+        assert rec["bound_chain"] == {"k0": analysis.CHAIN_K0, "consistent": True,
+                                      "re_delta_bound": pytest.approx(1.41173, abs=1e-3)}
+
     @pytest.mark.parametrize("command", ["verify", "interlace"])
     def test_one_tree_per_run(self, capsys, monkeypatch, command):
         from markovj import analysis, cli, tree
