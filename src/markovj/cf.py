@@ -1,13 +1,15 @@
 """Minus ("-") continued fractions with digits in {2,3,4}.
 
-Periods are cyclic words; a purely periodic expansion
-(a1, a2, ...) = a1 - 1/(a2 - 1/...) converges to a real > 1 whenever all
-digits are >= 2.  This module holds the combinatorics (conjunction of
-periods and of their compact texts, least rotations) and the numerics
-(fixed-point evaluation, and cycle-state enumeration with a contraction
-certificate that bounds every state's float error).  Only the cycle
-states need numpy, and they import it when first called, so the word
-layer loads without it.
+A period is a cyclic word, held as plain ``bytes`` with one byte per
+digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
+converges to a real > 1 whenever all digits are >= 2.  The tree builds
+every word and checks it (its length and its matrix's trace), so the
+functions here take words as given.  This module holds the joins of
+words and of their compact texts, and the numerics (fixed-point
+evaluation, and cycle-state enumeration with a contraction certificate
+that bounds every state's float error).  Only the cycle states need
+numpy, and they import it when first called, so the word layer loads
+without it.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Period",
     "CycleStates",
     "PeriodError",
     "conjunction",
-    "parse_period",
     "format_period",
     "join_texts",
     "eval_periodic",
@@ -49,119 +48,24 @@ CHECK_TOL = 1e-9
 
 
 class PeriodError(ValueError):
-    """Raised for malformed periods or a failed cycle check."""
+    """Raised when a word's rotation sweep does not converge or its
+    cycle states fail their certificate; the message names the word by
+    its compact text."""
 
 
-@dataclass(frozen=True)
-class Period:
-    """A cyclic word of partial quotients.
-
-    ``word`` holds one byte per digit in {2, 3, 4}, checked once on
-    construction, in the rotation it was built with (the one the tree
-    pictures show); ``digits`` is the same word as a tuple.  Equality and
-    hashing use the least rotation, so two periods are equal iff one is
-    a rotation of the other.
-    """
-
-    word: bytes
-
-    def __post_init__(self) -> None:
-        word = self.word
-        try:
-            # Iterated, so that an int is refused rather than read as a length.
-            word = word if type(word) is bytes else bytes(iter(word))
-        except (TypeError, ValueError) as exc:
-            raise PeriodError(f"period digits must be integers in {{2,3,4}}: {exc}") from None
-        if not word or word.translate(None, b"\2\3\4"):
-            raise PeriodError("period must be a nonempty word over {2,3,4}, "
-                              f"not one over {sorted(set(word))}")
-        object.__setattr__(self, "word", word)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(self.word)
-
-    @cached_property
-    def canonical(self) -> tuple[int, ...]:
-        """The least rotation, found with Booth's O(q) algorithm
-        (K. S. Booth, Inf. Proc. Lett. 10, 1980) on first use."""
-        s = self.word * 2
-        fail = [-1] * len(s)
-        k = 0
-        for j in range(1, len(s)):
-            sj = s[j]
-            i = fail[j - k - 1]
-            while i != -1 and sj != s[k + i + 1]:
-                if sj < s[k + i + 1]:
-                    k = j - i - 1
-                i = fail[i]
-            if sj != s[k + i + 1]:
-                if sj < s[k]:
-                    k = j
-                fail[j - k] = -1
-            else:
-                fail[j - k] = i + 1
-        return tuple(self.word[k:] + self.word[:k])
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Period):
-            return self.canonical == other.canonical
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.canonical)
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.word)
-
-    @property
-    def cycle_length(self) -> int:
-        """Length of the simple-form cycle, sum(a_i - 1)."""
-        return sum(self.word) - len(self.word)
-
-    def reversed(self) -> "Period":
-        return Period(self.word[::-1])
-
-    def __str__(self) -> str:
-        return format_period(self)
+def conjunction(left: bytes, right: bytes) -> bytes:
+    """Concatenate two words (the child word on the tree)."""
+    return left + right
 
 
-def conjunction(left: Period, right: Period) -> Period:
-    """Concatenate two periods (the child word on the tree)."""
-    return Period(left.word + right.word)
-
-
-_RUN_RE = re.compile(r"^(\d+)(?:_(\d+))?$")
 #: Digit bytes to their characters, and a run of two or more equal digits.
 _DIGIT_TEXT = bytes.maketrans(b"\2\3\4", b"234")
 _RUN_TEXT = re.compile(r"(\d)(?:,\1)+")
 
 
-def parse_period(text: str) -> Period:
-    """Parse ``"2,3_2,4"`` or ``"2,3,3,4"`` (run-length sugar allowed)."""
-    digits: list[int] = []
-    for chunk in text.replace("(", "").replace(")", "").split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _RUN_RE.match(chunk)
-        if not m:
-            raise PeriodError(f"cannot parse period chunk {chunk!r}")
-        digit = int(m.group(1))
-        count = int(m.group(2) or 1)
-        if count < 1:
-            raise PeriodError(f"bad repeat count in {chunk!r}")
-        digits.extend([digit] * count)
-    return Period(digits)
-
-
-def format_period(period: Period) -> str:
-    """Render a period, run-length compressed ("2,3_2,4")."""
-    text = ",".join(period.word.translate(_DIGIT_TEXT).decode())
+def format_period(word: bytes) -> str:
+    """Render a word, run-length compressed ("2,3_2,4")."""
+    text = ",".join(word.translate(_DIGIT_TEXT).decode())
     return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
 
 
@@ -177,22 +81,20 @@ def join_texts(left: str, right: str) -> str:
     return ",".join(filter(None, (head, run, tail)))
 
 
-def eval_periodic(period: Period | Sequence[int]) -> float:
-    """Value of the purely periodic expansion: its word's first rotation
+def eval_periodic(word: bytes) -> float:
+    """Value of the purely periodic expansion: the word's first rotation
     value, iterated from 2 to within CONVERGED by :func:`_rotation_values`.
     """
-    period = period if isinstance(period, Period) else Period(period)
-    return _rotation_values(period.word)[0]
+    return _rotation_values(word)[0]
 
 
-def period_matrix(period: Period | Sequence[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+def period_matrix(word: bytes) -> tuple[tuple[int, int], tuple[int, int]]:
     """Product of the step matrices [[a,-1],[1,0]], exact integers.
 
     det = 1 always; trace = 3c for the period of a Markov number c.
     The matrix of a joined word u + v is the product of u's and v's.
     """
     a, b, c, d = 1, 0, 0, 1
-    word = period.word if isinstance(period, Period) else Period(period).word
     for digit in word:
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
     return ((a, b), (c, d))
@@ -221,8 +123,8 @@ class CycleStates:
         return len(self.values)
 
 
-def _rotation_values(digits: Sequence[int]) -> list[float]:
-    """Values T_k of every rotation digits[k:] + digits[:k].
+def _rotation_values(word: bytes) -> list[float]:
+    """Values T_k of every rotation word[k:] + word[:k].
 
     Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
     run until T_0 moves by less than CONVERGED in one sweep; the last
@@ -230,17 +132,17 @@ def _rotation_values(digits: Sequence[int]) -> list[float]:
     per sweep, so a few sweeps suffice, and :func:`_certify` bounds
     every value's error.
     """
-    n = len(digits)
+    n = len(word)
     x = 2.0
     for _ in range(MAX_SWEEPS):
         start = x
         values = [0.0] * n
         for k in range(n - 1, -1, -1):
-            x = digits[k] - 1.0 / x
+            x = word[k] - 1.0 / x
             values[k] = x
         if abs(x - start) < CONVERGED:
             return values
-    raise PeriodError(f"rotation sweep did not converge for {Period(digits)}")
+    raise PeriodError(f"rotation sweep did not converge for {format_period(word)}")
 
 
 def _up(x: float) -> float:
@@ -251,9 +153,10 @@ def _down(x: float) -> float:
     return math.nextafter(x, -math.inf)
 
 
-def _certify(period: Period, sweep: str, digits: np.ndarray, t: np.ndarray) -> float:
+def _certify(word: bytes, sweep: str, digits: np.ndarray, t: np.ndarray) -> float:
     """Prove each t_k within CHECK_TOL - 2^-50 of the exact rotation
-    value T*_k of ``digits``, or raise PeriodError; return the bound e.
+    value T*_k of ``digits``, or raise PeriodError naming ``word``;
+    return the bound e.
 
     Let delta = CHECK_TOL, lo = min t - delta and B the sup-norm ball of
     radius delta about t.  If lo > 1, F(x)_k = d_k - 1/x_{k+1} (indices
@@ -276,19 +179,19 @@ def _certify(period: Period, sweep: str, digits: np.ndarray, t: np.ndarray) -> f
 
     lo = _down(float(t.min()) - CHECK_TOL)
     if not lo > 1.0:  # NaN fails too
-        raise PeriodError(f"cycle state mismatch for {period}: {sweep} sweep "
+        raise PeriodError(f"cycle state mismatch for {format_period(word)}: {sweep} sweep "
                           f"reaches {t.min():.17g}, not above 1 + {CHECK_TOL:g}")
     residual = float(np.abs(t - (digits - 1.0 / np.concatenate((t[1:], t[:1])))).max())
     contraction = _up(1.0 / _down(lo * lo))
     bound = _up(_up(residual + 2.0 ** -49) / _down(1.0 - contraction))
     if not _up(bound + 2.0 ** -50) <= CHECK_TOL:
-        raise PeriodError(f"cycle state mismatch for {period}: {sweep} sweep "
+        raise PeriodError(f"cycle state mismatch for {format_period(word)}: {sweep} sweep "
                           f"residual {residual:.3g} certifies only {bound:.3g}, "
                           f"not {CHECK_TOL:g}")
     return bound
 
 
-def cycle_states(period: Period | Sequence[int]) -> CycleStates:
+def cycle_states(word: bytes) -> CycleStates:
     """Enumerate the full cycle w^(1), ..., w^(l), l = sum(a_i - 1).
 
     States are produced in walk order: for each cyclic position the
@@ -301,8 +204,6 @@ def cycle_states(period: Period | Sequence[int]) -> CycleStates:
     """
     import numpy as np
 
-    period = period if isinstance(period, Period) else Period(period)
-    word = period.word
     # int64: a uint8 cumsum would wrap.
     last = np.frombuffer(word, np.uint8).astype(np.int64)
     # pos[s]: the cyclic position of state s; a0 counts down to 1 within it.
@@ -311,8 +212,8 @@ def cycle_states(period: Period | Sequence[int]) -> CycleStates:
     # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
     tails = np.array(_rotation_values(word[1:] + word[:1]))
     rev = np.array(_rotation_values(word[::-1]))
-    _certify(period, "rotation", np.concatenate((last[1:], last[:1])), tails)
-    _certify(period, "reversed-word", last[::-1], rev)
+    _certify(word, "rotation", np.concatenate((last[1:], last[:1])), tails)
+    _certify(word, "reversed-word", last[::-1], rev)
     values = a0 - 1.0 / tails[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
     return CycleStates(a0=a0, values=values, conj_values=conj)

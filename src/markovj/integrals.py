@@ -172,7 +172,7 @@ def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleV
     if tol <= 0:
         raise ValueError("tol must be positive")
     # Reference orientation: cycle of the reversed word (see module doc).
-    states = cycle_states(node.period.reversed())
+    states = cycle_states(node.period[::-1])
     try:
         J, err = integrator.integrate_states(states, tol)
     except QuadratureError as exc:

@@ -10,9 +10,10 @@ nodes.
 Each node carries the period matrix M of its word (cf.period_matrix),
 which is ((3c + k, -c), (l + 3k, -k)) with k^2 + 1 = lc (Cohn, Approach
 to Markoff's minimal forms through modular functions, Ann. Math. 1955).
-A joined word's M is the product of its neighbours' matrices.  c, k and
-the form are read off M, with no per-node modular arithmetic, and every
-node checks Cohn's identity trace M = 3c.
+A joined word's M is the product of its neighbours' matrices.  c is
+read off M, with no per-node modular arithmetic, and every node checks
+Cohn's identity trace M = 3c.  That check, with the word's length
+against q, is the guard on every word: the words are plain bytes.
 
 Memory note: Markov numbers grow doubly exponentially with depth (the
 largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
@@ -34,12 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .cf import Period, _mat_mul, conjunction, period_matrix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .cf import _mat_mul, conjunction, period_matrix
 
 __all__ = [
     "FareyFraction",
@@ -84,11 +82,6 @@ class FareyFraction:
         if 2 * self.p > self.q:
             raise TreeError(f"fraction {self.p}/{self.q} outside [0, 1/2]")
 
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.p, self.q)
-
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
 
@@ -112,10 +105,10 @@ def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
-    ``matrix`` is the period matrix M of the word; c, k, the form and
-    the triple are read off it.  ``left`` and ``right`` are the
-    endpoints of the node's Farey interval: the two predecessors whose
-    fractions it is the mediant of (``None`` at the tips).  They take no
+    ``matrix`` is the period matrix M of the word; c is read off it.
+    ``left`` and ``right`` are the endpoints of the node's Farey
+    interval: the two predecessors whose fractions it is the mediant of
+    (``None`` at the tips).  They take no
     part in equality or repr, so neither walks up the tree.  The word,
     ``period``, is no field: it is built when first read.
     """
@@ -128,18 +121,18 @@ class TreeNode:
     right: TreeNode | None = field(compare=False, repr=False)
 
     @cached_property
-    def period(self) -> Period:
-        """The node's word, built the first time it is read and then kept:
-        3 and 2 4 at the tips, 2 3^level 4 on the branch down from the
-        left tip, and otherwise the right neighbour's word followed by
-        the left's.  Its length is checked against q here; its matrix
+    def period(self) -> bytes:
+        """The node's word, one byte per digit, built the first time it is
+        read and then kept: 3 and 2 4 at the tips, 2 3^level 4 on the
+        branch down from the left tip, and otherwise the right
+        neighbour's word followed by the left's.  Its length is checked against q here; its matrix
         passed trace M = 3c when the node was built."""
         if joins_neighbours(self.left):
             word = conjunction(self.right.period, self.left.period)
         elif self.level:
-            word = Period(b"\2" + b"\3" * self.level + b"\4")
+            word = b"\2" + b"\3" * self.level + b"\4"
         else:
-            word = Period(b"\3" if self.farey.p == 0 else b"\2\4")
+            word = b"\3" if self.farey.p == 0 else b"\2\4"
         if len(word) != self.q:
             raise TreeError(
                 f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
@@ -149,27 +142,6 @@ class TreeNode:
     @property
     def c(self) -> int:
         return -self.matrix[0][1]
-
-    @property
-    def k(self) -> int:
-        """The 0 <= k < c with c | k^2 + 1 that the word gives."""
-        return -self.matrix[1][1]
-
-    @property
-    def form(self) -> tuple[int, int, int]:
-        """The quadratic form (c, 3c - 2k, l - 3k), l = (k^2 + 1)/c, of
-        discriminant 9c^2 - 4."""
-        c, k = self.c, self.k
-        ell = self.matrix[1][0] - 3 * k
-        return (c, 3 * c - 2 * k, ell - 3 * k)
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        """(right.c, left.c, c): the Markov numbers of the node's Farey
-        neighbours and its own; (1, 1, c) at the tips."""
-        if self.left is None:
-            return (1, 1, self.c)
-        return (self.right.c, self.left.c, self.c)
 
     @property
     def q(self) -> int:

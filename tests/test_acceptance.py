@@ -15,10 +15,10 @@ from markovj.analysis import (
     check_interlacing,
     check_J_recursion,
     check_q_recursion,
-    envelope_from_values,
     gg_prime_ranges,
     theorem2_constants,
 )
+from markov_oracles import digit_sum, envelope_from_values, node_k, node_triple
 from markovj.cf import period_matrix
 from markovj.integrals import ArcIntegrator, average_integral
 from markovj.jfunction import j_eval
@@ -65,13 +65,13 @@ def test_criterion_3_special_values(capsys, series):
 def test_criterion_4_exact_structure(capsys):
     nodes = build_tree(9)
     for node in nodes:
-        a, b, c = node.triple
+        a, b, c = node_triple(node)
         assert a * a + b * b + c * c == 3 * a * b * c
         assert len(node.period) == node.q
-        assert node.period.digit_sum == 3 * node.q
+        assert digit_sum(node.period) == 3 * node.q
         (m00, _), (_, m11) = period_matrix(node.period)
         assert m00 + m11 == 3 * node.c
-        assert (node.k**2 + 1) % node.c == 0
+        assert (node_k(node)**2 + 1) % node.c == 0
     report = check_q_recursion(build_tree(9))  # raises on any mismatch
     verdict(capsys, 4, report.passed, f"{len(nodes)} nodes, all integer identities exact")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from markov_oracles import envelope_from_values
 from markovj import analysis
 from markovj.analysis import (
     CONTRACTION,
@@ -18,7 +19,6 @@ from markovj.analysis import (
     coincidence_bound,
     coincidence_envelope,
     denominator_sequence,
-    envelope_from_values,
     g_kernel,
     gg_prime_ranges,
     gp_kernel,
@@ -170,6 +170,15 @@ class TestGGPrime:
     def test_zero_at_unit_product(self):
         assert g_kernel(1.0, 1.0, math.pi / 2) == 0.0
 
+    @pytest.mark.parametrize("kernel", [g_kernel, gp_kernel])
+    def test_scalar_and_array_calls_agree(self, kernel):
+        # s**2 of a numpy scalar is C pow, of an array s*s: at this theta
+        # they differed by an ulp, and so did the kernels.
+        theta = 1.8408131400379806
+        scalar = kernel(-1.0, -0.5, theta)
+        array = kernel(np.array([-1.0]), np.array([-0.5]), np.array([theta]))
+        assert scalar == array[0]
+
     def test_ranges(self):
         report = gg_prime_ranges()
         assert report.passed
@@ -190,8 +199,8 @@ class TestGGPrime:
         expected = [self._brute_force_extrema(kernel, box, grid)
                     for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
                     for kernel in (g_kernel, gp_kernel)]
-        got = (analysis._box_extrema(analysis.VALUE_BOX, grid)
-               + analysis._box_extrema(analysis.CONJ_BOX, grid))
+        got = (analysis._grid_extrema([analysis.VALUE_BOX], grid)[0]
+               + analysis._grid_extrema([analysis.CONJ_BOX], grid)[0])
         assert got == expected
         monkeypatch.setattr(analysis, "GG_GRID", grid)
         report = gg_prime_ranges()
@@ -243,7 +252,7 @@ class TestGGPrime:
         monkeypatch.setattr(analysis, "g_kernel", recording)
         monkeypatch.setattr(analysis, "_enclosures",
                             lambda blocks, *_: np.full((len(blocks), 4), -np.inf))
-        analysis._box_extrema(analysis.VALUE_BOX, grid)
+        analysis._grid_extrema([analysis.VALUE_BOX], grid)
         xs, thetas, _, _ = analysis._grid([analysis.VALUE_BOX], grid)
         pairs = [(xs[0, i], xs[0, j], t) for i in range(grid) for j in range(i, grid)
                  for t in thetas]
@@ -284,6 +293,14 @@ class TestCoincidence:
     def test_report(self):
         report = coincidence_bound(build_tree(5))
         assert report.passed
+
+    def test_rotations_sort_as_digit_tuples(self):
+        # The sample is drawn from the sorted rotations, so bytes must
+        # sort exactly as the digit tuples they replaced.
+        words = {node.period for node in build_tree(6)}
+        rotations = {w[i:] + w[:i] for w in words for i in range(len(w))}
+        assert len(rotations) == 1095
+        assert [tuple(r) for r in sorted(rotations)] == sorted(map(tuple, rotations))
 
     def test_contraction_constant(self):
         assert CONTRACTION == pytest.approx(2 / (1 + math.sqrt(5)), rel=1e-15)

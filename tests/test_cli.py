@@ -401,6 +401,19 @@ class TestRunSizes:
             assert err == ("error: depth 19 exceeds 18: its words alone would "
                            "take over 1.7 GB\n")
 
+    def test_asymptotics_depth_above_cap_refused_before_enumerating(self, capsys, monkeypatch):
+        def no_enumeration(qmax):
+            raise AssertionError("denominators enumerated")
+
+        monkeypatch.setattr(analysis, "denominator_sequence", no_enumeration)
+        cap = analysis.MAX_ASYMPTOTICS_DEPTH
+        assert cap == 1200
+        for depth in (cap + 1, 100_000):
+            code, out, err = run(capsys, "--depth", str(depth), "asymptotics")
+            assert code == 2 and out == ""
+            assert err == (f"error: depth {depth} exceeds 1200, "
+                           "the deepest asymptotics report\n")
+
     def test_asymptotics_builds_no_tree(self, capsys):
         code, out, _ = run(capsys, "--depth", "400", "asymptotics")
         assert code == 0

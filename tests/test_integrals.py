@@ -36,7 +36,7 @@ def _oracle_J(node, series, points=200):
     h = 0.5 * (ARC_HI - ARC_LO)
     z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
     g = h * w * j_eval(z, series) * 1j * z
-    states = cycle_states(node.period.reversed())
+    states = cycle_states(node.period[::-1])
     per_state = [
         np.sum(g * (1.0 / (z - value) - 1.0 / (z - conj)))
         for value, conj in zip(states.values, states.conj_values)
@@ -144,7 +144,7 @@ class TestFixedRule:
         ("values", math.nan),
     ])
     def test_state_outside_box_raises(self, field, value):
-        states = cycle_states(ROOT.period.reversed())
+        states = cycle_states(ROOT.period[::-1])
         arrays = {"values": states.values.copy(),
                   "conj_values": states.conj_values.copy()}
         arrays[field][2] = value

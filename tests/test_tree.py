@@ -8,14 +8,20 @@ import pytest
 
 from markov_oracles import (
     MarkovTriple,
+    as_fraction,
+    checked_word,
+    digit_sum,
     markov_constant,
     markov_form,
     markov_irrational,
     markov_k,
+    node_form,
+    node_k,
+    node_triple,
     vieta_triple,
 )
 from markovj import tree
-from markovj.cf import Period, period_matrix
+from markovj.cf import period_matrix
 from markovj.tree import (
     MAX_DEPTH,
     MAX_LEVEL,
@@ -50,8 +56,8 @@ class TestTriples:
         for node in build_tree(8):
             if node.level > 1:
                 parent = node_at(node.path[:-1])
-                kept = vieta_children(parent.triple)["LR".index(node.path[-1])]
-                assert node.triple == kept, node.path
+                kept = vieta_children(node_triple(parent))["LR".index(node.path[-1])]
+                assert node_triple(node) == kept, node.path
 
     def test_markov_numbers_to_depth_three(self):
         got = sorted(n.c for n in build_tree(3))
@@ -93,9 +99,9 @@ class TestFormData:
 
     def test_form_discriminant(self):
         for node in build_tree(6):
-            a, b, c = node.form
+            a, b, c = node_form(node)
             assert b * b - 4 * a * c == 9 * node.c**2 - 4
-            assert (node.k**2 + 1) % node.c == 0
+            assert (node_k(node)**2 + 1) % node.c == 0
 
     def test_irrational(self):
         assert markov_irrational(5, 3) == pytest.approx(
@@ -120,7 +126,9 @@ def oracle_mismatches(node) -> list[str]:
     k = markov_k(triple)
     want = {"triple": tuple(triple), "c": triple.c, "k": k,
             "form": markov_form(triple.c, k), "matrix": period_matrix(node.period)}
-    return [name for name, value in want.items() if getattr(node, name) != value]
+    got = {"triple": node_triple(node), "c": node.c, "k": node_k(node),
+           "form": node_form(node), "matrix": node.matrix}
+    return [name for name, value in want.items() if got[name] != value]
 
 
 class TestCohnMatrix:
@@ -142,11 +150,11 @@ class TestCohnMatrix:
         for node in build_tree(6):
             if not joins_neighbours(node.left):
                 continue
-            word = node.period.word
+            word = node.period
             for i, digit in enumerate(word):
                 for other in {2, 3, 4} - {digit}:
                     changed_word = word[:i] + bytes([other]) + word[i + 1:]
-                    (a, _), (_, d) = period_matrix(Period(changed_word))
+                    (a, _), (_, d) = period_matrix(changed_word)
                     assert a + d != 3 * node.c, (node.path, i, other)
                     checked += 1
         assert checked > 1000
@@ -164,7 +172,7 @@ class TestCohnMatrix:
         # The left branch's word 2 3^n 4 ending in 3 instead.
         matrix_of = tree.period_matrix
         monkeypatch.setattr(tree, "period_matrix",
-                            lambda period: matrix_of(Period(period.word[:-1] + b"\3")))
+                            lambda period: matrix_of(period[:-1] + b"\3"))
         with pytest.raises(TreeError, match="^period matrix of 'L' has trace"):
             node_at("L")
 
@@ -183,7 +191,14 @@ class TestStructure:
     def test_period_length_and_digit_sum(self):
         for node in build_tree(7):
             assert len(node.period) == node.q
-            assert node.period.digit_sum == 3 * node.q
+            assert digit_sum(node.period) == 3 * node.q
+
+    def test_words_are_checked_bytes(self):
+        # The tree's words are plain bytes, each one the oracle accepts.
+        for node in build_tree(8):
+            word = node.period
+            assert type(word) is bytes
+            assert checked_word(list(word)) == word, node.path
 
     def test_trace_is_three_c(self):
         from markovj.cf import period_matrix
@@ -247,7 +262,7 @@ class TestStructure:
 
     def test_joined_word_of_wrong_length_refused(self, monkeypatch):
         join = tree.conjunction
-        monkeypatch.setattr(tree, "conjunction", lambda u, v: Period(join(u, v).word[:-1]))
+        monkeypatch.setattr(tree, "conjunction", lambda u, v: join(u, v)[:-1])
         # RL's right neighbour R is a join too, and its word is read first.
         node = node_at("RL")
         with pytest.raises(TreeError, match=r"^period length 4 != Farey denominator 5 at 'R'$"):
@@ -261,7 +276,7 @@ class TestStructure:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            word = node.period.word
+            word = node.period
         finally:
             sys.setrecursionlimit(limit)
         assert (len(word), node.q, len(lengths)) == (401, 401, 199)
@@ -289,7 +304,7 @@ class TestLookup:
 
     def test_deep_fraction(self):
         node = find_fraction(74, 159)
-        assert node.farey.as_fraction() == Fraction(74, 159)
+        assert as_fraction(node.farey) == Fraction(74, 159)
 
     def test_not_reduced(self):
         with pytest.raises(TreeError, match="not reduced"):
