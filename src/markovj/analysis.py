@@ -10,18 +10,20 @@ asymptotic value bounds.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
 import sys
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _mat_mul, eval_periodic
 from .integrals import CycleValue, log_epsilon
 from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundChain",
@@ -302,174 +304,94 @@ def check_J_recursion(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) 
 # ---------------------------------------------------------------------------
 # g / g' ranges
 
-def g_kernel(x, y, theta):
-    """Real part kernel of the pole-pair difference, divided by x - y."""
-    s, c = np.sin(theta), np.cos(theta)
-    den = ((c - x) ** 2 + s * s) * ((c - y) ** 2 + s * s)
-    return -s * (1.0 - x * y) / den
-
-
-def gp_kernel(x, y, theta):
-    """Imaginary part analogue of :func:`g_kernel`."""
-    s, c = np.sin(theta), np.cos(theta)
-    den = ((c - x) ** 2 + s * s) * ((c - y) ** 2 + s * s)
-    return (-x - y + c * (1.0 + x * y)) / den
+def _kernels(x: float, y: float, s: float, c: float) -> tuple[float, float]:
+    """g and g' at x, y and theta, with s = sin(theta) and c = cos(theta):
+    the real part kernel of the pole-pair difference, divided by x - y,
+    and its imaginary part analogue."""
+    den = ((c - x) * (c - x) + s * s) * ((c - y) * (c - y) + s * s)
+    return -s * (1.0 - x * y) / den, (-x - y + c * (1.0 + x * y)) / den
 
 
 #: The search over the grid (see gg_prime_ranges): a block with no index
 #: range longer than _LEAF_WIDTH is a leaf, evaluated sample by sample;
-#: leaves are evaluated _LEAF_BATCH at a time, so that no leaf array holds
-#: more than 4 096 entries (larger batches, of up to 20 100 samples, left
-#: the process's peak RSS higher by up to 0.6 MB, though no faster);
-#: _SEED_POINTS points per axis seed the incumbents; _SAMPLE_PAD bounds
-#: one float sample's own rounding.
+#: _PAD covers the float rounding of a block's disc and of one sample.
 _LEAF_WIDTH = 3
-_LEAF_BATCH = 4096 // _LEAF_WIDTH**3
-_SEED_POINTS = 17
-_SAMPLE_PAD = 2.0**-40
+_PAD = 2.0**-40
 
 
-def _down(v):
-    return np.nextafter(v, -np.inf)
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit."""
+    step = (hi - lo) / (n - 1)
+    return [k * step + lo for k in range(n - 1)] + [hi]
 
 
-def _up(v):
-    return np.nextafter(v, np.inf)
+def _disc(xs, thetas, block) -> tuple[float, float, float]:
+    """Centre (g, g') and radius of a disc that holds (g, g') from
+    _kernels at every sample of ``block``, a tuple (i0, i1, j0, j1, k0,
+    k1) of the samples x = xs[i0:i1], y = xs[j0:j1] and theta =
+    thetas[k0:k1] (see gg_prime_ranges)."""
+    i0, i1, j0, j1, k0, k1 = block
+    xa, xb, ya, yb, ta, tb = xs[i0], xs[i1 - 1], xs[j0], xs[j1 - 1], thetas[k0], thetas[k1 - 1]
+    xc, yc, tc = (xa + xb) * 0.5, (ya + yb) * 0.5, (ta + tb) * 0.5
+    hx, hy, ht = (xb - xa) * 0.5, (yb - ya) * 0.5, (tb - ta) * 0.5
+    s, c = math.sin(tc), math.cos(tc)
+    pc, pa, pb = xc * yc, xa * ya, xb * yb  # xy runs from pa to pb on the block
+    rho = (hx * math.hypot(yc * c - 1.0, yc * s) + hy * math.hypot(xc * c - 1.0, xc * s)
+           + hx * hy + ht * (math.hypot(c * (1.0 - pc), s * (1.0 + pc))
+                             + max(abs(pa - pc), abs(pb - pc))
+                             + (1.0 + max(abs(pa), abs(pb))) * ht * 0.5) + _PAD)
+    wr, wi = c * (1.0 + pc) - xc - yc, s * (1.0 - pc)
+    a, r2 = wr * wr + wi * wi, rho * rho
+    d = a - r2
+    if not d > (a + r2) * 2.0**-49:
+        return 0.0, 0.0, math.inf
+    g, gp, r = -wi / d, wr / d, rho / d
+    return g, gp, r + (abs(g) + abs(gp) + r) * (a + r2) / d * 2.0**-49 + _PAD
 
 
-def _imul(al, ah, bl, bh):
-    """Enclosure of [al, ah] * [bl, bh], rounded outward."""
-    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
-    return (_down(np.minimum(np.minimum(p, q), np.minimum(r, s))),
-            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
-
-
-def _isquare(lo, hi):
-    """Enclosure of [lo, hi]^2, rounded outward."""
-    lo2, hi2 = lo * lo, hi * hi
-    low = np.where(lo > 0.0, lo2, np.where(hi < 0.0, hi2, 0.0))
-    return np.maximum(_down(low), 0.0), _up(np.maximum(lo2, hi2))
-
-
-def _idiv(nl, nh, dl, dh):
-    """Enclosure of [nl, nh] / [dl, dh] for dl > 0, rounded outward."""
-    return (_down(np.minimum(nl / dl, nl / dh)), _up(np.maximum(nh / dl, nh / dh)))
-
-
-def _range_table(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse tables of v: row r holds the min (max) of v[k : k + 2^r]."""
-    lo, hi = np.full((2, int(len(v)).bit_length(), len(v)), np.nan)
-    lo[0] = hi[0] = v
-    for r in range(1, len(lo)):
-        w = 1 << (r - 1)
-        m = len(v) - 2 * w + 1
-        lo[r, :m] = np.minimum(lo[r - 1, :m], lo[r - 1, w:w + m])
-        hi[r, :m] = np.maximum(hi[r - 1, :m], hi[r - 1, w:w + m])
-    return lo, hi
-
-
-def _range(table: tuple[np.ndarray, np.ndarray], k0, k1):
-    """Min and max of v[k0:k1] for index arrays k0 < k1, from _range_table(v)."""
-    r = np.frexp(k1 - k0)[1] - 1  # the largest r with 2^r <= k1 - k0
-    k2 = k1 - (1 << r)
-    lo, hi = table
-    return np.minimum(lo[r, k0], lo[r, k2]), np.maximum(hi[r, k0], hi[r, k2])
-
-
-def _enclosures(blocks, xs, sin_table, cos_table):
-    """Lower bounds of g, -g, g' and -g' on each block, as an (n, 4) array.
-
-    A block is a row (box, i0, i1, j0, j1, k0, k1): the samples at
-    x = xs[box, i0:i1], y = xs[box, j0:j1] and theta index k0:k1.
-    """
-    b = blocks[:, 0]
-    # linspace is nondecreasing, so its first and last points bound a range.
-    xl, xh = xs[b, blocks[:, 1]], xs[b, blocks[:, 2] - 1]
-    yl, yh = xs[b, blocks[:, 3]], xs[b, blocks[:, 4] - 1]
-    sl, sh = _range(sin_table, blocks[:, 5], blocks[:, 6])
-    cl, ch = _range(cos_table, blocks[:, 5], blocks[:, 6])
-    s2l, s2h = _down(sl * sl), _up(sh * sh)  # s > 0
-
-    def pole(lo, hi):  # (c - x)^2 + s^2
-        t2l, t2h = _isquare(_down(cl - hi), _up(ch - lo))
-        return _down(t2l + s2l), _up(t2h + s2h)
-
-    (axl, axh), (ayl, ayh) = pole(xl, xh), pole(yl, yh)
-    dl, dh = _down(axl * ayl), _up(axh * ayh)
-    pl, ph = _imul(xl, xh, yl, yh)
-    gl, gh = _idiv(*_imul(-sh, -sl, _down(1.0 - ph), _up(1.0 - pl)), dl, dh)
-    ul, uh = _imul(cl, ch, _down(1.0 + pl), _up(1.0 + ph))
-    gpl, gph = _idiv(_down(_down(-xh - yh) + ul), _up(_up(-xl - yl) + uh), dl, dh)
-    return _down(np.stack([gl, -gh, gpl, -gph], axis=1) - _SAMPLE_PAD)
-
-
-def _sample(best, b, i, j, k, on, xs, thetas) -> None:
-    """Evaluate g_kernel and gp_kernel at the samples (box b, x_i, x_j,
-    theta_k) of the broadcast index arrays where ``on`` holds, and fold
-    their extrema into best."""
-    shape = np.broadcast_shapes(b.shape, i.shape, j.shape, k.shape)
-    on = np.broadcast_to(on, shape)
-    b, i, j, k = (np.broadcast_to(a, shape)[on] for a in (b, i, j, k))
-    x, y, theta = xs[b, i], xs[b, j], thetas[k]
-    g, gp = g_kernel(x, y, theta), gp_kernel(x, y, theta)
-    for box in range(len(best)):
-        mine = b == box
-        if mine.any():
-            gb, gpb = g[mine], gp[mine]
-            best[box] = np.minimum(best[box], (gb.min(), -gb.max(), gpb.min(), -gpb.max()))
-
-
-def _grid(boxes, grid: int):
-    """The grid's x values (one row per box) and theta values, with the
-    range tables of sin and cos over the thetas."""
-    xs = np.array([np.linspace(lo, hi, grid) for lo, hi in boxes])
-    thetas = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid)
-    return xs, thetas, _range_table(np.sin(thetas)), _range_table(np.cos(thetas))
+def _extremum(xs, thetas, sin_cos, part: int, sign: float) -> float:
+    """The least of sign * _kernels(x_i, x_j, theta_k)[part] over the
+    grid's samples with i <= j, by best-first branch-and-bound."""
+    grid = len(xs)
+    best = math.inf
+    heap = [(-math.inf, (0, grid, 0, grid, 0, grid))]
+    while heap and heap[0][0] < best:
+        block = heapq.heappop(heap)[1]
+        i0, i1, j0, j1, k0, k1 = block
+        widths = (i1 - i0, j1 - j0, k1 - k0)
+        widest = max(widths)
+        if widest <= _LEAF_WIDTH:
+            for k in range(k0, k1):
+                s, c = sin_cos[k]
+                for i in range(i0, i1):
+                    for j in range(max(i, j0), j1):
+                        best = min(best, sign * _kernels(xs[i], xs[j], s, c)[part])
+            continue
+        # Bisect the widest index range; drop a half with i > j throughout.
+        axis = 2 * widths.index(widest)
+        mid = block[axis] + widest // 2
+        for half in (block[:axis + 1] + (mid,) + block[axis + 2:],
+                     block[:axis] + (mid,) + block[axis + 1:]):
+            if half[0] < half[3]:
+                disc = _disc(xs, thetas, half)
+                lower = sign * disc[part] - disc[2]
+                if lower < best:
+                    heapq.heappush(heap, (lower, half))
+    return sign * best
 
 
 def _grid_extrema(boxes, grid: int) -> list[list[tuple[float, float]]]:
     """Per box, [(min, max) of g, (min, max) of g'] over the grid of
-    box x box x theta, by branch-and-bound over blocks of grid indices
-    (see gg_prime_ranges)."""
-    xs, thetas, sin_table, cos_table = _grid(boxes, grid)
-    # Incumbents: min g, -max g, min g', -max g' per box, so that one
-    # comparison with an enclosure's lower bounds serves all four.
-    best = np.full((len(boxes), 4), np.inf)
-    seed = np.linspace(0, grid - 1, min(grid, _SEED_POINTS)).round().astype(np.intp)
-    i, j = seed[:, None, None], seed[:, None]
-    _sample(best, np.arange(len(boxes))[:, None, None, None], i, j, seed, i <= j, xs, thetas)
-    offsets = np.arange(_LEAF_WIDTH)
-    blocks = np.array([(box, 0, grid, 0, grid, 0, grid) for box in range(len(boxes))])
-    while len(blocks):
-        # Drop blocks below the diagonal (i > j throughout: g and g' are
-        # symmetric in x and y, bit for bit) and blocks that cannot beat
-        # any incumbent strictly.
-        keep = blocks[:, 1] < blocks[:, 4]
-        keep[keep] = (_enclosures(blocks[keep], xs, sin_table, cos_table)
-                      < best[blocks[keep, 0]]).any(axis=1)
-        blocks = blocks[keep]
-        widths = blocks[:, 2::2] - blocks[:, 1::2]
-        widest = widths.max(axis=1)
-        leaf = widest <= _LEAF_WIDTH
-        leaves = blocks[leaf]
-        for start in range(0, len(leaves), _LEAF_BATCH):
-            batch = leaves[start:start + _LEAF_BATCH, :, None, None, None]
-            i = batch[:, 1] + offsets[:, None, None]
-            j = batch[:, 3] + offsets[:, None]
-            k = batch[:, 5] + offsets
-            on = (i < batch[:, 2]) & (j < batch[:, 4]) & (k < batch[:, 6]) & (i <= j)
-            _sample(best, batch[:, 0], i, j, k, on, xs, thetas)
-        # Bisect the widest index range of every other block.
-        blocks, widths, widest = blocks[~leaf], widths[~leaf], widest[~leaf]
-        rows = np.arange(len(blocks))
-        col = 1 + 2 * widths.argmax(axis=1)
-        mid = blocks[rows, col] + widest // 2
-        left, right = blocks.copy(), blocks
-        left[rows, col + 1] = mid
-        right[rows, col] = mid
-        blocks = np.concatenate([left, right])
-    return [[(float(lo_g), float(-neg_hi_g)), (float(lo_gp), float(-neg_hi_gp))]
-            for lo_g, neg_hi_g, lo_gp, neg_hi_gp in best]
+    box x box x theta (see gg_prime_ranges)."""
+    thetas = _linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid)
+    sin_cos = [(math.sin(t), math.cos(t)) for t in thetas]
+    out = []
+    for box in boxes:
+        xs = _linspace(*box, grid)
+        lo_g, hi_g, lo_gp, hi_gp = (_extremum(xs, thetas, sin_cos, part, sign)
+                                    for part in (0, 1) for sign in (1.0, -1.0))
+        out.append([(lo_g, hi_g), (lo_gp, hi_gp)])
+    return out
 
 
 def gg_prime_ranges() -> Report:
@@ -481,41 +403,58 @@ def gg_prime_ranges() -> Report:
 
     The extrema are those of the whole grid, bit for bit, but they are
     found by branch-and-bound (Moore, Kearfott & Cloud, *Introduction
-    to Interval Analysis*, SIAM 2009), which evaluates about 26 000 of
-    the grid's 8 million samples (pairs x_i <= x_j, both boxes):
+    to Interval Analysis*, SIAM 2009) in plain floats, which evaluates
+    5 899 of the grid's 8 million samples (pairs x_i <= x_j, both boxes)
+    and bounds 4 525 blocks:
 
-    - A block is an i-range x j-range x theta-range of grid indices;
-      each box starts as one block, and each level of the search is one
-      int array of blocks.
-    - Each block gets an enclosure of g and of g' by interval
-      arithmetic, every operation rounded outward with np.nextafter.
-      Its inputs are the block's floats: x and y from the ends of
-      their linspace ranges, s and c from the min and max of the grid's
-      sin and cos over its thetas (np.sin and np.cos of gathered thetas
-      in g_kernel give the same floats).  That encloses the exact
-      kernels at every float input of the block.
+    - With z = e^(i theta), g' + i g = 1/w for w = z - (x + y) + xy
+      conj(z) = conj(z) (z - x)(z - y), so |w| = |z - x| |z - y|
+      >= sin(theta)^2 >= 3/4.
+    - A block is an i-range x j-range x theta-range of grid indices
+      (_linspace gives np.linspace's floats).  About its centre
+      (x_c, y_c, theta_c), with half-widths h_x, h_y, h_t, dx = x - x_c,
+      dy = y - y_c and d = theta - theta_c,
+      w - w_c = dx (y_c conj(z_c) - 1) + dy (x_c conj(z_c) - 1)
+      + dx dy conj(z_c) + i d (z_c - p_c conj(z_c)) + R,
+      with p_c = x_c y_c, and |R| <= h_t (max |xy - p_c| + (1 + max |xy|)
+      h_t / 2) from |e^(id) - 1 - id| <= d^2 / 2.  Each box lies on one
+      side of 0, so xy runs between its values at two corners.  So w
+      stays within rho, the sum of those terms' bounds, of w_c.
+    - The float rho and w_c err by a few hundred u = 2^-53 (they are
+      sums of a few terms below 30, and sin and cos of theta_c are
+      within an ulp); _PAD = 2^-40 on rho holds that.  Unless the disc
+      D(w_c, rho) reaches 0, 1/w lies in its image, the disc of centre
+      conj(w_c) / (|w_c|^2 - rho^2) and radius rho / (|w_c|^2 - rho^2).
+      The float |w_c|^2 - rho^2 errs by at most 4u (|w_c|^2 + rho^2);
+      when it exceeds 2^-49 (|w_c|^2 + rho^2) the exact one is positive,
+      and the centre and radius err by at most e 2^-49 relative, with e
+      the ratio of the two, by which the radius is widened (outward
+      rounding, with room for the rounding of that widening and of the
+      search's bound).  A block that fails that gets an infinite radius.
     - A float sample differs from the exact kernel at its inputs by its
-      own rounding, so the enclosure is widened by _SAMPLE_PAD = 2^-40.
-      With u = 2^-53, |x|, |y| <= 21/8, |c| <= 1/2 and s >= sin(pi/3),
-      so den >= 9/16: each float factor (c - x)^2 + s^2 is within
-      relative 4u of the exact one, den within 9u, and the quotient
-      adds u.  The float numerator -s(1 - xy) is within
-      |xy| u + 2 |1 - xy| u <= 23u of the exact one, and
+      own rounding.  With |x|, |y| <= 21/8, |c| <= 1/2 and
+      s >= sin(pi/3), so den >= 9/16: each float factor
+      (c - x)^2 + s^2 is within relative 4u of the exact one, den within
+      9u, and the quotient adds u.  The float numerator -s(1 - xy) is
+      within |xy| u + 2 |1 - xy| u <= 23u of the exact one, and
       -x - y + c(1 + xy) within 26u.  Over den that is at most 47u,
-      plus 10u times |g|, |g'| <= 16.4: under 220u, or 2^-45, so the
-      pad holds it 37 times over.  (The enclosure also follows
-      g_kernel's order of operations, so it holds the float samples
-      even without the pad; the pad does not rest on that.)
-    - Each box keeps four incumbents, the min and max of g and of g',
-      seeded by _SEED_POINTS points per axis, both ends included.  A
-      block is dropped when its enclosure cannot strictly beat any
-      incumbent, or when i > j throughout it (g and g' are symmetric
-      in x and y, bit for bit); the others are bisected across their
-      widest index range.
-    - A block no range of which is longer than _LEAF_WIDTH is a leaf:
-      g_kernel and gp_kernel evaluate its samples with i <= j.  No
-      dropped sample could beat the incumbents, which are samples
-      themselves, so they end as the grid's extrema.
+      plus 10u times |g|, |g'| <= 16.4: under 220u, or 2^-45.  The float
+      s and c are sin and cos of the float theta to an ulp, but not on
+      the unit circle: s^2 + c^2 != 1.  They are within 2^-52 of
+      e^(i theta), and the exact kernels, (conj(z) + xy z - x - y) /
+      |(z - x)(z - y)|^2 as a function of z = c + is, move by at most
+      40 times that, under 2^-46.  A second _PAD on the radius holds
+      both many times over.
+    - The search keeps one incumbent per extremum, the least of
+      sign * g (or g') met so far, and a heap of blocks ordered by the
+      lower bound their discs give.  It pops the block of least bound
+      and bisects it across its widest index range, pushing each half
+      whose bound is below the incumbent, unless i > j throughout it
+      (g and g' are symmetric in x and y, bit for bit).  A block no
+      range of which is longer than _LEAF_WIDTH is a leaf: _kernels
+      evaluates its samples with i <= j.  The search ends when no
+      block's bound is below the incumbent; no dropped sample could
+      beat it, and it is a sample itself, so it is the grid's extremum.
     """
     report = Report(title=f"g/g' ranges on a {GG_GRID}^3 grid")
     cases = [
@@ -627,7 +566,7 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _window_means(values: Sequence[float]) -> list[float]:
+def _window_means(values: np.ndarray) -> list[float]:
     """Mean over geometrically growing index windows.
 
     The deviations decay like n^(-1/2), so equal-width windows average
@@ -636,12 +575,12 @@ def _window_means(values: Sequence[float]) -> list[float]:
     """
     n, windows = len(values), TREND_WINDOWS
     if n < windows:
-        return [float(np.mean(values))]
+        return [float(values.mean())]
     edges = sorted({0, n} | {int(round(n ** (k / windows))) for k in range(windows + 1)})
-    return [float(np.mean(values[a:b])) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    return [float(values[a:b].mean()) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _trend_check(name: str, ratios: Sequence[float], target: float) -> CheckResult:
+def _trend_check(name: str, ratios: np.ndarray, target: float) -> CheckResult:
     """Does ``ratios`` tend to ``target`` on average?  The signed
     deviation, averaged over each window of :func:`_window_means`, must
     shrink strictly in size from each window to the next.
@@ -654,7 +593,7 @@ def _trend_check(name: str, ratios: Sequence[float], target: float) -> CheckResu
     700 on) while the signed mean still falls.  A sequence that stays
     off its limit, or drifts away, keeps or grows its window means.
     """
-    means = _window_means(np.asarray(ratios) - target)
+    means = _window_means(ratios - target)
     shrinking = all(abs(b) < abs(a) for a, b in zip(means, means[1:]))
     return CheckResult(
         name=name,
@@ -671,6 +610,8 @@ def asymptotics_report(depth: int) -> Report:
     :func:`_trend_check` over TREND_WINDOWS windows.  Depths above
     MAX_ASYMPTOTICS_DEPTH raise ValueError before any enumeration.
     """
+    import numpy as np
+
     if depth > MAX_ASYMPTOTICS_DEPTH:
         raise ValueError(f"depth {depth} exceeds {MAX_ASYMPTOTICS_DEPTH}, "
                          "the deepest asymptotics report")
@@ -696,7 +637,7 @@ def asymptotics_report(depth: int) -> Report:
     for q, c in seq[2:]:
         log_eps = log_epsilon(c)
         eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
-    means = _window_means(eps_dev)
+    means = _window_means(np.array(eps_dev))
     report.add(CheckResult(
         name="log eps ~ slope q + log(3/2)",
         status="info",

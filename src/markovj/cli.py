@@ -4,9 +4,11 @@ Subcommands: tree, value, table, interlace, asymptotics, bounds,
 verify.  Numbers are printed with 12 significant digits; the table
 matches the published layout when sorted by p/q.  A JSON-lines cache
 (--cache) makes warm reruns byte-identical without re-integrating.
-The numeric layers (integrals, analysis, and numpy with them) are
-imported by the commands that compute values, so ``tree`` runs without
-them.
+The numeric layers (integrals, analysis) are imported by the commands
+that need them, so ``tree`` runs without them.  numpy is imported only
+where values are computed and by ``asymptotics``, so ``bounds``, and
+``verify`` and ``interlace`` on a cache that holds every value, run
+without it.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ reference orientation, so imaginary parts come out < 0, except at the
 tips 0/1 and 1/2: their words are their own reversals, so J is real
 there and the computed Im J is rounding of either sign (below
 1e-16 |J|).
+
+Only the integrator needs numpy, and it imports it when built or
+called, so the cache functions load without it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from .jfunction import SERIES_ORDER, j_coefficients, j_eval
 from .tree import TreeNode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CycleValue",
@@ -118,6 +122,8 @@ class ArcIntegrator:
     """
 
     def __init__(self):
+        import numpy as np
+
         h = 0.5 * (ARC_HI - ARC_LO)
         # Both rules' nodes and weights, the value rule's first.
         x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
@@ -136,6 +142,8 @@ class ArcIntegrator:
         forward-word boxes, swapped and negated for the reversed words
         integrated here) or the estimate exceeds ``tol`` relative to |J|.
         """
+        import numpy as np
+
         values, conj = states.values, states.conj_values
         # Written so that NaN fails too.
         if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))

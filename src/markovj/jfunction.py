@@ -4,15 +4,18 @@ j = E4^3 / Delta with E4 = 1 + 240 sum sigma_3(n) q^n and
 Delta = q prod (1 - q^n)^24 (pentagonal-number expansion of the Euler
 product).  Coefficients are exact integers; evaluation is restricted to
 Im z >= sqrt(3)/2 where the series converges extremely fast
-(|q| <= e^(-pi sqrt 3) ~ 0.0043).
+(|q| <= e^(-pi sqrt 3) ~ 0.0043).  The evaluation imports numpy when
+called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "JSeries",
@@ -50,6 +53,8 @@ class JSeries:
         return len(self.coefficients) - 2
 
     def as_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(c) for c in self.coefficients])
 
 
@@ -108,6 +113,8 @@ def j_eval(z, series: JSeries):
     Truncation tail on the admissible strip is below
     ``truncation_error_bound(series.order, min Im z)``.
     """
+    import numpy as np
+
     arr = np.asarray(z, dtype=complex)
     if np.any(arr.imag < ARC_MIN_IM):
         raise ValueError(f"Im z must be >= {ARC_MIN_IM}")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import tracemalloc
@@ -19,9 +20,7 @@ from markovj.analysis import (
     coincidence_bound,
     coincidence_envelope,
     denominator_sequence,
-    g_kernel,
     gg_prime_ranges,
-    gp_kernel,
     theorem2_constants,
 )
 from markovj.tree import (
@@ -166,39 +165,64 @@ class TestJRecursion:
         assert check.details.endswith("at 'RR', violation at 'RR'")
 
 
+def _numpy_kernels(x, y, theta):
+    """g and g' by numpy, in the order of operations of the array kernels
+    the search once evaluated (``** 2`` of an array is x * x)."""
+    s, c = np.sin(theta), np.cos(theta)
+    den = ((c - x) ** 2 + s * s) * ((c - y) ** 2 + s * s)
+    return -s * (1.0 - x * y) / den, (-x - y + c * (1.0 + x * y)) / den
+
+
+def _grid(box, grid):
+    """The grid's x values and thetas, and sin and cos at the thetas."""
+    thetas = analysis._linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid)
+    return (analysis._linspace(*box, grid), thetas,
+            [(math.sin(t), math.cos(t)) for t in thetas])
+
+
 class TestGGPrime:
     def test_zero_at_unit_product(self):
-        assert g_kernel(1.0, 1.0, math.pi / 2) == 0.0
+        assert analysis._kernels(1.0, 1.0, math.sin(math.pi / 2), math.cos(math.pi / 2))[0] == 0.0
 
-    @pytest.mark.parametrize("kernel", [g_kernel, gp_kernel])
-    def test_scalar_and_array_calls_agree(self, kernel):
+    @pytest.mark.parametrize("part", [0, 1], ids=["g_kernel", "gp_kernel"])
+    def test_scalar_and_array_calls_agree(self, part):
         # s**2 of a numpy scalar is C pow, of an array s*s: at this theta
-        # they differed by an ulp, and so did the kernels.
+        # they differed by an ulp, and so did the kernels.  The float
+        # kernels square by multiplying, as arrays do.
         theta = 1.8408131400379806
-        scalar = kernel(-1.0, -0.5, theta)
-        array = kernel(np.array([-1.0]), np.array([-0.5]), np.array([theta]))
+        scalar = analysis._kernels(-1.0, -0.5, math.sin(theta), math.cos(theta))[part]
+        array = _numpy_kernels(np.array([-1.0]), np.array([-0.5]), np.array([theta]))[part]
         assert scalar == array[0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(x=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
+           y=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
+           theta=st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
+    def test_kernels_are_one_over_w(self, x, y, theta):
+        # g' + i g = 1/w with w = z - (x + y) + xy conj(z), z = e^(i theta).
+        z = cmath.exp(1j * theta)
+        g, gp = analysis._kernels(x, y, math.sin(theta), math.cos(theta))
+        assert abs(complex(gp, g) - 1.0 / (z - (x + y) + x * y * z.conjugate())) <= 4e-15
 
     def test_ranges(self):
         report = gg_prime_ranges()
         assert report.passed
 
     @staticmethod
-    def _brute_force_extrema(kernel, box, grid):
-        """Reference: the pointwise kernel on the whole box, one theta at a time."""
+    def _brute_force_extrema(part, box, grid):
+        """Reference: numpy kernels on the whole box, one theta at a time."""
         xs = np.linspace(box[0], box[1], grid)
         vmin, vmax = math.inf, -math.inf
         for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
-            vals = kernel(xs[:, None], xs[None, :], theta)
+            vals = _numpy_kernels(xs[:, None], xs[None, :], theta)[part]
             vmin = min(vmin, float(vals.min()))
             vmax = max(vmax, float(vals.max()))
         return vmin, vmax
 
     @pytest.mark.parametrize("grid", [2, 3, 7, 37, 100, 101, 200])
     def test_fused_sampler_equals_kernels(self, grid, monkeypatch):
-        expected = [self._brute_force_extrema(kernel, box, grid)
-                    for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
-                    for kernel in (g_kernel, gp_kernel)]
+        expected = [self._brute_force_extrema(part, box, grid)
+                    for box in (analysis.VALUE_BOX, analysis.CONJ_BOX) for part in (0, 1)]
         got = (analysis._grid_extrema([analysis.VALUE_BOX], grid)[0]
                + analysis._grid_extrema([analysis.CONJ_BOX], grid)[0])
         assert got == expected
@@ -210,68 +234,51 @@ class TestGGPrime:
     @given(grid=st.integers(2, 40), box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]),
            data=st.data())
     def test_enclosure_holds_every_sample(self, grid, box, data):
-        xs, thetas, sin_table, cos_table = analysis._grid([box], grid)
-        block = [0]
-        for _ in range(3):  # x, y, theta; small widths give tight enclosures
+        # The disc of a block holds (g, g') at each of its samples, and
+        # the disc of one sample is that sample, padded.
+        xs, thetas, sin_cos = _grid(box, grid)
+        block = []
+        for _ in range(3):  # x, y, theta; small widths give tight discs
             lo = data.draw(st.integers(0, grid - 1))
             width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, grid)))
             block += [lo, min(lo + width, grid)]
-        lows = analysis._enclosures(np.array([block]), xs, sin_table, cos_table)[0]
-        x, y, theta = np.meshgrid(xs[0, block[1]:block[2]], xs[0, block[3]:block[4]],
-                                  thetas[block[5]:block[6]], indexing="ij")
-        for kernel, (lo, neg_hi) in ((g_kernel, lows[:2]), (gp_kernel, lows[2:])):
-            values = kernel(x, y, theta)
-            assert lo <= values.min() and values.max() <= -neg_hi
-
-    @given(ends=st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
-           t=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
-    def test_interval_operations_hold_their_points(self, ends, t, u):
-        (al, ah), (bl, bh) = sorted(ends[:2]), sorted(ends[2:])
-        # Both ends, 0 where the interval holds it, and one point inside.
-        xs = {al, ah, min(max(0.0, al), ah), min(al + t * (ah - al), ah)}
-        ys = {bl, bh, min(max(0.0, bl), bh), min(bl + u * (bh - bl), bh)}
-        prod = analysis._imul(*map(np.float64, (al, ah, bl, bh)))
-        square = analysis._isquare(np.float64(al), np.float64(ah))
-        quot = analysis._idiv(*map(np.float64, (al, ah, bl + 5.0, bh + 5.0)))
-        for x in xs:
-            assert square[0] <= x * x <= square[1]
-            for y in ys:
-                assert prod[0] <= x * y <= prod[1]
-                assert quot[0] <= x / (y + 5.0) <= quot[1]
+        i0, i1, j0, j1, k0, k1 = block
+        g, gp, radius = analysis._disc(xs, thetas, tuple(block))
+        for i in range(i0, i1):
+            for j in range(j0, j1):
+                for s, c in sin_cos[k0:k1]:
+                    sg, sgp = analysis._kernels(xs[i], xs[j], s, c)
+                    assert math.hypot(sg - g, sgp - gp) <= radius
+        if i1 - i0 == j1 - j0 == k1 - k0 == 1:
+            assert radius < 2.0**-38
 
     @pytest.mark.parametrize("grid", [2, 7, 13])
     def test_unpruned_search_samples_each_pair_once(self, grid, monkeypatch):
-        # With no block ever dropped by its enclosure, the leaves must
-        # hold every sample with i <= j exactly once.
+        # With no block ever dropped by its disc, the leaves of each of
+        # the four searches must hold every sample with i <= j exactly once.
         calls = []
 
-        def recording(x, y, theta):
-            calls.append(list(zip(x.tolist(), y.tolist(), theta.tolist())))
-            return g_kernel(x, y, theta)
+        def recording(x, y, s, c):
+            calls.append((x, y, s, c))
+            return kernels(x, y, s, c)
 
-        monkeypatch.setattr(analysis, "g_kernel", recording)
-        monkeypatch.setattr(analysis, "_enclosures",
-                            lambda blocks, *_: np.full((len(blocks), 4), -np.inf))
+        kernels = analysis._kernels
+        monkeypatch.setattr(analysis, "_kernels", recording)
+        monkeypatch.setattr(analysis, "_disc", lambda *_: (0.0, 0.0, math.inf))
         analysis._grid_extrema([analysis.VALUE_BOX], grid)
-        xs, thetas, _, _ = analysis._grid([analysis.VALUE_BOX], grid)
-        pairs = [(xs[0, i], xs[0, j], t) for i in range(grid) for j in range(i, grid)
-                 for t in thetas]
-        leaf_samples = [sample for call in calls[1:] for sample in call]  # calls[0] is the seed
-        assert sorted(leaf_samples) == sorted(pairs)
+        xs, _, sin_cos = _grid(analysis.VALUE_BOX, grid)
+        pairs = [(xs[i], xs[j], s, c) for i in range(grid) for j in range(i, grid)
+                 for s, c in sin_cos]
+        assert sorted(calls) == sorted(pairs * 4)
 
     def test_search_evaluates_few_samples(self, monkeypatch):
-        sizes = []
-
-        def counting(x, y, theta):
-            sizes.append(np.size(x))
-            return g_kernel(x, y, theta)
-
-        monkeypatch.setattr(analysis, "g_kernel", counting)
+        calls = []
+        kernels = analysis._kernels
+        monkeypatch.setattr(analysis, "_kernels", lambda *args: calls.append(args) or kernels(*args))
         assert gg_prime_ranges().passed
         grid = analysis.GG_GRID
         samples = 2 * grid * grid * (grid + 1) // 2  # both boxes, pairs i <= j
-        assert sizes and max(sizes) <= 20_100
-        assert sum(sizes) < 0.02 * samples
+        assert 0 < len(calls) < 0.02 * samples
 
     def test_no_cube_sized_array(self):
         # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.

@@ -537,6 +537,18 @@ class TestFreshInterpreter:
                               text=True, timeout=120, env=self.ENV)
         assert json.loads(proc.stderr.splitlines()[-1]) == [rc, False], proc.stderr
 
+    @pytest.mark.parametrize("command", ["verify", "interlace", "bounds"])
+    def test_warm_cache_commands_load_no_numpy(self, command, tmp_path):
+        # numpy computes values; with every value in the cache, these
+        # commands read them back and check them in plain Python.
+        cache = str(tmp_path / "cache.jsonl")
+        fill = subprocess.run([sys.executable, "-m", "markovj", "--depth", "5", "--cache", cache,
+                               "table"], capture_output=True, timeout=120, env=self.ENV)
+        assert fill.returncode == 0, fill.stderr
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, "--depth", "5", "--cache", cache,
+                               command], capture_output=True, text=True, timeout=120, env=self.ENV)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
+
     def test_tree_loads_no_fractions(self):
         # fractions imports decimal: about 3 ms of every start.
         probe = ("import sys\n"
