@@ -49,7 +49,6 @@ class RunConfig:
     tol: float = 1e-10
     fmt: str = "csv"
     cache: str | None = None
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -58,11 +57,6 @@ class RunConfig:
             raise ValueError("tol must be in (0, 1e-4]")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
-        # Each job is a worker process; more than the CPUs this process may use only queue.
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        if not 1 <= self.jobs <= cpus:
-            raise ValueError(f"jobs must be in [1, {cpus}], the CPUs this process may use")
 
 
 def _fmt(x: float) -> str:
@@ -113,7 +107,7 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     if missing:
         if config.cache:
             integrals.check_cache_writable(config.cache)
-        values.update(integrals.compute_values(missing, tol=config.tol, jobs=config.jobs))
+        values.update(integrals.compute_values(missing, tol=config.tol))
         if config.cache:
             integrals.write_cache([values[p] for p in sorted(values)], config.cache)
     return values
@@ -156,10 +150,15 @@ def cmd_tree(config: RunConfig) -> int:
 
 
 def _resolve_target(target: str) -> TreeNode:
-    if "/" in target:
-        p, q = target.split("/", 1)
-        return find_fraction(int(p), int(q))
-    if target in ("", "root") or set(target) <= {"L", "R"}:
+    p, slash, q = target.partition("/")
+    if slash:
+        try:
+            p, q = int(p), int(q)
+        except ValueError:
+            pass
+        else:
+            return find_fraction(p, q)
+    elif target in ("", "root") or set(target) <= {"L", "R"}:
         return node_at("" if target == "root" else target)
     raise TreeError(f"cannot interpret {target!r} as p/q or an L/R path")
 
@@ -273,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative bound on the quadrature estimate")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=default.fmt)
     parser.add_argument("--cache", default=default.cache, help="JSONL result cache path")
-    parser.add_argument("--jobs", type=int, default=default.jobs)
+    # Values are computed in one process; --jobs stays, unlisted, for
+    # command lines that pass --jobs 1, and main refuses any other value.
+    parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, summary in (
         ("tree", cmd_tree, "list nodes, triples, and periods"),
@@ -302,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        if args.pop("jobs") != 1:
+            raise ValueError("jobs must be 1: values are computed in one process")
         config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
         code = run(config, **args)
         sys.stdout.flush()

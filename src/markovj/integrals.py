@@ -37,7 +37,6 @@ __all__ = [
     "QuadratureError",
     "log_epsilon",
     "integrate_J",
-    "average_integral",
     "compute_values",
     "ArcIntegrator",
     "cache_record",
@@ -72,10 +71,6 @@ class QuadratureError(ValueError):
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
-
-    def __reduce__(self):
-        # Rebuilt from both arguments, so it crosses a process pool.
-        return type(self), (str(self), self.estimate)
 
 
 def log_epsilon(c: int) -> float:
@@ -118,7 +113,7 @@ class ArcIntegrator:
     converges geometrically (Trefethen, Approximation Theory and
     Approximation Practice, ch. 19).  The weights g_m = h w_m j(z_m) i z_m
     at the nodes z_m = e^(i theta_m) are computed once.  Instances are
-    read-only; process pools build one per worker.
+    read-only, so one serves every node of a run.
     """
 
     def __init__(self):
@@ -190,40 +185,11 @@ def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleV
     return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
 
 
-def average_integral(tol: float, integrator: ArcIntegrator) -> float:
-    """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3], by
-    ``integrator``'s rules; ``tol`` bounds their difference relative to
-    the value."""
-    value, _ = _two_rules(integrator._wj, tol)
-    return value.real
-
-
-def compute_values(nodes: Iterable[TreeNode], tol: float, jobs: int) -> dict[str, CycleValue]:
-    """Evaluate integrate_J to ``tol`` for many nodes, keyed by path.
-
-    ``jobs > 1`` fans out over a process pool of at most ``jobs``
-    workers, one nonempty chunk each; results are merged by a single
-    writer so ordering is deterministic.
-    """
-    nodes = list(nodes)
-    if jobs > 1 and len(nodes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = min(jobs, len(nodes))
-        chunks = [nodes[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_compute_chunk, [(chunk, tol) for chunk in chunks])
-            merged: dict[str, CycleValue] = {}
-            for part in parts:
-                merged.update(part)
-        return {n.path: merged[n.path] for n in nodes}
-    return _compute_chunk((nodes, tol))
-
-
-def _compute_chunk(args: tuple[list[TreeNode], float]) -> dict[str, "CycleValue"]:
-    chunk, tol = args
+def compute_values(nodes: Iterable[TreeNode], tol: float) -> dict[str, CycleValue]:
+    """integrate_J to ``tol`` for each node in turn, by one
+    ArcIntegrator, keyed by path in the order of ``nodes``."""
     integrator = ArcIntegrator()
-    return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in chunk}
+    return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in nodes}
 
 
 def cache_record(value: CycleValue) -> dict:

@@ -1,5 +1,4 @@
 import csv
-import os
 from pathlib import Path
 
 import pytest
@@ -9,8 +8,6 @@ from markovj.jfunction import j_coefficients
 from markovj.tree import build_tree, find_fraction
 
 DATA = Path(__file__).parent / "data"
-
-_JOBS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
@@ -37,12 +34,12 @@ def reference_rows():
 @pytest.fixture(scope="session")
 def depth9_values():
     """Cycle values for every node with level <= 9, keyed by path."""
-    return compute_values(build_tree(9), tol=1e-10, jobs=_JOBS)
+    return compute_values(build_tree(9), tol=1e-10)
 
 
 @pytest.fixture(scope="session")
 def reference_values(reference_rows):
     """Computed values at the 80 published fractions, keyed by (p, q)."""
     nodes = [find_fraction(r["p"], r["q"]) for r in reference_rows]
-    values = compute_values(nodes, tol=1e-10, jobs=_JOBS)
+    values = compute_values(nodes, tol=1e-10)
     return {(n.farey.p, n.farey.q): values[n.path] for n in nodes}

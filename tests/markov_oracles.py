@@ -17,7 +17,8 @@ the tests, lives here as plain functions:
 - node_k, node_form and node_triple: the TreeNode properties k, form
   and triple, read off the node's matrix and its neighbours;
 - as_fraction: FareyFraction.as_fraction;
-- envelope_from_values: analysis.envelope_from_values.
+- envelope_from_values: analysis.envelope_from_values;
+- average_integral: integrals.average_integral.
 """
 
 import math
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from markovj.cf import PeriodError
+from markovj.integrals import _two_rules
 from markovj.tree import TreeError, vieta_children
 
 
@@ -201,3 +203,11 @@ def envelope_from_values(values) -> tuple[tuple[float, float], tuple[float, floa
     res = [v.J_over_q.real for v in values]
     ims = [v.J_over_q.imag for v in values]
     return (min(res), max(res)), (min(ims), max(ims))
+
+
+def average_integral(tol: float, integrator) -> float:
+    """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3], by
+    ``integrator``'s rules; ``tol`` bounds their difference relative to
+    the value."""
+    value, _ = _two_rules(integrator._wj, tol)
+    return value.real

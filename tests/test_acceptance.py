@@ -18,9 +18,15 @@ from markovj.analysis import (
     gg_prime_ranges,
     theorem2_constants,
 )
-from markov_oracles import digit_sum, envelope_from_values, node_k, node_triple
+from markov_oracles import (
+    average_integral,
+    digit_sum,
+    envelope_from_values,
+    node_k,
+    node_triple,
+)
 from markovj.cf import period_matrix
-from markovj.integrals import ArcIntegrator, average_integral
+from markovj.integrals import ArcIntegrator
 from markovj.jfunction import j_eval
 from markovj.tree import build_tree
 

@@ -167,6 +167,12 @@ class TestValue:
         assert code == 0
         assert "3/8" in out
 
+    @pytest.mark.parametrize("target", ["1/3/4", "x/3", "1/"])
+    def test_target_not_two_integers_refused(self, capsys, target):
+        code, out, err = run(capsys, "value", target)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot interpret {target!r} as p/q or an L/R path\n"
+
 
 class TestTable:
     def test_layout_and_order(self, capsys):
@@ -369,9 +375,8 @@ class TestFailures:
             assert code == 2 and out == ""
             assert err == f"error: estimate 1 exceeds tol at {node}\n"
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1"])  # the only --jobs admitted
     def test_tol_below_rounding_names_the_node(self, capsys, jobs):
-        # With two jobs the error crosses the process pool.
         code, out, err = run(capsys, "--depth", "3", "--jobs", jobs,
                              "--tol", "1e-16", "table")
         assert code == 2 and out == ""
@@ -380,19 +385,24 @@ class TestFailures:
 
 
 class TestRunSizes:
-    def test_jobs_above_cpus_refused_before_any_pool(self, capsys, monkeypatch):
-        import concurrent.futures
+    @pytest.mark.parametrize("jobs", ["2", "0"])
+    def test_jobs_other_than_one_refused_before_any_value(self, capsys, monkeypatch, jobs):
+        import markovj.integrals as integrals
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+        def too_late(*args, **kwargs):
+            raise AssertionError("a tree was built or a value computed")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        for jobs in (cpus + 1, 10**6):
-            code, out, err = run(capsys, "--depth", "3", "--jobs", str(jobs), "table")
-            assert code == 2 and out == ""
-            assert err == (f"error: jobs must be in [1, {cpus}], "
-                           "the CPUs this process may use\n")
+        monkeypatch.setattr(integrals, "compute_values", too_late)
+        monkeypatch.setattr(cli, "build_tree", too_late)
+        code, out, err = run(capsys, "--depth", "3", "--jobs", jobs, "table")
+        assert code == 2 and out == ""
+        assert err == "error: jobs must be 1: values are computed in one process\n"
+
+    def test_jobs_one_is_the_default(self, capsys):
+        # The benchmark's command lines pass --jobs 1.
+        _, with_jobs, _ = run(capsys, "--depth", "3", "--jobs", "1", "table")
+        _, without, _ = run(capsys, "--depth", "3", "table")
+        assert with_jobs == without
 
     def test_depth_above_eighteen_refused(self, capsys):
         for command in ("tree", "table", "interlace", "verify"):
@@ -531,7 +541,8 @@ class TestFreshInterpreter:
         (["--help"], 0),
         (["--depth", "0", "tree"], 2),
         (["--depth", "19", "tree"], 2),
-    ], ids=["tree", "help", "depth_0", "depth_19"])
+        (["--depth", "3", "--jobs", "2", "table"], 2),
+    ], ids=["tree", "help", "depth_0", "depth_19", "jobs_2"])
     def test_tree_and_refusals_load_no_numpy(self, argv, rc):
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
                               text=True, timeout=120, env=self.ENV)

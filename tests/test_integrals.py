@@ -1,11 +1,11 @@
 import json
 import math
-import pickle
 import re
 
 import numpy as np
 import pytest
 
+from markov_oracles import average_integral
 from markovj.cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from markovj.integrals import (
     ARC_HI,
@@ -14,7 +14,6 @@ from markovj.integrals import (
     METHOD,
     ArcIntegrator,
     QuadratureError,
-    average_integral,
     cache_index,
     cache_record,
     cached_value,
@@ -104,13 +103,6 @@ class TestIntegrateJ:
         assert str(info.value).endswith(" at 3/8 (path 'RL')")
         assert 0.0 < info.value.estimate < math.inf
 
-    def test_error_survives_pickle(self):
-        err = QuadratureError("estimate 2 exceeds tol at 3/8 (path 'RL')", 2.0)
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is QuadratureError
-        assert str(back) == str(err)
-        assert back.estimate == 2.0
-
     def test_imaginary_part_sign(self, depth9_values):
         # The tips' words are their own reversals, so their J is real and
         # the computed Im J is rounding; every other node has Im J < 0.
@@ -186,39 +178,14 @@ class TestSeriesOrder:
 
 
 class TestComputeValues:
-    def test_parallel_matches_serial(self):
+    def test_each_node_in_order_by_one_integrator(self):
+        # The one value path: integrate_J per node, keyed by path.
         nodes = build_tree(3)
-        serial = compute_values(nodes, tol=1e-9, jobs=1)
-        parallel = compute_values(nodes, tol=1e-9, jobs=2)
-        assert serial.keys() == parallel.keys()
-        for path in serial:
-            assert serial[path].J == pytest.approx(parallel[path].J, rel=1e-12)
-
-    def test_no_empty_chunks(self, monkeypatch):
-        import concurrent.futures
-
-        workers, chunks = [], []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                chunks.extend(items)
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        nodes = build_tree(1)
-        values = compute_values(nodes, 1e-9, 8)
+        values = compute_values(nodes, tol=1e-9)
         assert list(values) == [n.path for n in nodes]
-        assert workers == [3]
-        assert [len(chunk) for chunk, _ in chunks] == [1, 1, 1]
+        integ = ArcIntegrator()
+        for node in nodes:
+            assert values[node.path] == integrate_J(node, tol=1e-9, integrator=integ)
 
 
 class TestCache:
