@@ -17,8 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .cf import format_period, join_texts
 from .tree import (
@@ -43,22 +42,6 @@ CSV_HEADER = [
 ]
 
 
-@dataclass
-class RunConfig:
-    depth: int = 5
-    tol: float = 1e-10
-    fmt: str = "csv"
-    cache: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if not 0.0 < self.tol <= 1e-4:
-            raise ValueError("tol must be in (0, 1e-4]")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -80,12 +63,12 @@ def _value_row(value: CycleValue) -> tuple[str, ...]:
     """The CSV_HEADER fields of one value."""
     node = value.node
     Jq = value.J_over_q
-    return (node.path, str(node.level), str(node.farey.p), str(node.farey.q), str(node.c),
+    return (node.path, str(node.level), str(node.p), str(node.q), str(node.c),
             _fmt(Jq.real), _fmt(Jq.imag), _fmt(value.j.real), _fmt(value.j.imag),
             _fmt(value.log_eps), _fmt(value.quad_error))
 
 
-def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, CycleValue]:
+def _values_with_cache(nodes: list[TreeNode], args: argparse.Namespace) -> dict[str, CycleValue]:
     """Compute values for the nodes, consulting the JSONL cache.
 
     A node's cached record is used only if it matches the node and the
@@ -95,21 +78,21 @@ def _values_with_cache(nodes: list[TreeNode], config: RunConfig) -> dict[str, Cy
     """
     from . import integrals
 
-    cached = integrals.cache_index(config.cache) if config.cache else {}
+    cached = integrals.cache_index(args.cache) if args.cache else {}
     values: dict[str, CycleValue] = {}
     missing: list[TreeNode] = []
     for node in nodes:
-        value = integrals.cached_value(cached.get(node.path), node, config.tol)
+        value = integrals.cached_value(cached.get(node.path), node, args.tol)
         if value is None:
             missing.append(node)
         else:
             values[node.path] = value
     if missing:
-        if config.cache:
-            integrals.check_cache_writable(config.cache)
-        values.update(integrals.compute_values(missing, tol=config.tol))
-        if config.cache:
-            integrals.write_cache([values[p] for p in sorted(values)], config.cache)
+        if args.cache:
+            integrals.check_cache_writable(args.cache)
+        values.update(integrals.compute_values(missing, tol=args.tol))
+        if args.cache:
+            integrals.write_cache([values[p] for p in sorted(values)], args.cache)
     return values
 
 
@@ -140,12 +123,12 @@ def _period_texts(nodes: list[TreeNode]) -> dict[str, str]:
     return texts
 
 
-def cmd_tree(config: RunConfig) -> int:
-    nodes = build_tree(config.depth)
+def cmd_tree(args: argparse.Namespace) -> int:
+    nodes = build_tree(args.depth)
     texts = _period_texts(nodes)
-    rows = ((node.path, str(node.level), str(node.farey.p), str(node.farey.q), str(node.c),
+    rows = ((node.path, str(node.level), str(node.p), str(node.q), str(node.c),
              texts[node.path]) for node in _sorted_by_fraction(nodes))
-    _write_rows(["path", "level", "p", "q", "c", "period"], rows, config.fmt)
+    _write_rows(["path", "level", "p", "q", "c", "period"], rows, args.fmt)
     return 0
 
 
@@ -163,16 +146,16 @@ def _resolve_target(target: str) -> TreeNode:
     raise TreeError(f"cannot interpret {target!r} as p/q or an L/R path")
 
 
-def cmd_value(config: RunConfig, target: str) -> int:
+def cmd_value(args: argparse.Namespace) -> int:
     from . import integrals
 
-    node = _resolve_target(target)
-    value = integrals.integrate_J(node, config.tol, integrals.ArcIntegrator())
-    if config.fmt == "json":
+    node = _resolve_target(args.target)
+    value = integrals.integrate_J(node, args.tol, integrals.ArcIntegrator())
+    if args.fmt == "json":
         print(json.dumps(dict(zip(CSV_HEADER, _value_row(value))), indent=2))
     else:
         Jq, jv = value.J_over_q, value.j
-        print(f"node      {node.farey}  (path {node.path!r}, level {node.level})")
+        print(f"node      {node.p}/{node.q}  (path {node.path!r}, level {node.level})")
         print(f"c         {node.c}")
         print(f"period    {format_period(node.period)}")
         print(f"J/q       {_fmt(Jq.real)} {'+' if Jq.imag >= 0 else '-'} {_fmt(abs(Jq.imag))}i")
@@ -182,10 +165,10 @@ def cmd_value(config: RunConfig, target: str) -> int:
     return 0
 
 
-def cmd_table(config: RunConfig) -> int:
-    nodes = _sorted_by_fraction(build_tree(config.depth))
-    values = _values_with_cache(nodes, config)
-    _write_rows(CSV_HEADER, (_value_row(values[n.path]) for n in nodes), config.fmt)
+def cmd_table(args: argparse.Namespace) -> int:
+    nodes = _sorted_by_fraction(build_tree(args.depth))
+    values = _values_with_cache(nodes, args)
+    _write_rows(CSV_HEADER, (_value_row(values[n.path]) for n in nodes), args.fmt)
     return 0
 
 
@@ -194,25 +177,25 @@ def _print_report(report: Report, fmt: str) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_interlace(config: RunConfig) -> int:
+def cmd_interlace(args: argparse.Namespace) -> int:
     from . import analysis
 
-    nodes = build_tree(config.depth)
-    values = _values_with_cache(nodes, config)
-    return _print_report(analysis.check_interlacing(values, nodes), config.fmt)
+    nodes = build_tree(args.depth)
+    values = _values_with_cache(nodes, args)
+    return _print_report(analysis.check_interlacing(values, nodes), args.fmt)
 
 
-def cmd_asymptotics(config: RunConfig) -> int:
+def cmd_asymptotics(args: argparse.Namespace) -> int:
     from . import analysis
 
-    return _print_report(analysis.asymptotics_report(config.depth), config.fmt)
+    return _print_report(analysis.asymptotics_report(args.depth), args.fmt)
 
 
-def cmd_bounds(config: RunConfig, k0: int | None) -> int:
+def cmd_bounds(args: argparse.Namespace) -> int:
     from . import analysis
 
-    chain = analysis.theorem2_constants(analysis.CHAIN_K0 if k0 is None else k0)
-    if config.fmt == "json":
+    chain = analysis.theorem2_constants(analysis.CHAIN_K0 if args.k0 is None else args.k0)
+    if args.fmt == "json":
         print(json.dumps({
             "k0": chain.k0,
             "re_delta_bound": chain.re_delta_bound,
@@ -227,12 +210,12 @@ def cmd_bounds(config: RunConfig, k0: int | None) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import analysis
 
-    nodes = build_tree(config.depth)
+    nodes = build_tree(args.depth)
     analysis.check_q_recursion(nodes)  # raises on failure
-    values = _values_with_cache(nodes, config)
+    values = _values_with_cache(nodes, args)
     reports = [
         analysis.check_interlacing(values, nodes),
         analysis.check_J_recursion(values, nodes),
@@ -242,7 +225,7 @@ def cmd_verify(config: RunConfig) -> int:
     chain = analysis.theorem2_constants(analysis.CHAIN_K0)
     chain_ok = abs(chain.re_delta_bound - 1.41173) < 1e-3
     ok = chain_ok and all(r.passed for r in reports)
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
             "reports": [report.to_dict() for report in reports],
             "bound_chain": {"k0": chain.k0, "re_delta_bound": chain.re_delta_bound,
@@ -259,19 +242,27 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are one line on stderr, exit 2.
+    add_subparsers builds the subcommands' parsers of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, with RunConfig's defaults; each subcommand sets ``run``
-    to its cmd_ function, which takes the config and its own arguments."""
-    default = RunConfig()
-    parser = argparse.ArgumentParser(
+    """The parser.  Each subcommand sets ``run`` to its cmd_ function,
+    which takes the parsed arguments; main checks --depth, --tol and
+    --jobs before it calls it."""
+    parser = _Parser(
         prog="markovj",
         description="Cycle integrals of the j-function over the Markov tree.",
     )
-    parser.add_argument("--depth", type=int, default=default.depth)
-    parser.add_argument("--tol", type=float, default=default.tol,
+    parser.add_argument("--depth", type=int, default=5)
+    parser.add_argument("--tol", type=float, default=1e-10,
                         help="relative bound on the quadrature estimate")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=default.fmt)
-    parser.add_argument("--cache", default=default.cache, help="JSONL result cache path")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    parser.add_argument("--cache", help="JSONL result cache path")
     # Values are computed in one process; --jobs stays, unlisted, for
     # command lines that pass --jobs 1, and main refuses any other value.
     parser.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
@@ -293,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    del args["command"]
-    run = args.pop("run")
+    args = build_parser().parse_args(argv)
     # Admitted nodes have Markov numbers of up to about 4 600 digits, past
     # the 4 300 to which Python (3.11, and 3.10 from 3.10.7) limits the
     # conversion of an int to text by default.
@@ -303,10 +292,13 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.pop("jobs") != 1:
+        if args.jobs != 1:
             raise ValueError("jobs must be 1: values are computed in one process")
-        config = RunConfig(**{f.name: args.pop(f.name) for f in fields(RunConfig)})
-        code = run(config, **args)
+        if args.depth < 1:
+            raise ValueError("depth must be >= 1")
+        if not 0.0 < args.tol <= 1e-4:
+            raise ValueError("tol must be in (0, 1e-4]")
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -66,11 +66,8 @@ CACHE_FIELDS = {
 
 
 class QuadratureError(ValueError):
-    """Quadrature failed to reach the tolerance; carries the estimate."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+    """Quadrature failed to reach the tolerance (the message names the
+    estimate), or a cycle state lies outside its certified box."""
 
 
 def log_epsilon(c: int) -> float:
@@ -98,7 +95,7 @@ def _two_rules(terms: np.ndarray, tol: float) -> tuple[complex, float]:
     err = abs(value - check)
     if not err <= tol * abs(value):
         raise QuadratureError(f"quadrature estimate {err:g} exceeds tol {tol:g} "
-                              f"relative to |value| = {abs(value):g}", err)
+                              f"relative to |value| = {abs(value):g}")
     return value, err
 
 
@@ -143,7 +140,7 @@ class ArcIntegrator:
         # Written so that NaN fails too.
         if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
                 and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
-            raise QuadratureError("cycle state outside the certified box", math.inf)
+            raise QuadratureError("cycle state outside the certified box")
         # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
         # z = x + iy, so the (quadrature node, state) matrices stay real.
         r = 1.0 / ((self._x - values) ** 2 + self._y2)
@@ -179,8 +176,7 @@ def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleV
     try:
         J, err = integrator.integrate_states(states, tol)
     except QuadratureError as exc:
-        raise QuadratureError(f"{exc} at {node.farey} (path {node.path!r})",
-                              exc.estimate) from exc
+        raise QuadratureError(f"{exc} at {node.p}/{node.q} (path {node.path!r})") from exc
     le = log_epsilon(node.c)
     return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
 
@@ -198,8 +194,8 @@ def cache_record(value: CycleValue) -> dict:
         "schema": CACHE_SCHEMA,
         "path": node.path,
         "level": node.level,
-        "p": node.farey.p,
-        "q": node.farey.q,
+        "p": node.p,
+        "q": node.q,
         "c": str(node.c),
         "J_re": value.J.real,
         "J_im": value.J.imag,

@@ -4,21 +4,17 @@ j = E4^3 / Delta with E4 = 1 + 240 sum sigma_3(n) q^n and
 Delta = q prod (1 - q^n)^24 (pentagonal-number expansion of the Euler
 product).  Coefficients are exact integers; evaluation is restricted to
 Im z >= sqrt(3)/2 where the series converges extremely fast
-(|q| <= e^(-pi sqrt 3) ~ 0.0043).  The evaluation imports numpy when
-called.
+(|q| <= e^(-pi sqrt 3) ~ 0.0043).  A truncated series is the plain
+tuple (c_{-1}, c_0, ..., c_M) that j_coefficients returns; it starts
+1, 744 and every c_m (m >= 1) is positive.  The evaluation imports
+numpy when called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
-    "JSeries",
     "j_coefficients",
     "j_eval",
     "truncation_error_bound",
@@ -33,29 +29,6 @@ SERIES_ORDER = 40
 
 #: Lowest admissible imaginary part (the arc, with a small guard band).
 ARC_MIN_IM = math.sqrt(3.0) / 2.0 - 1e-9
-
-
-@dataclass(frozen=True)
-class JSeries:
-    """Truncated Fourier expansion: integer coefficients c_{-1}..c_M."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        c = self.coefficients
-        if len(c) < 2 or c[0] != 1 or c[1] != 744:
-            raise ValueError("series must start 1, 744, ...")
-        if any(x <= 0 for x in c[2:]):
-            raise ValueError("coefficients c_m (m >= 1) must be positive")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 2
-
-    def as_floats(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([float(c) for c in self.coefficients])
 
 
 def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
@@ -79,7 +52,7 @@ def _sigma3(n: int) -> int:
     return s
 
 
-def j_coefficients(order: int) -> JSeries:
+def j_coefficients(order: int) -> tuple[int, ...]:
     """Exact coefficients c_{-1}, c_0, ..., c_order of the j-function."""
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -104,14 +77,15 @@ def j_coefficients(order: int) -> JSeries:
     quot = [0] * (n + 1)
     for m in range(n + 1):
         quot[m] = e4_cubed[m] - sum(eta24[m - i] * quot[i] for i in range(m))
-    return JSeries(tuple(quot[: order + 2]))
+    return tuple(quot[: order + 2])
 
 
-def j_eval(z, series: JSeries):
-    """Evaluate j at z (scalar or array) with Im z >= sqrt(3)/2.
+def j_eval(z, coefficients: tuple[int, ...]):
+    """Evaluate j at z (scalar or array) with Im z >= sqrt(3)/2 by the
+    series ``coefficients`` (c_{-1}, ..., c_M) of j_coefficients(M).
 
     Truncation tail on the admissible strip is below
-    ``truncation_error_bound(series.order, min Im z)``.
+    ``truncation_error_bound(M, min Im z)``.
     """
     import numpy as np
 
@@ -120,8 +94,8 @@ def j_eval(z, series: JSeries):
         raise ValueError(f"Im z must be >= {ARC_MIN_IM}")
     q = np.exp(2j * math.pi * arr)
     acc = np.zeros_like(q)
-    for c in series.as_floats()[::-1]:
-        acc = acc * q + c
+    for c in reversed(coefficients):
+        acc = acc * q + float(c)
     out = acc / q
     return out if arr.shape else complex(out)
 

@@ -2,8 +2,12 @@
 
 Triples (a, b, c) solve a^2 + b^2 + c^2 = 3abc and grow by Vieta
 involutions; Farey fractions grow by mediants of the interval
-endpoints.  Nodes are keyed by their tree path (a word over L/R) so
-that a failure of the unicity conjecture could never corrupt lookups.
+endpoints.  A node's fraction is two plain ints p and q, each the sum
+of its neighbours'.  Farey neighbours have right.p left.q -
+left.p right.q = 1, so every mediant is reduced and in [0, 1/2]; only
+the fractions a caller passes to find_fraction are checked.  Nodes are
+keyed by their tree path (a word over L/R) so that a failure of the
+unicity conjecture could never corrupt lookups.
 The two tips (1,1,1) <-> 0/1 and (1,1,2) <-> 1/2 are level-0 boundary
 nodes.
 
@@ -40,12 +44,10 @@ from typing import Iterator
 from .cf import _mat_mul, conjunction, period_matrix
 
 __all__ = [
-    "FareyFraction",
     "TreeNode",
     "TreeError",
     "vieta_children",
     "joins_neighbours",
-    "farey_median",
     "build_tree",
     "node_at",
     "walk_path",
@@ -69,53 +71,28 @@ class TreeError(ValueError):
     """Raised for invalid fractions or paths, or a node failing its checks."""
 
 
-@dataclass(frozen=True)
-class FareyFraction:
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1 or self.p < 0:
-            raise TreeError(f"bad fraction {self.p}/{self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise TreeError(f"fraction {self.p}/{self.q} not reduced")
-        if 2 * self.p > self.q:
-            raise TreeError(f"fraction {self.p}/{self.q} outside [0, 1/2]")
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
-
-
 def vieta_children(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Left child (c, b, 3bc - a) and right child (a, c, 3ac - b)."""
     a, b, c = t
     return (c, b, 3 * b * c - a), (a, c, 3 * a * c - b)
 
 
-def farey_median(x: FareyFraction, y: FareyFraction) -> FareyFraction:
-    """Mediant of Farey neighbours x < y, which have y.p x.q - x.p y.q = 1
-    (so the mediant is reduced); rejects any other pair, the same two
-    neighbours in the other order included."""
-    if y.p * x.q - x.p * y.q != 1:
-        raise TreeError(f"{x} and {y} are not Farey neighbours in increasing order")
-    return FareyFraction(x.p + y.p, x.q + y.q)
-
-
 @dataclass
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
-    ``matrix`` is the period matrix M of the word; c is read off it.
-    ``left`` and ``right`` are the endpoints of the node's Farey
-    interval: the two predecessors whose fractions it is the mediant of
-    (``None`` at the tips).  They take no
-    part in equality or repr, so neither walks up the tree.  The word,
-    ``period``, is no field: it is built when first read.
+    ``p``/``q`` is the node's Farey fraction and ``matrix`` the period
+    matrix M of its word; c is read off M.  ``left`` and ``right`` are
+    the endpoints of the node's Farey interval: the two predecessors
+    whose fractions it is the mediant of (``None`` at the tips).  They
+    take no part in equality or repr, so neither walks up the tree.
+    The word, ``period``, is no field: it is built when first read.
     """
 
     path: str
     level: int
-    farey: FareyFraction
+    p: int
+    q: int
     matrix: tuple[tuple[int, int], tuple[int, int]]
     left: TreeNode | None = field(compare=False, repr=False)
     right: TreeNode | None = field(compare=False, repr=False)
@@ -132,7 +109,7 @@ class TreeNode:
         elif self.level:
             word = b"\2" + b"\3" * self.level + b"\4"
         else:
-            word = b"\3" if self.farey.p == 0 else b"\2\4"
+            word = b"\3" if self.p == 0 else b"\2\4"
         if len(word) != self.q:
             raise TreeError(
                 f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
@@ -143,13 +120,9 @@ class TreeNode:
     def c(self) -> int:
         return -self.matrix[0][1]
 
-    @property
-    def q(self) -> int:
-        return self.farey.q
-
     def __str__(self) -> str:
         label = self.path or ("root" if self.level == 1 else "tip")
-        return f"<node {label} {self.farey}>"
+        return f"<node {label} {self.p}/{self.q}>"
 
 
 def joins_neighbours(left: TreeNode | None) -> bool:
@@ -160,13 +133,13 @@ def joins_neighbours(left: TreeNode | None) -> bool:
     return left is not None and left is not TIP_LEFT
 
 
-def _make_node(path: str, level: int, farey: FareyFraction,
+def _make_node(path: str, level: int, p: int, q: int,
                matrix: tuple[tuple[int, int], tuple[int, int]] | None,
                left: TreeNode | None, right: TreeNode | None) -> TreeNode:
     """A node checked against Cohn's identity trace M = 3c.  A node whose
     word is not its neighbours' words joined (``matrix`` None) takes M
     from its word, which is then built."""
-    node = TreeNode(path, level, farey, matrix, left, right)
+    node = TreeNode(path, level, p, q, matrix, left, right)
     if matrix is None:
         node.matrix = matrix = period_matrix(node.period)
     (m00, m01), (_, m11) = matrix
@@ -176,25 +149,26 @@ def _make_node(path: str, level: int, farey: FareyFraction,
     return node
 
 
-TIP_LEFT = _make_node("0/1", 0, FareyFraction(0, 1), None, None, None)
-TIP_RIGHT = _make_node("1/2", 0, FareyFraction(1, 2), None, None, None)
-ROOT = _make_node("", 1, FareyFraction(1, 3), None, TIP_LEFT, TIP_RIGHT)
+TIP_LEFT = _make_node("0/1", 0, 0, 1, None, None, None)
+TIP_RIGHT = _make_node("1/2", 0, 1, 2, None, None, None)
+ROOT = _make_node("", 1, 1, 3, None, TIP_LEFT, TIP_RIGHT)
 
 
 def _child(node: TreeNode, step: str) -> TreeNode:
     """One step down the tree: the child's interval is the left or the
-    right half of the node's, split at the node."""
+    right half of the node's, split at the node, and its fraction is
+    the mediant of that interval's ends."""
     if step == "L":
         left, right = node.left, node
     else:
         left, right = node, node.right
     path, level = node.path + step, node.level + 1
-    farey = farey_median(left.farey, right.farey)
-    if farey.q > MAX_Q:
-        raise TreeError(f"node {farey} (path {path!r}): its word of {farey.q} "
+    p, q = left.p + right.p, left.q + right.q
+    if q > MAX_Q:
+        raise TreeError(f"node {p}/{q} (path {path!r}): its word of {q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
     matrix = _mat_mul(right.matrix, left.matrix) if joins_neighbours(left) else None
-    return _make_node(path, level, farey, matrix, left, right)
+    return _make_node(path, level, p, q, matrix, left, right)
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:
@@ -261,11 +235,11 @@ def find_fraction(p: int, q: int) -> TreeNode:
         )
     node = ROOT
     while node.level <= MAX_LEVEL:
-        cross = p * node.farey.q - node.farey.p * q
+        cross = p * node.q - node.p * q
         if cross == 0:
             return node
         node = _child(node, "L" if cross < 0 else "R")
     raise TreeError(
         f"{p}/{q} not found within {MAX_LEVEL} levels; "
-        f"nearest nodes are {node.left.farey} and {node.right.farey}"
+        f"nearest nodes are {node.left.p}/{node.left.q} and {node.right.p}/{node.right.q}"
     )

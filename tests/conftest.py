@@ -42,4 +42,4 @@ def reference_values(reference_rows):
     """Computed values at the 80 published fractions, keyed by (p, q)."""
     nodes = [find_fraction(r["p"], r["q"]) for r in reference_rows]
     values = compute_values(nodes, tol=1e-10)
-    return {(n.farey.p, n.farey.q): values[n.path] for n in nodes}
+    return {(n.p, n.q): values[n.path] for n in nodes}

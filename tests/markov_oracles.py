@@ -4,7 +4,9 @@ node API that only the tests call, kept as test oracles.
 The tree reads c off each node's period matrix.  These re-derive the
 node's data independently: the triple by Vieta involutions with the
 Markov equation checked, k by a modular inverse, the form from (c, k)
-with its discriminant checked.
+with its discriminant checked.  farey_mismatches checks the Farey
+neighbour identity and the mediant, which the tree relies on and does
+not check, at any node below the tips.
 
 Words are plain bytes in markovj, checked by the tree that builds them.
 What used to be API on them and on the nodes, and is now read only by
@@ -16,7 +18,6 @@ the tests, lives here as plain functions:
 - digit_sum and cycle_length: the Period properties;
 - node_k, node_form and node_triple: the TreeNode properties k, form
   and triple, read off the node's matrix and its neighbours;
-- as_fraction: FareyFraction.as_fraction;
 - envelope_from_values: analysis.envelope_from_values;
 - average_integral: integrals.average_integral.
 """
@@ -194,8 +195,18 @@ def node_triple(node) -> tuple[int, int, int]:
     return (node.right.c, node.left.c, node.c)
 
 
-def as_fraction(farey) -> Fraction:
-    return Fraction(farey.p, farey.q)
+def farey_mismatches(node) -> list[str]:
+    """What breaks the Farey structure at ``node``, which has two
+    neighbours: "neighbours" unless right.p left.q - left.p right.q = 1
+    (Farey neighbours, in increasing order), and "mediant" unless p/q
+    is their mediant."""
+    left, right = node.left, node.right
+    found = []
+    if right.p * left.q - left.p * right.q != 1:
+        found.append("neighbours")
+    if (node.p, node.q) != (left.p + right.p, left.q + right.q):
+        found.append("mediant")
+    return found
 
 
 def envelope_from_values(values) -> tuple[tuple[float, float], tuple[float, float]]:

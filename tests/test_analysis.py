@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markov_oracles import envelope_from_values
+from markov_oracles import envelope_from_values, farey_mismatches
 from markovj import analysis
 from markovj.analysis import (
     CONTRACTION,
@@ -29,7 +29,6 @@ from markovj.tree import (
     TIP_RIGHT,
     TreeError,
     build_tree,
-    farey_median,
     node_at,
     walk_path,
 )
@@ -92,8 +91,7 @@ class TestDecompose:
     @settings(deadline=None)
     def test_node_is_mediant_of_neighbours(self, path):
         node = node_at(path)
-        assert node.farey == farey_median(node.left.farey, node.right.farey)
-        assert node.q == node.left.q + node.right.q
+        assert farey_mismatches(node) == []
 
     @given(paths)
     @settings(deadline=None)

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import markovj
 from markovj import analysis, cli, tree
 from markovj.cf import format_period
-from markovj.cli import RunConfig, main
+from markovj.cli import main
 from markovj.tree import build_tree, joins_neighbours
 
 DATA = Path(__file__).parent / "data"
@@ -29,14 +29,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def refused(capsys, *argv) -> str:
+    """The one stderr line of a run that exits 2 with nothing on stdout,
+    whether main returns the code or argparse raises SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert len(out.err.splitlines()) == 1 and out.err.endswith("\n"), out.err
+    assert out.err.startswith("error: "), out.err
+    return out.err
+
+
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(depth=0)
-        with pytest.raises(ValueError):
-            RunConfig(tol=1e-3)
-        with pytest.raises(ValueError):
-            RunConfig(fmt="xml")
+    def test_validation(self, capsys):
+        assert refused(capsys, "--depth", "0", "tree") == "error: depth must be >= 1\n"
+        assert refused(capsys, "--tol", "1e-3", "tree") == "error: tol must be in (0, 1e-4]\n"
+        assert "invalid choice: 'xml'" in refused(capsys, "--format", "xml", "tree")
+
+    @pytest.mark.parametrize("argv", [
+        ["--depth", "abc", "tree"],
+        ["--format", "xml", "tree"],
+        ["--tol", "x", "table"],
+        ["--jobs", "x", "tree"],
+        [],
+        ["bogus"],
+        ["value"],
+        ["bounds", "--k0", "x"],
+    ], ids=["depth_abc", "format_xml", "tol_x", "jobs_x", "no_command", "bogus_command",
+            "value_no_target", "k0_x"])
+    def test_parse_error_is_one_line(self, capsys, argv):
+        # argparse's own refusals, the subcommands' included, print no
+        # usage block.
+        refused(capsys, *argv)
 
 
 class TestTree:
@@ -79,7 +106,7 @@ class TestTree:
         nodes = build_tree(12)
         random.Random(0).shuffle(nodes)
         got = [n.path for n in cli._sorted_by_fraction(nodes)]
-        want = [n.path for n in sorted(nodes, key=lambda n: Fraction(n.farey.p, n.farey.q))]
+        want = [n.path for n in sorted(nodes, key=lambda n: Fraction(n.p, n.q))]
         assert got == want
         assert (got[0], got[-1]) == ("0/1", "1/2")
 
@@ -366,7 +393,7 @@ class TestFailures:
         from markovj.integrals import ArcIntegrator, QuadratureError
 
         def failing(self, states, tol):
-            raise QuadratureError("estimate 1 exceeds tol", 1.0)
+            raise QuadratureError("estimate 1 exceeds tol")
 
         monkeypatch.setattr(ArcIntegrator, "integrate_states", failing)
         for argv, node in ((("--depth", "2", "table"), "0/1 (path '0/1')"),
@@ -542,7 +569,8 @@ class TestFreshInterpreter:
         (["--depth", "0", "tree"], 2),
         (["--depth", "19", "tree"], 2),
         (["--depth", "3", "--jobs", "2", "table"], 2),
-    ], ids=["tree", "help", "depth_0", "depth_19", "jobs_2"])
+        (["--depth", "abc", "tree"], 2),
+    ], ids=["tree", "help", "depth_0", "depth_19", "jobs_2", "depth_abc"])
     def test_tree_and_refusals_load_no_numpy(self, argv, rc):
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
                               text=True, timeout=120, env=self.ENV)

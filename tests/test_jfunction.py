@@ -6,7 +6,6 @@ import pytest
 
 from markovj.jfunction import (
     ARC_MIN_IM,
-    JSeries,
     j_coefficients,
     j_eval,
     truncation_error_bound,
@@ -17,21 +16,22 @@ KNOWN = [1, 744, 196884, 21493760, 864299970, 20245856256]
 
 class TestCoefficients:
     def test_known_head(self, series):
-        assert series.coefficients[: len(KNOWN)] == tuple(KNOWN)
+        assert series[: len(KNOWN)] == tuple(KNOWN)
 
     def test_order(self, series):
-        assert series.order == 40
-        assert len(series.coefficients) == 42
+        # c_{-1}, c_0, ..., c_40.
+        assert type(series) is tuple
+        assert len(series) == 42
 
     def test_growth_envelope(self, series):
-        for m, c in enumerate(series.coefficients[2:], start=1):
+        for m, c in enumerate(series[2:], start=1):
             assert c <= math.exp(4 * math.pi * math.sqrt(m))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            JSeries((1, 745))
-        with pytest.raises(ValueError):
-            JSeries((1, 744, -3))
+        # j = 1/q + 744 + sum of c_m q^m with every c_m a positive integer.
+        coefficients = j_coefficients(40)
+        assert coefficients[:2] == (1, 744)
+        assert all(type(c) is int and c > 0 for c in coefficients[2:])
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

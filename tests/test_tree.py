@@ -2,15 +2,15 @@ import dataclasses
 import math
 import random
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from markov_oracles import (
     MarkovTriple,
-    as_fraction,
     checked_word,
     digit_sum,
+    farey_mismatches,
     markov_constant,
     markov_form,
     markov_irrational,
@@ -29,10 +29,8 @@ from markovj.tree import (
     ROOT,
     TIP_LEFT,
     TIP_RIGHT,
-    FareyFraction,
     TreeError,
     build_tree,
-    farey_median,
     find_fraction,
     joins_neighbours,
     node_at,
@@ -66,26 +64,31 @@ class TestTriples:
 
 class TestFarey:
     def test_validation(self):
-        with pytest.raises(TreeError):
-            FareyFraction(2, 4)
-        with pytest.raises(TreeError):
-            FareyFraction(3, 5)
+        # Every fraction of the tree is reduced and lies in [0, 1/2].
+        for node in build_tree(12):
+            assert math.gcd(node.p, node.q) == 1 and 0 <= 2 * node.p <= node.q, node.path
 
     def test_median(self):
-        assert farey_median(FareyFraction(1, 3), FareyFraction(1, 2)) == FareyFraction(2, 5)
-        with pytest.raises(TreeError):
-            farey_median(FareyFraction(1, 4), FareyFraction(1, 2))
+        # Each node's neighbours are Farey neighbours in increasing order,
+        # and its fraction is their mediant.
+        for node in build_tree(12)[2:]:
+            assert farey_mismatches(node) == [], node.path
 
     @pytest.mark.parametrize("x, y", [((1, 5), (1, 2)), ((1, 2), (1, 3)), ((1, 4), (1, 2))],
                              ids=["reduced_mediant", "reversed", "reducible_mediant"])
     def test_median_of_non_neighbours_refused(self, x, y):
         # 1/5 and 1/2 have the reduced mediant 2/7, but 1*5 - 1*2 = 3.
-        with pytest.raises(TreeError, match="not Farey neighbours"):
-            farey_median(FareyFraction(*x), FareyFraction(*y))
+        left, right = SimpleNamespace(p=x[0], q=x[1]), SimpleNamespace(p=y[0], q=y[1])
+        node = SimpleNamespace(p=x[0] + y[0], q=x[1] + y[1], left=left, right=right)
+        assert farey_mismatches(node) == ["neighbours"]
 
     def test_depth_three_fractions(self):
-        got = {str(n.farey) for n in build_tree(3)}
+        got = {f"{n.p}/{n.q}" for n in build_tree(3)}
         assert got == {"0/1", "1/2", "1/3", "1/4", "2/5", "1/5", "2/7", "3/8", "3/7"}
+
+    def test_mutated_fraction_fails_the_oracle(self):
+        node = node_at("RL")
+        assert farey_mismatches(dataclasses.replace(node, p=node.p + 1)) == ["mediant"]
 
 
 class TestFormData:
@@ -304,7 +307,7 @@ class TestLookup:
 
     def test_deep_fraction(self):
         node = find_fraction(74, 159)
-        assert as_fraction(node.farey) == Fraction(74, 159)
+        assert (node.p, node.q) == (74, 159)
 
     def test_not_reduced(self):
         with pytest.raises(TreeError, match="not reduced"):
