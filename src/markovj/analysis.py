@@ -154,6 +154,10 @@ def _depth(nodes: Sequence[TreeNode]) -> int:
     return max(node.level for node in nodes)
 
 
+#: The details of a check over the nodes of level >= 2 when there are none.
+NONE_CHECKED = "no node of level >= 2 checked"
+
+
 # ---------------------------------------------------------------------------
 # exact q recursions
 
@@ -259,6 +263,7 @@ def check_interlacing(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) 
             f"{violations} violation(s) beyond tol={INTERLACE_TOL:g}"
             + (f", worst at {worst_node!r}" if violations else "")
             + f"; holds from level {holds_from}"
+            if _depth(nodes) >= 2 else NONE_CHECKED
         ),
     ))
     return report
@@ -295,8 +300,11 @@ def check_J_recursion(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) 
         measured=max_ratio,
         bound=1.0,
         margin=1.0 - max_ratio,
-        details=f"max |delta|/bound over levels 2..{depth} at {worst!r}"
-        + (f", violation at {violation!r}" if violation else ""),
+        details=(
+            f"max |delta|/bound over levels 2..{depth} at {worst!r}"
+            + (f", violation at {violation!r}" if violation else "")
+            if depth >= 2 else NONE_CHECKED
+        ),
     ))
     return report
 

@@ -73,8 +73,9 @@ def _values_with_cache(nodes: list[TreeNode], args: argparse.Namespace) -> dict[
 
     A node's cached record is used only if it matches the node and the
     run (integrals.cached_value); the other nodes are computed, and only
-    then is the cache rewritten, in path order.  A cache that could not
-    be written is refused before any value is computed.
+    then is the cache rewritten, in path order: the run's values and,
+    as read, every record of a path outside the run.  A cache that
+    could not be written is refused before any value is computed.
     """
     from . import integrals
 
@@ -92,7 +93,8 @@ def _values_with_cache(nodes: list[TreeNode], args: argparse.Namespace) -> dict[
             integrals.check_cache_writable(args.cache)
         values.update(integrals.compute_values(missing, tol=args.tol))
         if args.cache:
-            integrals.write_cache([values[p] for p in sorted(values)], args.cache)
+            integrals.write_cache((integrals.cache_record(values[p]) if p in values else cached[p]
+                                   for p in sorted({*cached, *values})), args.cache)
     return values
 
 
@@ -150,7 +152,7 @@ def cmd_value(args: argparse.Namespace) -> int:
     from . import integrals
 
     node = _resolve_target(args.target)
-    value = integrals.integrate_J(node, args.tol, integrals.ArcIntegrator())
+    value = integrals.integrate_J(node, args.tol)
     if args.fmt == "json":
         print(json.dumps(dict(zip(CSV_HEADER, _value_row(value))), indent=2))
     else:
@@ -298,6 +300,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("depth must be >= 1")
         if not 0.0 < args.tol <= 1e-4:
             raise ValueError("tol must be in (0, 1e-4]")
+        # A FIFO or a device would block the read or be replaced by the write.
+        if args.cache and os.path.exists(args.cache) and not os.path.isfile(args.cache):
+            raise ValueError(f"cache {args.cache!r} is not a regular file")
         code = args.run(args)
         sys.stdout.flush()
         return code

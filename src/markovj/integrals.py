@@ -13,24 +13,22 @@ tips 0/1 and 1/2: their words are their own reversals, so J is real
 there and the computed Im J is rounding of either sign (below
 1e-16 |J|).
 
-Only the integrator needs numpy, and it imports it when built or
-called, so the cache functions load without it.
+Only integrate_J needs numpy, and it imports it when called, so the
+cache functions load without it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, cycle_states
 from .jfunction import SERIES_ORDER, j_coefficients, j_eval
 from .tree import TreeNode
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CycleValue",
@@ -38,7 +36,6 @@ __all__ = [
     "log_epsilon",
     "integrate_J",
     "compute_values",
-    "ArcIntegrator",
     "cache_record",
     "cached_value",
     "check_cache_writable",
@@ -86,67 +83,28 @@ def log_epsilon(c: int) -> float:
     )
 
 
-def _two_rules(terms: np.ndarray, tol: float) -> tuple[complex, float]:
-    """Sum ``terms`` per rule (the first RULE_POINTS[0] entries, then the
-    rest): the value and |value - check|.  Raises QuadratureError unless
-    the difference is within ``tol`` relative to the value."""
-    n = RULE_POINTS[0]
-    value, check = complex(terms[:n].sum()), complex(terms[n:].sum())
-    err = abs(value - check)
-    if not err <= tol * abs(value):
-        raise QuadratureError(f"quadrature estimate {err:g} exceeds tol {tol:g} "
-                              f"relative to |value| = {abs(value):g}")
-    return value, err
-
-
-class ArcIntegrator:
+@functools.cache
+def _rule():
     """The fixed Gauss-Legendre rules on the arc, with the j-series of
-    order SERIES_ORDER.
+    order SERIES_ORDER, built once per process: g_m = h w_m j(z_m) i z_m,
+    conj(z_m), and the columns Re z_m and (Im z_m)^2 at the nodes
+    z_m = e^(i theta_m), both rules' nodes with the value rule's first;
+    then h w_m j(z_m).
 
     The kernel's poles are the cycle states, which stay in fixed boxes
-    on the real axis at every depth (checked on every call), at distance
-    >= sqrt(3)/2 from the arc.  So the integrand is analytic in one
-    Bernstein ellipse around [pi/3, 2pi/3] for every node, and one rule
-    converges geometrically (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 19).  The weights g_m = h w_m j(z_m) i z_m
-    at the nodes z_m = e^(i theta_m) are computed once.  Instances are
-    read-only, so one serves every node of a run.
+    on the real axis at every depth (checked for every node), at
+    distance >= sqrt(3)/2 from the arc.  So the integrand is analytic in
+    one Bernstein ellipse around [pi/3, 2pi/3] for every node, and one
+    rule converges geometrically (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 19).
     """
+    import numpy as np
 
-    def __init__(self):
-        import numpy as np
-
-        h = 0.5 * (ARC_HI - ARC_LO)
-        # Both rules' nodes and weights, the value rule's first.
-        x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
-        z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
-        self._wj = h * w * j_eval(z, j_coefficients(SERIES_ORDER))
-        self._g = self._wj * 1j * z
-        self._zbar = z.conj()
-        self._x = z.real[:, None]
-        self._y2 = (z.imag ** 2)[:, None]
-
-    def integrate_states(self, states: CycleStates, tol: float) -> tuple[complex, float]:
-        """J = sum_m g_m sum_i [1/(z_m - w_i) - 1/(z_m - w_i')] by the
-        20-point rule, and |J_20 - J_16| as its error estimate.
-
-        Raises QuadratureError when a state lies outside its box (cf's
-        forward-word boxes, swapped and negated for the reversed words
-        integrated here) or the estimate exceeds ``tol`` relative to |J|.
-        """
-        import numpy as np
-
-        values, conj = states.values, states.conj_values
-        # Written so that NaN fails too.
-        if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
-                and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
-            raise QuadratureError("cycle state outside the certified box")
-        # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
-        # z = x + iy, so the (quadrature node, state) matrices stay real.
-        r = 1.0 / ((self._x - values) ** 2 + self._y2)
-        rc = 1.0 / ((self._x - conj) ** 2 + self._y2)
-        kernel = self._zbar * (r.sum(axis=1) - rc.sum(axis=1)) - (r @ values - rc @ conj)
-        return _two_rules(self._g * kernel, tol)
+    h = 0.5 * (ARC_HI - ARC_LO)
+    x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
+    z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
+    wj = h * w * j_eval(z, j_coefficients(SERIES_ORDER))
+    return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], wj
 
 
 @dataclass(frozen=True)
@@ -165,27 +123,49 @@ class CycleValue:
         return self.J / self.node.q
 
 
-def integrate_J(node: TreeNode, tol: float, integrator: ArcIntegrator) -> CycleValue:
+def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     """Cycle integral J, the value j = J/(2 log eps), and the quadrature
-    error estimate for one tree node, by ``integrator``'s rules to
-    ``tol`` relative to |J|."""
+    error estimate for one tree node: J = sum_m g_m sum_i [1/(z_m - w_i)
+    - 1/(z_m - w_i')] by the 20-point rule, and |J_20 - J_16| as its
+    estimate.
+
+    Raises QuadratureError, naming the node, when a state lies outside
+    its box (cf's forward-word boxes, swapped and negated for the
+    reversed words integrated here) or the estimate exceeds ``tol``
+    relative to |J|.
+    """
+    import numpy as np
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     # Reference orientation: cycle of the reversed word (see module doc).
     states = cycle_states(node.period[::-1])
-    try:
-        J, err = integrator.integrate_states(states, tol)
-    except QuadratureError as exc:
-        raise QuadratureError(f"{exc} at {node.p}/{node.q} (path {node.path!r})") from exc
+    values, conj = states.values, states.conj_values
+    at = f"at {node.p}/{node.q} (path {node.path!r})"
+    # Written so that NaN fails too.
+    if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
+            and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
+        raise QuadratureError(f"cycle state outside the certified box {at}")
+    g, zbar, x, y2, _ = _rule()
+    # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
+    # z = x + iy, so the (quadrature node, state) matrices stay real.
+    r = 1.0 / ((x - values) ** 2 + y2)
+    rc = 1.0 / ((x - conj) ** 2 + y2)
+    terms = g * (zbar * (r.sum(axis=1) - rc.sum(axis=1)) - (r @ values - rc @ conj))
+    n = RULE_POINTS[0]
+    J, check = complex(terms[:n].sum()), complex(terms[n:].sum())
+    err = abs(J - check)
+    if not err <= tol * abs(J):
+        raise QuadratureError(f"quadrature estimate {err:g} exceeds tol {tol:g} "
+                              f"relative to |value| = {abs(J):g} {at}")
     le = log_epsilon(node.c)
     return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
 
 
 def compute_values(nodes: Iterable[TreeNode], tol: float) -> dict[str, CycleValue]:
-    """integrate_J to ``tol`` for each node in turn, by one
-    ArcIntegrator, keyed by path in the order of ``nodes``."""
-    integrator = ArcIntegrator()
-    return {n.path: integrate_J(n, tol=tol, integrator=integrator) for n in nodes}
+    """integrate_J to ``tol`` for each node in turn, keyed by path in the
+    order of ``nodes``."""
+    return {n.path: integrate_J(n, tol) for n in nodes}
 
 
 def cache_record(value: CycleValue) -> dict:
@@ -232,7 +212,7 @@ def _open_temp(path):
 
 
 def check_cache_writable(path) -> None:
-    """Raise the OSError that write_cache(values, path) would raise on
+    """Raise the OSError that write_cache(records, path) would raise on
     opening its temp file, so a run can fail before it computes; leave
     no file behind."""
     tmp, fh = _open_temp(path)
@@ -240,16 +220,17 @@ def check_cache_writable(path) -> None:
     os.unlink(tmp)
 
 
-def write_cache(values: Iterable[CycleValue], path) -> None:
-    """Rewrite the JSON-lines result cache atomically, one line per value:
-    the records go to a temp file beside it, which then replaces it, so
-    an interrupted write leaves the previous cache intact.  A temp file
+def write_cache(records: Iterable[dict], path) -> None:
+    """Rewrite the JSON-lines result cache atomically, one line per
+    record (as cache_record builds it, or as read_cache read it): the
+    lines go to a temp file beside it, which then replaces it, so an
+    interrupted write leaves the previous cache intact.  A temp file
     that cannot be opened is reported under the cache's own path."""
     tmp, fh = _open_temp(path)
     try:
         with fh:
-            for value in values:
-                fh.write(json.dumps(cache_record(value), sort_keys=True) + "\n")
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

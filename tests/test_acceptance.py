@@ -26,7 +26,6 @@ from markov_oracles import (
     node_triple,
 )
 from markovj.cf import period_matrix
-from markovj.integrals import ArcIntegrator
 from markovj.jfunction import j_eval
 from markovj.tree import build_tree
 
@@ -54,7 +53,7 @@ def test_criterion_1_golden_tables(capsys, reference_rows, reference_values):
 
 
 def test_criterion_2_arc_average(capsys):
-    avg = average_integral(tol=1e-9, integrator=ArcIntegrator())
+    avg = average_integral(tol=1e-9)
     err = abs(avg - 753.982)
     verdict(capsys, 2, err < 1e-3, f"arc average {avg:.6f}, |diff| {err:.2g}")
 

@@ -306,6 +306,41 @@ class TestTable:
         assert code == 0 and computed == []
         assert cache.read_bytes() == cache_bytes
 
+    def test_rewrite_keeps_other_nodes_records(self, capsys, tmp_path, computed):
+        # A rewrite once kept only the run's nodes: the depth-2 run left
+        # 5 of 17 records, and the next depth-4 run recomputed 12.
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "4", "--cache", str(cache), "table")
+        before = cache.read_text().splitlines()
+        assert len(before) == 17
+        run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", str(cache), "table")
+        after = cache.read_text().splitlines()
+        shallow = {node.path for node in build_tree(2)}
+        kept = [line for line in before if json.loads(line)["path"] not in shallow]
+        assert len(after) == 17 and len(kept) == 12
+        assert [line for line in after if json.loads(line)["path"] not in shallow] == kept
+        computed.clear()
+        run(capsys, "--depth", "4", "--cache", str(cache), "table")
+        assert {node.path for node in computed} == shallow
+        assert cache.read_text().splitlines() == before
+
+    def test_cache_directory_refused_before_reading(self, capsys, tmp_path, computed):
+        err = refused(capsys, "--depth", "2", "--cache", str(tmp_path), "table")
+        assert err == f"error: cache {str(tmp_path)!r} is not a regular file\n"
+        assert computed == [] and list(tmp_path.iterdir()) == []
+
+    def test_cache_fifo_refused_without_reading(self, tmp_path):
+        # Reading a FIFO with no writer once blocked the run for good.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(markovj.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "markovj", "--depth", "1", "--cache",
+                               str(fifo), "table"], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cache {str(fifo)!r} is not a regular file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
     def test_corrupted_cache(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text('{"schema": 0}\n')
@@ -390,17 +425,20 @@ class TestRowWriter:
 
 class TestFailures:
     def test_quadrature_error_is_one_line(self, capsys, monkeypatch):
-        from markovj.integrals import ArcIntegrator, QuadratureError
+        from markovj import integrals
+        from markovj.cf import CycleStates, cycle_states
 
-        def failing(self, states, tol):
-            raise QuadratureError("estimate 1 exceeds tol")
+        def outside(word):
+            states = cycle_states(word)
+            return CycleStates(a0=states.a0, values=-states.values,
+                               conj_values=states.conj_values)
 
-        monkeypatch.setattr(ArcIntegrator, "integrate_states", failing)
+        monkeypatch.setattr(integrals, "cycle_states", outside)
         for argv, node in ((("--depth", "2", "table"), "0/1 (path '0/1')"),
                            (("value", "RL"), "3/8 (path 'RL')")):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
-            assert err == f"error: estimate 1 exceeds tol at {node}\n"
+            assert err == f"error: cycle state outside the certified box at {node}\n"
 
     @pytest.mark.parametrize("jobs", ["1"])  # the only --jobs admitted
     def test_tol_below_rounding_names_the_node(self, capsys, jobs):
@@ -512,6 +550,23 @@ class TestReports:
         code, out, _ = run(capsys, "--depth", "7", "verify")
         assert code == 0
         assert out == (DATA / "verify_depth7.txt").read_text()
+
+    def test_verify_depth_one_names_no_node(self, capsys):
+        # Once "max |delta|/bound over levels 2..1 at ''" and "holds from
+        # level 2", over no node at all.
+        code, out, _ = run(capsys, "--depth", "1", "verify")
+        assert code == 0 and out.endswith("verify: PASS\n")
+        lines = out.splitlines()
+        assert lines[1] == ("[PASS] componentwise betweenness  measured=0  bound=1e-06  "
+                            "no node of level >= 2 checked")
+        assert lines[5] == ("[PASS] |delta| within geometric bound  measured=0  bound=1  "
+                            "margin=1  no node of level >= 2 checked")
+        code, out, _ = run(capsys, "--format", "json", "--depth", "1", "verify")
+        rec = json.loads(out)
+        assert code == 0 and rec["passed"] is True
+        assert [r["checks"][0]["details"] for r in rec["reports"][:2]] == [
+            analysis.NONE_CHECKED, analysis.NONE_CHECKED]
+        assert analysis.NONE_CHECKED == "no node of level >= 2 checked"
 
     @pytest.mark.parametrize("fail", [False, True], ids=["pass", "fail"])
     def test_verify_json(self, capsys, monkeypatch, fail):

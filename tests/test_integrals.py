@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from markov_oracles import average_integral
+import markovj.integrals as integrals
 from markovj.cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from markovj.integrals import (
     ARC_HI,
     ARC_LO,
     CACHE_FIELDS,
     METHOD,
-    ArcIntegrator,
     QuadratureError,
     cache_index,
     cache_record,
@@ -22,6 +22,7 @@ from markovj.integrals import (
     integrate_J,
     log_epsilon,
     read_cache,
+    _rule,
     write_cache,
 )
 from markovj.jfunction import SERIES_ORDER, j_coefficients, j_eval
@@ -60,46 +61,44 @@ class TestLogEpsilon:
 
 class TestIntegrateJ:
     def test_left_tip(self):
-        v = integrate_J(TIP_LEFT, tol=1e-10, integrator=ArcIntegrator())
+        v = integrate_J(TIP_LEFT, tol=1e-10)
         assert v.J_over_q.real == pytest.approx(1359.56741044, rel=1e-9)
         assert abs(v.J_over_q.imag) < 1e-9
         assert v.j.real == pytest.approx(706.324813541, rel=1e-9)
 
     def test_right_tip(self):
-        v = integrate_J(TIP_RIGHT, tol=1e-10, integrator=ArcIntegrator())
+        v = integrate_J(TIP_RIGHT, tol=1e-10)
         assert v.J_over_q.real == pytest.approx(1251.36168734, rel=1e-9)
         assert v.j.real == pytest.approx(709.892890920, rel=1e-9)
 
     def test_root(self):
-        v = integrate_J(ROOT, tol=1e-10, integrator=ArcIntegrator())
+        v = integrate_J(ROOT, tol=1e-10)
         assert v.log_eps == pytest.approx(2.703575830931402, rel=1e-13)
         assert v.j == v.J / (2 * v.log_eps)
         assert v.J_over_q.imag < 0  # reference orientation
 
     def test_error_estimate_is_honest(self):
-        integ = ArcIntegrator()
-        loose = integrate_J(ROOT, tol=1e-6, integrator=integ)
-        tight = integrate_J(ROOT, tol=1e-12, integrator=integ)
+        loose = integrate_J(ROOT, tol=1e-6)
+        tight = integrate_J(ROOT, tol=1e-12)
         assert abs(loose.J - tight.J) <= max(loose.quad_error, 1e-9) * 10
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            integrate_J(ROOT, 0.0, ArcIntegrator())
+            integrate_J(ROOT, 0.0)
 
     def test_tol_is_relative(self):
         # |J| is about 1300 q, so a relative bound that a rounding-level
         # estimate meets is far below it as an absolute one.
-        integ = ArcIntegrator()
         node = node_at("RLRLRLRLRLRLR")
-        v = integrate_J(node, tol=1e-13, integrator=integ)
+        v = integrate_J(node, tol=1e-13)
         assert 1e-13 < v.quad_error <= 1e-13 * abs(v.J)
         with pytest.raises(QuadratureError):
-            integrate_J(node, tol=1e-20, integrator=integ)
+            integrate_J(node, tol=1e-20)
 
     def test_error_names_the_node(self):
         node = node_at("RL")
         with pytest.raises(QuadratureError) as info:
-            integrate_J(node, tol=1e-20, integrator=ArcIntegrator())
+            integrate_J(node, tol=1e-20)
         estimate = re.fullmatch(r"quadrature estimate (\S+) exceeds tol 1e-20 relative "
                                 r"to \|value\| = \S+ at 3/8 \(path 'RL'\)", str(info.value))
         assert estimate and 0.0 < float(estimate[1]) < math.inf
@@ -116,16 +115,15 @@ class TestIntegrateJ:
 
 class TestFixedRule:
     def test_matches_oracle_to_depth_seven(self, series):
-        integ = ArcIntegrator()
         for node in build_tree(7):
-            J = integrate_J(node, tol=1e-10, integrator=integ).J
+            J = integrate_J(node, tol=1e-10).J
             ref = _oracle_J(node, series)
             assert abs(J - ref) <= 1e-13 * abs(ref), node
 
     def test_matches_oracle_at_level_fourteen(self, series):
         node = node_at("RLRLRLRLRLRLR")
         assert node.q == 1597
-        J = integrate_J(node, tol=1e-10, integrator=ArcIntegrator()).J
+        J = integrate_J(node, tol=1e-10).J
         ref = _oracle_J(node, series)
         assert abs(J - ref) <= 1e-13 * abs(ref)
 
@@ -136,26 +134,28 @@ class TestFixedRule:
         ("conj_values", -STATE_MIN + 1e-9),
         ("values", math.nan),
     ])
-    def test_state_outside_box_raises(self, field, value):
+    def test_state_outside_box_raises(self, monkeypatch, field, value):
         states = cycle_states(ROOT.period[::-1])
         arrays = {"values": states.values.copy(),
                   "conj_values": states.conj_values.copy()}
         arrays[field][2] = value
         pushed = CycleStates(a0=states.a0, **arrays)
-        integ = ArcIntegrator()
-        integ.integrate_states(states, 1e-10)  # the unpushed states pass
-        with pytest.raises(QuadratureError, match="certified box"):
-            integ.integrate_states(pushed, 1e-10)
+        integrate_J(ROOT, 1e-10)  # the unpushed states pass
+        monkeypatch.setattr(integrals, "cycle_states", lambda word: pushed)
+        with pytest.raises(QuadratureError) as info:
+            integrate_J(ROOT, 1e-10)
+        assert str(info.value) == "cycle state outside the certified box at 1/3 (path '')"
 
-    def test_forward_word_is_outside_the_box(self):
+    def test_forward_word_is_outside_the_box(self, monkeypatch):
         # The boxes are those of the reference (reversed) orientation.
+        monkeypatch.setattr(integrals, "cycle_states", lambda word: cycle_states(word[::-1]))
         with pytest.raises(QuadratureError, match="certified box"):
-            ArcIntegrator().integrate_states(cycle_states(ROOT.period), 1e-10)
+            integrate_J(ROOT, 1e-10)
 
 
 class TestAverage:
     def test_value(self):
-        avg = average_integral(tol=1e-9, integrator=ArcIntegrator())
+        avg = average_integral(tol=1e-9)
         assert avg == pytest.approx(753.9822368615, abs=1e-6)
 
 
@@ -163,38 +163,39 @@ class TestSeriesOrder:
     @pytest.mark.parametrize("order", [14, 20, 100, 300])
     def test_arc_weights_bit_identical_across_orders(self, monkeypatch, order):
         # Why the order is a constant: no order from 14 up changes a bit.
-        import markovj.integrals as integrals
-
-        fixed = ArcIntegrator()._wj
+        fixed = _rule()[-1]
         monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(order))
-        assert np.array_equal(ArcIntegrator()._wj, fixed)
+        assert np.array_equal(_rule.__wrapped__()[-1], fixed)
 
     def test_order_thirteen_differs(self, monkeypatch):
         # The comparison above can fail: one order lower it does.
-        import markovj.integrals as integrals
-
-        fixed = ArcIntegrator()._wj
+        fixed = _rule()[-1]
         monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(13))
-        assert not np.array_equal(ArcIntegrator()._wj, fixed)
+        assert not np.array_equal(_rule.__wrapped__()[-1], fixed)
+
+    def test_rule_built_once(self, monkeypatch):
+        # Every node of a run shares the one rule; j is evaluated once.
+        _rule()
+        monkeypatch.setattr(integrals, "j_eval", None)
+        compute_values(build_tree(3), tol=1e-9)
 
 
 class TestComputeValues:
-    def test_each_node_in_order_by_one_integrator(self):
+    def test_each_node_in_order_by_integrate_J(self):
         # The one value path: integrate_J per node, keyed by path.
         nodes = build_tree(3)
         values = compute_values(nodes, tol=1e-9)
         assert list(values) == [n.path for n in nodes]
-        integ = ArcIntegrator()
         for node in nodes:
-            assert values[node.path] == integrate_J(node, tol=1e-9, integrator=integ)
+            assert values[node.path] == integrate_J(node, tol=1e-9)
 
 
 class TestCache:
     def test_round_trip(self, tmp_path):
         node = node_at("R")
-        value = integrate_J(node, tol=1e-8, integrator=ArcIntegrator())
+        value = integrate_J(node, tol=1e-8)
         path = tmp_path / "cache.jsonl"
-        write_cache([value], path)
+        write_cache([cache_record(value)], path)
         records = read_cache(path)
         assert len(records) == 1
         rec = records[0]
@@ -212,45 +213,44 @@ class TestCache:
     ])
     def test_cached_value_refuses_other_node_or_run(self, field, other):
         node = node_at("R")
-        value = integrate_J(node, tol=1e-8, integrator=ArcIntegrator())
+        value = integrate_J(node, tol=1e-8)
         rec = cache_record(value)
         assert cached_value(rec, node, 1e-8) == value
         assert cached_value({**rec, field: other}, node, 1e-8) is None
         assert cached_value(None, node, 1e-8) is None
 
     def test_index_by_path(self, tmp_path):
-        integ = ArcIntegrator()
-        values = [integrate_J(node_at(p), tol=1e-8, integrator=integ) for p in ("L", "R")]
+        values = [integrate_J(node_at(p), tol=1e-8) for p in ("L", "R")]
         path = tmp_path / "cache.jsonl"
         assert cache_index(path) == {}
-        write_cache(values, path)
+        write_cache([cache_record(v) for v in values], path)
         assert cache_index(path) == {v.node.path: cache_record(v) for v in values}
 
-    def test_interrupted_write_keeps_previous_cache(self, tmp_path, monkeypatch):
-        import markovj.integrals as integrals
-
-        integ = ArcIntegrator()
-        value = integrate_J(node_at("R"), tol=1e-8, integrator=integ)
-        other = integrate_J(node_at("L"), tol=1e-8, integrator=integ)
+    def test_interrupted_write_keeps_previous_cache(self, tmp_path):
+        value = integrate_J(node_at("R"), tol=1e-8)
+        other = integrate_J(node_at("L"), tol=1e-8)
         path = tmp_path / "cache.jsonl"
-        write_cache([value], path)
+        write_cache([cache_record(value)], path)
         before = path.read_bytes()
 
         # The new write gets one record out, then is interrupted.
-        records = iter([cache_record(other)])
+        def records():
+            yield cache_record(other)
+            raise KeyboardInterrupt
 
-        def failing_record(v):
-            rec = next(records, None)
-            if rec is None:
-                raise KeyboardInterrupt
-            return rec
-
-        monkeypatch.setattr(integrals, "cache_record", failing_record)
         with pytest.raises(KeyboardInterrupt):
-            write_cache([other, value], path)
+            write_cache(records(), path)
         assert path.read_bytes() == before
         assert read_cache(path) == [cache_record(value)]
         assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+    def test_read_records_written_back_byte_for_byte(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        write_cache([cache_record(v) for v in compute_values(build_tree(3), tol=1e-8).values()],
+                    path)
+        before = path.read_bytes()
+        write_cache(read_cache(path), path)
+        assert path.read_bytes() == before
 
     def test_writability_check_leaves_no_file(self, tmp_path):
         check_cache_writable(tmp_path / "x.jsonl")
@@ -267,7 +267,7 @@ class TestCache:
 
     def test_refuses_adaptive_era_cache(self, tmp_path):
         # Schema-1 records carried no tol, series order or method.
-        value = integrate_J(node_at("R"), tol=1e-8, integrator=ArcIntegrator())
+        value = integrate_J(node_at("R"), tol=1e-8)
         rec = cache_record(value)
         old = {k: v for k, v in rec.items() if k not in ("tol", "series_order", "method")}
         old["schema"] = 1
