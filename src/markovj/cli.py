@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: tree, value, table, interlace, asymptotics, bounds,
-verify.  Numbers are printed with 12 significant digits; the table
-matches the published layout when sorted by p/q.  A JSON-lines cache
+verify.  Numbers are printed with 12 significant digits; rows come in
+the order of p/q, the published layout of the table.  A JSON-lines cache
 (--cache) makes warm reruns byte-identical without re-integrating.
 The numeric layers (integrals, analysis) are imported by the commands
 that need them, so ``tree`` runs without them.  numpy is imported only
@@ -19,16 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-from .cf import format_period, join_texts
-from .tree import (
-    TIP_LEFT,
-    TreeError,
-    TreeNode,
-    build_tree,
-    find_fraction,
-    joins_neighbours,
-    node_at,
-)
+from .tree import TreeError, TreeNode, build_tree, find_fraction, node_at
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
@@ -44,19 +35,6 @@ CSV_HEADER = [
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _in_order(node: TreeNode) -> str:
-    """In-order position on the Stern-Brocot tree as a string: with
-    L < M < R, path + "M" sorts a node after its left subtree and before
-    its right one.  The tip 0/1 sorts first and 1/2 last."""
-    if node.level:
-        return node.path + "M"
-    return "" if node is TIP_LEFT else "S"
-
-
-def _sorted_by_fraction(nodes: list[TreeNode]) -> list[TreeNode]:
-    return sorted(nodes, key=_in_order)
 
 
 def _value_row(value: CycleValue) -> tuple[str, ...]:
@@ -114,22 +92,9 @@ def _write_rows(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) 
             write(",".join([f'"{f}"' if "," in f else f for f in row]) + "\n")
 
 
-def _period_texts(nodes: list[TreeNode]) -> dict[str, str]:
-    """The compact period text of each node, by path.  In breadth-first
-    order a node's neighbours come before it, so a joined word's text is
-    its neighbours' texts joined; only the other words are formatted."""
-    texts: dict[str, str] = {}
-    for node in nodes:
-        texts[node.path] = (join_texts(texts[node.right.path], texts[node.left.path])
-                            if joins_neighbours(node.left) else format_period(node.period))
-    return texts
-
-
 def cmd_tree(args: argparse.Namespace) -> int:
-    nodes = build_tree(args.depth)
-    texts = _period_texts(nodes)
-    rows = ((node.path, str(node.level), str(node.p), str(node.q), str(node.c),
-             texts[node.path]) for node in _sorted_by_fraction(nodes))
+    rows = ((node.path, str(node.level), str(node.p), str(node.q), str(node.c), node.text)
+            for node in build_tree(args.depth))
     _write_rows(["path", "level", "p", "q", "c", "period"], rows, args.fmt)
     return 0
 
@@ -159,7 +124,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         Jq, jv = value.J_over_q, value.j
         print(f"node      {node.p}/{node.q}  (path {node.path!r}, level {node.level})")
         print(f"c         {node.c}")
-        print(f"period    {format_period(node.period)}")
+        print(f"period    {node.text}")
         print(f"J/q       {_fmt(Jq.real)} {'+' if Jq.imag >= 0 else '-'} {_fmt(abs(Jq.imag))}i")
         print(f"j         {_fmt(jv.real)} {'+' if jv.imag >= 0 else '-'} {_fmt(abs(jv.imag))}i")
         print(f"log eps   {_fmt(value.log_eps)}")
@@ -168,7 +133,7 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    nodes = _sorted_by_fraction(build_tree(args.depth))
+    nodes = build_tree(args.depth)
     values = _values_with_cache(nodes, args)
     _write_rows(CSV_HEADER, (_value_row(values[n.path]) for n in nodes), args.fmt)
     return 0

@@ -202,11 +202,14 @@ def cached_value(rec: dict | None, node: TreeNode, tol: float) -> CycleValue | N
 
 
 def _open_temp(path):
-    """The temp file beside the cache at ``path``: its name and the file,
-    open for writing.  An OSError names the cache's own path."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """The file that the cache at ``path`` names, through any symlinks,
+    and the temp file beside it: the file's path, the temp file's name
+    and the temp file, open for writing.  An OSError names the cache's
+    own path."""
+    target = os.path.realpath(path)
+    tmp = f"{target}.tmp"
     try:
-        return tmp, open(tmp, "w")
+        return target, tmp, open(tmp, "w")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
@@ -215,7 +218,7 @@ def check_cache_writable(path) -> None:
     """Raise the OSError that write_cache(records, path) would raise on
     opening its temp file, so a run can fail before it computes; leave
     no file behind."""
-    tmp, fh = _open_temp(path)
+    _, tmp, fh = _open_temp(path)
     fh.close()
     os.unlink(tmp)
 
@@ -223,15 +226,17 @@ def check_cache_writable(path) -> None:
 def write_cache(records: Iterable[dict], path) -> None:
     """Rewrite the JSON-lines result cache atomically, one line per
     record (as cache_record builds it, or as read_cache read it): the
-    lines go to a temp file beside it, which then replaces it, so an
-    interrupted write leaves the previous cache intact.  A temp file
-    that cannot be opened is reported under the cache's own path."""
-    tmp, fh = _open_temp(path)
+    lines go to a temp file beside the file that ``path`` names, which
+    then replaces that file, so an interrupted write leaves the previous
+    cache intact and a symlinked cache is written through, not replaced.
+    A temp file that cannot be opened is reported under the cache's own
+    path."""
+    target, tmp, fh = _open_temp(path)
     try:
         with fh:
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -9,7 +9,8 @@ the fractions a caller passes to find_fraction are checked.  Nodes are
 keyed by their tree path (a word over L/R) so that a failure of the
 unicity conjecture could never corrupt lookups.
 The two tips (1,1,1) <-> 0/1 and (1,1,2) <-> 1/2 are level-0 boundary
-nodes.
+nodes.  build_tree lists the nodes in the order of p/q, which is the
+in-order of the tree: 0/1 first and 1/2 last.
 
 Each node carries the period matrix M of its word (cf.period_matrix),
 which is ((3c + k, -c), (l + 3k, -k)) with k^2 + 1 = lc (Cohn, Approach
@@ -25,9 +26,10 @@ digit count grows by a factor of about phi per level, so depth 24 is
 about 7.6e4 digits); each node holds four integers of about the size
 of its c in M.  A node's word (bytes, one per digit) is joined from its
 neighbours' words the first time something reads it, and is then kept
-on the node: build_tree holds no words, and `markovj tree` never joins
-one.  Once every word of the tree of depth d has been read, they total
-about 1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree refuses
+on the node, and so is its compact text, joined from the neighbours'
+texts: build_tree holds no words, and `markovj tree` never joins one.
+Once every word of the tree of depth d has been read, they total about
+1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree refuses
 depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).  Along
 one path the word length q grows like the Fibonacci numbers, so no
 node is built whose word would be longer than MAX_Q, the longest of
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
-from .cf import _mat_mul, conjunction, period_matrix
+from .cf import _mat_mul, conjunction, format_period, join_texts, period_matrix
 
 __all__ = [
     "TreeNode",
@@ -86,7 +88,8 @@ class TreeNode:
     the endpoints of the node's Farey interval: the two predecessors
     whose fractions it is the mediant of (``None`` at the tips).  They
     take no part in equality or repr, so neither walks up the tree.
-    The word, ``period``, is no field: it is built when first read.
+    The word, ``period``, and its text, ``text``, are no fields: each is
+    built when first read.
     """
 
     path: str
@@ -115,6 +118,15 @@ class TreeNode:
                 f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
             )
         return word
+
+    @cached_property
+    def text(self) -> str:
+        """The word's compact text (cf.format_period), made the first time
+        it is read and then kept: a joined word's text is its neighbours'
+        texts joined, so only the other words are formatted."""
+        if joins_neighbours(self.left):
+            return join_texts(self.right.text, self.left.text)
+        return format_period(self.period)
 
     @property
     def c(self) -> int:
@@ -196,19 +208,22 @@ def node_at(path: str) -> TreeNode:
 def build_tree(depth: int) -> list[TreeNode]:
     """All nodes with level <= depth plus the two level-0 tips.
 
-    Breadth-first order: tips, then the 2^(n-1) nodes of each level n.
-    Depths outside [1, MAX_DEPTH] raise TreeError.
+    In the order of p/q: 0/1, then every node, then 1/2.  Each new
+    level's nodes fall one between each two neighbours of the list so
+    far.  Depths outside [1, MAX_DEPTH] raise TreeError.
     """
     if depth < 1:
         raise TreeError("depth must be >= 1")
     if depth > MAX_DEPTH:
         raise TreeError(f"depth {depth} exceeds {MAX_DEPTH}: its words alone "
                         f"would take over {1.5 * 3 ** (MAX_DEPTH + 1) / 1e9:.2g} GB")
-    nodes = [TIP_LEFT, TIP_RIGHT, ROOT]
+    nodes = [TIP_LEFT, ROOT, TIP_RIGHT]
     frontier = [ROOT]
     for _ in range(2, depth + 1):
         frontier = [_child(node, step) for node in frontier for step in "LR"]
-        nodes.extend(frontier)
+        merged = nodes + frontier
+        merged[::2], merged[1::2] = nodes, frontier
+        nodes = merged
     return nodes
 
 

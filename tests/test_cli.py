@@ -4,7 +4,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -96,30 +95,31 @@ class TestTree:
             "78378a99ea1d36844206f9cf386c11b13e71d2f63ae94106f38ff1c213672f50")
 
     def test_texts_match_format_period_to_depth_twelve(self):
-        nodes = build_tree(12)
-        texts = cli._period_texts(nodes)
-        assert len(texts) == len(nodes)
-        for node in nodes:
-            assert texts[node.path] == format_period(node.period), node.path
+        for node in build_tree(12):
+            assert node.text == format_period(node.period), node.path
 
     def test_in_order_sort_is_fraction_sort(self):
-        nodes = build_tree(12)
-        random.Random(0).shuffle(nodes)
-        got = [n.path for n in cli._sorted_by_fraction(nodes)]
-        want = [n.path for n in sorted(nodes, key=lambda n: Fraction(n.p, n.q))]
-        assert got == want
-        assert (got[0], got[-1]) == ("0/1", "1/2")
+        # build_tree walks the tree in order, which is the order of p/q.
+        for depth in (1, 2, 12):
+            fractions = [Fraction(n.p, n.q) for n in build_tree(depth)]
+            assert len(fractions) == 2 ** depth + 1, depth
+            assert all(a < b for a, b in zip(fractions, fractions[1:])), depth
+            assert (fractions[0], fractions[-1]) == (0, Fraction(1, 2)), depth
 
     @pytest.mark.parametrize("depth", [1, 2, 8])
     def test_formats_only_unjoined_words(self, capsys, monkeypatch, depth):
-        # The tips, the root and the branch from the left tip.
+        # The tips, the root and the branch from the left tip.  The tips
+        # and the root are built once per process, so texts that an
+        # earlier run kept on them are dropped first.
         calls = []
 
         def counting(period):
             calls.append(period)
             return format_period(period)
 
-        monkeypatch.setattr(cli, "format_period", counting)
+        for node in (tree.TIP_LEFT, tree.ROOT, tree.TIP_RIGHT):
+            monkeypatch.delitem(vars(node), "text", raising=False)
+        monkeypatch.setattr(tree, "format_period", counting)
         code, _, _ = run(capsys, "--depth", str(depth), "tree")
         assert code == 0
         assert 0 < len(calls) <= depth + 3
@@ -323,6 +323,17 @@ class TestTable:
         run(capsys, "--depth", "4", "--cache", str(cache), "table")
         assert {node.path for node in computed} == shallow
         assert cache.read_text().splitlines() == before
+
+    def test_symlinked_cache_written_through(self, capsys, tmp_path):
+        # The rewrite once replaced the link with a regular file of 9
+        # records and left the 5 of its target stale.
+        real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+        run(capsys, "--depth", "2", "--cache", str(real), "table")
+        link.symlink_to(real.name)
+        code, _, _ = run(capsys, "--depth", "3", "--cache", str(link), "table")
+        assert code == 0 and link.is_symlink()
+        assert len(real.read_text().splitlines()) == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
 
     def test_cache_directory_refused_before_reading(self, capsys, tmp_path, computed):
         err = refused(capsys, "--depth", "2", "--cache", str(tmp_path), "table")
