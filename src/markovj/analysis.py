@@ -163,16 +163,16 @@ NONE_CHECKED = "no node of level >= 2 checked"
 
 def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
     """Exact integer checks of the denominator recursions at every node
-    of level >= 2 in ``nodes``, which must hold each node's path
-    prefixes (as a tree from ``build_tree`` does).
+    of level >= 2 in ``nodes``.
 
     Along a path, w_0 is the branch tip and w_1 .. w_n the nodes from
     the root down; the turn levels are the levels where the path
-    changes direction, starting with level 1.  Any failure here is a
+    changes direction, starting with level 1.  Each w_i is read through
+    the parent links: the parent is a node's right neighbour after an L
+    step and its left after an R step.  Any failure here is a
     tree-construction bug, so it raises TreeError.
     """
     report = Report(title=f"q recursions to depth {_depth(nodes)}")
-    q_at = {node.path: node.q for node in nodes}
     worst = 0
     count = 0
     for node in nodes:
@@ -181,7 +181,10 @@ def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
             continue
         path = node.path
         base = TIP_RIGHT if path.startswith("R") else TIP_LEFT
-        qs = [base.q] + [q_at[path[:i]] for i in range(n)]  # q of w_0 .. w_n
+        chain = [node]  # w_n up to w_1
+        for step in reversed(path):
+            chain.append(chain[-1].right if step == "L" else chain[-1].left)
+        qs = [base.q] + [w.q for w in reversed(chain)]  # q of w_0 .. w_n
         turns = [1] + [i + 1 for i in range(1, len(path)) if path[i - 1] != path[i]]
         m = len(turns)
         r_m = turns[-1]

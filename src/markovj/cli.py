@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--depth", type=int, default=5)
     parser.add_argument("--tol", type=float, default=1e-10,
-                        help="relative bound on the quadrature estimate")
+                        help="largest proved quadrature error bound admitted, "
+                             "relative to |J|")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--cache", help="JSONL result cache path")
     # Values are computed in one process; --jobs stays, unlisted, for

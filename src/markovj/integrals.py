@@ -13,6 +13,11 @@ tips 0/1 and 1/2: their words are their own reversals, so J is real
 there and the computed Im J is rounding of either sign (below
 1e-16 |J|).
 
+Each value carries a proved bound on its quadrature error: the
+20-point Gauss-Legendre truncation error over a Bernstein ellipse, in
+which every node's integrand is analytic, plus the rounding of the sum
+(see integrate_J).
+
 Only integrate_J needs numpy, and it imports it when called, so the
 cache functions load without it.
 """
@@ -47,10 +52,15 @@ __all__ = [
 ARC_LO = math.pi / 3.0
 ARC_HI = 2.0 * math.pi / 3.0
 
-#: Points of the Gauss-Legendre rule that gives each value, and of the
-#: coarser rule whose difference from it is the error estimate.
-RULE_POINTS = (20, 16)
-METHOD = f"gauss-legendre-{RULE_POINTS[0]}/{RULE_POINTS[1]}"
+#: Points of the Gauss-Legendre rule that gives each value.
+RULE_POINTS = 20
+METHOD = f"gauss-legendre-{RULE_POINTS}"
+#: The Bernstein ellipse of the truncation bound, E_rho around the
+#: rule's interval; 3.15 is near the rho that minimises the bound.
+RHO = 3.15
+#: Units u = 2^-53 that the rule's float arrays add to each term of the
+#: sum (integrate_J); tests/test_integrals.py checks them.
+RULE_ULPS = 48
 
 CACHE_SCHEMA = 2
 #: The type of each field of a cache record, as read back from JSON.
@@ -63,8 +73,8 @@ CACHE_FIELDS = {
 
 
 class QuadratureError(ValueError):
-    """Quadrature failed to reach the tolerance (the message names the
-    estimate), or a cycle state lies outside its certified box."""
+    """The quadrature bound exceeds the tolerance (the message names the
+    bound), or a cycle state lies outside its certified box."""
 
 
 def log_epsilon(c: int) -> float:
@@ -85,26 +95,46 @@ def log_epsilon(c: int) -> float:
 
 @functools.cache
 def _rule():
-    """The fixed Gauss-Legendre rules on the arc, with the j-series of
-    order SERIES_ORDER, built once per process: g_m = h w_m j(z_m) i z_m,
-    conj(z_m), and the columns Re z_m and (Im z_m)^2 at the nodes
-    z_m = e^(i theta_m), both rules' nodes with the value rule's first;
-    then h w_m j(z_m).
+    """The Gauss-Legendre rule on the arc, built once per process with
+    the j-series of order SERIES_ORDER: at the nodes z_m = e^(i theta_m),
+    g_m = h w_m j(z_m) i z_m, conj(z_m), the columns Re z_m and
+    (Im z_m)^2, and G_m = h w_m sum_k |c_k| |q_m|^k, the series'
+    absolute sum (j at i Im z_m, where q > 0); then the truncation
+    constant K, and h w_m j(z_m).
 
-    The kernel's poles are the cycle states, which stay in fixed boxes
-    on the real axis at every depth (checked for every node), at
-    distance >= sqrt(3)/2 from the arc.  So the integrand is analytic in
-    one Bernstein ellipse around [pi/3, 2pi/3] for every node, and one
-    rule converges geometrically (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 19).
+    K l bounds the rule's error for a node of l states.  An n-point
+    rule errs by at most (64/15) M RHO^(-2n)/(RHO^2 - 1) on an integrand
+    analytic in the Bernstein ellipse E_RHO and bounded by M there
+    (Trefethen, Approximation Theory and Approximation Practice,
+    Thm 19.3).  With theta = pi/2 + h x, h = pi/6, E_RHO maps into
+    |Re theta - pi/2| <= a = h(RHO + 1/RHO)/2 < pi/2 and
+    |Im theta| <= b = h(RHO - 1/RHO)/2, where |z| <= e^b and
+    Im z >= y_min = e^(-b) cos a > 0.  The kernel's poles, the states
+    and their conjugates, are real (their boxes are checked for every
+    node), so each of its 2l terms is below 1/y_min.  The sum evaluates
+    j_40 = sum_{k >= -1} c_k q^k with every c_k positive, so
+    |j_40| <= e^(2 pi e^b) + sum_{k >= 0} c_k e^(-2 pi k y_min).  So
+    M = h e^b 2l max|j_40|/y_min, which gives K.  K is formed in floats; its
+    exponents are below 80 and each step is good to a few u, so its
+    relative error is below 1e-12, and it is raised by a relative 1e-9.
+    That raise also covers the series tail past order 40, below 1e-60
+    per state.
     """
     import numpy as np
 
     h = 0.5 * (ARC_HI - ARC_LO)
-    x, w = np.hstack([np.polynomial.legendre.leggauss(n) for n in RULE_POINTS])
+    x, w = np.polynomial.legendre.leggauss(RULE_POINTS)
     z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
-    wj = h * w * j_eval(z, j_coefficients(SERIES_ORDER))
-    return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], wj
+    series = j_coefficients(SERIES_ORDER)
+    wj = h * w * j_eval(z, series)
+    G = h * w * j_eval(1j * z.imag, series).real
+    a, b = h * (RHO + 1.0 / RHO) / 2.0, h * (RHO - 1.0 / RHO) / 2.0
+    y_min = math.exp(-b) * math.cos(a)
+    j_max = math.exp(2.0 * math.pi * math.exp(b)) + math.fsum(
+        c * math.exp(-2.0 * math.pi * k * y_min) for k, c in enumerate(series[1:]))
+    K = (1.0 + 1e-9) * h * (64.0 / 15.0) * RHO ** (-2 * RULE_POINTS) / (RHO ** 2 - 1.0) \
+        * 2.0 * math.exp(b) * j_max / y_min
+    return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], G, K, wj
 
 
 @dataclass(frozen=True)
@@ -124,15 +154,47 @@ class CycleValue:
 
 
 def integrate_J(node: TreeNode, tol: float) -> CycleValue:
-    """Cycle integral J, the value j = J/(2 log eps), and the quadrature
-    error estimate for one tree node: J = sum_m g_m sum_i [1/(z_m - w_i)
-    - 1/(z_m - w_i')] by the 20-point rule, and |J_20 - J_16| as its
-    estimate.
+    """Cycle integral J, the value j = J/(2 log eps), and a proved bound
+    on J's quadrature error for one tree node:
+    J = sum_m g_m sum_i [1/(z_m - w_i) - 1/(z_m - w_i')] by the 20-point
+    rule over the node's l states w_i and conjugates w_i'.
 
     Raises QuadratureError, naming the node, when a state lies outside
     its box (cf's forward-word boxes, swapped and negated for the
-    reversed words integrated here) or the estimate exceeds ``tol``
+    reversed words integrated here) or the bound exceeds ``tol``
     relative to |J|.
+
+    The bound is K l + ku/(1 - 2ku) A, raised by 2^-50 for the six
+    roundings that form it, with u = 2^-53 and k = l + n + 9 + RULE_ULPS
+    (n = 20).  It covers |J - I| for the exact integral I over the
+    states as computed; their own error is cf._certify's.  K l bounds
+    |I - Q| for the exact rule sum Q (_rule).
+
+    For the rounding, write J = sum_m g_m [conj(z_m) (s_m - s'_m) - t_m]
+    with r_mi = 1/((x_m - w_i)^2 + y_m^2), s_m = sum_i r_mi and
+    t_m = sum_i r_mi w_i - sum_i r'_mi w'_i, primes for the conjugates.
+    Each of its 4nl products, such as g_m conj(z_m) r_mi, is computed
+    with at most l + n + 9 roundings of relative size u: 5 in r_mi (its
+    difference counted twice); l - 1 in an l-term sum, or l in a dot
+    product; at most 3 in the subtractions and conj(z_m) times a real;
+    3 in g_m times a complex, whose relative error is below
+    sqrt(2) 2u/(1 - 2u); and n - 1 in the n-term sum.  Any order of
+    summation, and a fused multiply-add, stays within that count, and a
+    complex sum or product has a complex relative error that counts as a
+    real one does.  RULE_ULPS covers the rule's float arrays: x_m is
+    within 4u of exact, which moves (x_m - w)^2 + y_m^2 by below
+    4u 2|x_m - w|/((x_m - w)^2 + y_m^2) <= 4u/y_m < 4.7u of itself;
+    y_m^2 and conj(z_m) are within 4u of themselves; and g_m is within
+    35u G_m of exact, where G_m >= |exact g_m|.  (j vanishes at the
+    arc's ends, so g_m has no relative bound.)  The tests check these
+    against the rule to 40 digits.  So each product errs by at most
+    gamma_k = ku/(1 - ku) (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.1) times G_m times the modulus of its other
+    exact factors.  Every w_i is positive and every w'_i negative (the
+    boxes), so |J - Q| <= gamma_k A* with
+    A* = sum_m G_m (s_m + s'_m + t_m) over exact terms.  The computed A,
+    with at most k roundings per term, is at least (1 - gamma_k) A*, and
+    gamma_k/(1 - gamma_k) = ku/(1 - 2ku).
     """
     import numpy as np
 
@@ -146,17 +208,21 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
             and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
         raise QuadratureError(f"cycle state outside the certified box {at}")
-    g, zbar, x, y2, _ = _rule()
+    g, zbar, x, y2, G, K, _ = _rule()
     # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
     # z = x + iy, so the (quadrature node, state) matrices stay real.
     r = 1.0 / ((x - values) ** 2 + y2)
     rc = 1.0 / ((x - conj) ** 2 + y2)
-    terms = g * (zbar * (r.sum(axis=1) - rc.sum(axis=1)) - (r @ values - rc @ conj))
-    n = RULE_POINTS[0]
-    J, check = complex(terms[:n].sum()), complex(terms[n:].sum())
-    err = abs(J - check)
+    s, sc, t = r.sum(axis=1), rc.sum(axis=1), r @ values - rc @ conj
+    J = complex((g * (zbar * (s - sc) - t)).sum())
+    # The values are positive and the conjugates negative, so t is the
+    # sum of |r @ values| and |rc @ conj|.
+    u, l = 2.0 ** -53, len(values)
+    k = l + RULE_POINTS + 9 + RULE_ULPS
+    rounding = k * u / (1.0 - 2.0 * k * u) * float((G * (s + sc + t)).sum())
+    err = (K * l + rounding) * (1.0 + 2.0 ** -50)
     if not err <= tol * abs(J):
-        raise QuadratureError(f"quadrature estimate {err:g} exceeds tol {tol:g} "
+        raise QuadratureError(f"quadrature bound {err:g} exceeds tol {tol:g} "
                               f"relative to |value| = {abs(J):g} {at}")
     le = log_epsilon(node.c)
     return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
@@ -244,8 +310,9 @@ def write_cache(records: Iterable[dict], path) -> None:
 
 def read_cache(path) -> list[dict]:
     """The records of a JSON-lines result cache.  A line that is not a
-    JSON object of this schema, with every CACHE_FIELDS key of its type,
-    raises ValueError naming the file and line."""
+    JSON object of this schema, with every CACHE_FIELDS key of its type
+    and every float finite (JSON admits NaN and Infinity), raises
+    ValueError naming the file and line."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -256,7 +323,8 @@ def read_cache(path) -> list[dict]:
             except ValueError:
                 rec = None
             if not (isinstance(rec, dict) and rec.get("schema") == CACHE_SCHEMA and all(
-                    type(rec.get(key)) is kind for key, kind in CACHE_FIELDS.items())):
+                    type(rec.get(key)) is kind and (kind is not float or math.isfinite(rec[key]))
+                    for key, kind in CACHE_FIELDS.items())):
                 raise ValueError(f"{path} line {number} is not a schema-{CACHE_SCHEMA} "
                                  "cache record")
             records.append(rec)

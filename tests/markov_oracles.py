@@ -20,15 +20,22 @@ the tests, lives here as plain functions:
   and triple, read off the node's matrix and its neighbours;
 - envelope_from_values: analysis.envelope_from_values;
 - average_integral: integrals.average_integral.
+
+exact_arc_rule and exact_truncation_constant compute, to 40 digits in
+decimal arithmetic, the rule and the truncation constant K that
+integrals._rule builds in floats, so that a test can measure how far
+each of them is from exact.
 """
 
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 from markovj.cf import PeriodError
-from markovj.integrals import RULE_POINTS, _rule
+from markovj.integrals import ARC_HI, ARC_LO, _rule
+from markovj.jfunction import SERIES_ORDER, j_coefficients, j_eval
 from markovj.tree import TreeError, vieta_children
 
 
@@ -218,9 +225,110 @@ def envelope_from_values(values) -> tuple[tuple[float, float], tuple[float, floa
 
 def average_integral(tol: float) -> float:
     """The arc average integral of j(e^(i theta)) over [pi/3, 2pi/3], by
-    the value rule of integrals._rule, whose difference from the check
-    rule must be within ``tol`` relative to the value."""
-    wj, n = _rule()[-1], RULE_POINTS[0]
-    value, check = complex(wj[:n].sum()), complex(wj[n:].sum())
+    the rule of integrals._rule, which must agree within ``tol``
+    relative with an independent 40-point Gauss-Legendre sum."""
+    import numpy as np
+
+    value = complex(_rule()[-1].sum())
+    h = 0.5 * (ARC_HI - ARC_LO)
+    x, w = np.polynomial.legendre.leggauss(40)
+    z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
+    check = complex((h * w * j_eval(z, j_coefficients(SERIES_ORDER))).sum())
     assert abs(value - check) <= tol * abs(value)
     return value.real
+
+
+def _decimal_pi() -> Decimal:
+    """pi to the current decimal precision (the recipe of the decimal
+    module's documentation)."""
+    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+    while s != lasts:
+        lasts = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    return +s
+
+
+def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, for |x| <= 4."""
+    tiny = Decimal(10) ** -getcontext().prec
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0  # x^k / k!
+    while abs(term) > tiny:
+        if k % 4 == 0:
+            cos += term
+        elif k % 4 == 1:
+            sin += term
+        elif k % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        k += 1
+        term = term * x / k
+    return cos, sin
+
+
+def exact_arc_rule(points: int, series, digits: int = 40):
+    """The ``points``-point Gauss-Legendre rule on the arc
+    theta = pi/2 + h x, h = pi/6, with the j-series ``series``
+    (c_-1, c_0, ...), to ``digits`` digits: per node (x, y, g) with
+    z = x + iy = e^(i theta) and g = h w j(z) i z as a (re, im) pair.
+    The nodes are the roots of the Legendre polynomial, by Newton's
+    method from Tricomi's estimates, and w = 2/((1 - x^2) P_n'(x)^2)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        pi = _decimal_pi()
+        h = pi / 6
+
+        def legendre(x):
+            p0, p1 = Decimal(1), x
+            for k in range(2, points + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            return p1, points * (x * p1 - p0) / (x * x - 1)
+
+        rule = []
+        for m in range(points, 0, -1):
+            x = Decimal(math.cos(math.pi * (m - 0.25) / (points + 0.5)))
+            step = Decimal(1)
+            while abs(step) > Decimal(10) ** -(digits + 5):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+            _, dp = legendre(x)
+            weight = 2 / ((1 - x * x) * dp * dp)
+            zx, zy = _decimal_cos_sin(pi / 2 + h * x)
+            # q = e^(-2 pi y) e^(2 pi i x); j = sum_k c_k q^k by Horner in
+            # q, then times 1/q.
+            radius = (-2 * pi * zy).exp()
+            qc, qs = _decimal_cos_sin(2 * pi * zx)
+            qr, qi = radius * qc, radius * qs
+            acc_r, acc_i = Decimal(0), Decimal(0)
+            for c in reversed(series):
+                acc_r, acc_i = acc_r * qr - acc_i * qi + c, acc_r * qi + acc_i * qr
+            inv = 1 / (radius * radius)
+            jr, ji = (acc_r * qr + acc_i * qi) * inv, (acc_i * qr - acc_r * qi) * inv
+            scale = h * weight
+            # g = scale j i z, with i z = -y + i x.
+            g = (scale * (-jr * zy - ji * zx), scale * (jr * zx - ji * zy))
+            rule.append((+zx, +zy, (+g[0], +g[1])))
+        return rule
+
+
+def exact_truncation_constant(rho: float, points: int, series, digits: int = 40) -> Decimal:
+    """The per-state truncation constant K of integrals._rule, to
+    ``digits`` digits from the float ``rho``:
+    h (64/15) rho^(-2n) / (rho^2 - 1) 2 e^b j_max / y_min, with h = pi/6,
+    a = h (rho + 1/rho)/2, b = h (rho - 1/rho)/2, y_min = e^(-b) cos a
+    and j_max = e^(2 pi e^b) + sum_{k >= 0} c_k e^(-2 pi k y_min)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        pi = _decimal_pi()
+        h, rho = pi / 6, Decimal(rho)
+        a, b = h * (rho + 1 / rho) / 2, h * (rho - 1 / rho) / 2
+        y_min = (-b).exp() * _decimal_cos_sin(a)[0]
+        j_max = (2 * pi * b.exp()).exp() + sum(
+            c * (-2 * pi * k * y_min).exp() for k, c in enumerate(series[1:]))
+        return +(h * Decimal(64) / 15 / rho ** (2 * points) / (rho * rho - 1)
+                 * 2 * b.exp() * j_max / y_min)

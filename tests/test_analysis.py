@@ -110,6 +110,14 @@ class TestQRecursion:
         report = check_q_recursion(build_tree(8))
         assert report.passed
 
+    def test_reads_the_path_through_parent_links(self):
+        # The nodes need not hold their path prefixes; the deepest node
+        # of the path carries its largest coefficient.
+        alone = check_q_recursion([node_at("RLLRRL")]).checks[0].details
+        along = check_q_recursion(list(walk_path("RLLRRL"))).checks[0].details
+        assert (alone, along) == ("1 nodes verified, max coefficient 12",
+                                  "6 nodes verified, max coefficient 12")
+
     def test_failure_raises_tree_error(self, monkeypatch):
         monkeypatch.setattr(analysis, "_mat_mul", lambda A, B: ((0, 0), (0, 0)))
         with pytest.raises(TreeError, match="matrix recursion fails"):

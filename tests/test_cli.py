@@ -167,6 +167,13 @@ class TestValue:
         assert code == 2 and out == ""
         assert err == "error: a path of 200 steps reaches level 201, below the deepest level 200\n"
 
+    def test_longest_word_meets_the_default_tol(self, capsys):
+        # The zigzag node of level 18, q = MAX_Q = 10 946: its quadrature
+        # bound, which grows with q, is still below 1e-10 relative.
+        code, out, err = run(capsys, "value", "RL" * 8 + "R")
+        assert (code, err) == (0, "")
+        assert out.startswith("node      4181/10946  ")
+
     def test_word_longer_than_the_deepest_tree(self, capsys):
         code, out, err = run(capsys, "value", "RL" * 9)
         assert code == 2 and out == ""
@@ -237,7 +244,7 @@ class TestTable:
         assert sorted(lengths) == sorted(joined)
 
     def test_default_tol_at_depth_ten(self, capsys):
-        # The adaptive rule's absolute per-panel tolerance raised here.
+        # Every node to depth 10 has a quadrature bound below the default tol.
         code, out, err = run(capsys, "--depth", "10", "table")
         assert code == 0 and err == ""
         assert len(out.strip().splitlines()) == 1 + 2 + 2**10 - 1
@@ -376,6 +383,21 @@ class TestTable:
         assert code == 2 and out == ""
         assert err == f"error: {cache} line 2 is not a schema-2 cache record\n"
 
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_non_finite_cache_record_is_one_line(self, capsys, tmp_path, command):
+        # A NaN value was once served: the table printed nan, and verify
+        # passed without checking the node.
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "3", "--cache", str(cache), "table")
+        lines = cache.read_text().splitlines()
+        rec = json.loads(lines[0])  # the root's: records are in path order
+        assert rec["path"] == ""
+        rec["J_re"] = rec["j_re"] = float("nan")
+        lines[0] = json.dumps(rec)
+        cache.write_text("\n".join(lines) + "\n")
+        assert refused(capsys, "--depth", "3", "--cache", str(cache), command) == (
+            f"error: {cache} line 1 is not a schema-2 cache record\n")
+
     def test_unwritable_cache_names_its_path(self, capsys, tmp_path):
         # Once named the temp file beside it, "<cache>.tmp".
         cache = tmp_path / "missing" / "x.jsonl"
@@ -423,9 +445,9 @@ class TestRowWriter:
         (["--format", "json", "--depth", "3", "tree"],
          "ee73be0a85dab8e31c2e065478b0a65fc8a70cdf4427ee856ad1c3a0dbe0afee"),
         (["--format", "json", "--depth", "3", "table"],
-         "35988d16493494337357e5f900aa6d79b61ba8d71be8f4f609f6c979f6c3e487"),
+         "4da4d60ccde4df8d934983250e196816f2c5d7edc094d1f302ce4591db2269d8"),
         (["--depth", "9", "table"],
-         "4f021ea5b858617f8c26eca611b3d5e6bfa6bec32e0d646939ed8029e08b7835"),
+         "5dbf7a6da69399a9309b059c0f7b065a8d8622ce2487a26bd82b6986026ad99a"),
     ], ids=["json_tree", "json_table", "cold_table_depth_nine"])
     def test_output_unchanged(self, capsys, argv, sha):
         # SHA-256 of each output as the csv and json modules wrote it.
@@ -456,7 +478,7 @@ class TestFailures:
         code, out, err = run(capsys, "--depth", "3", "--jobs", jobs,
                              "--tol", "1e-16", "table")
         assert code == 2 and out == ""
-        assert re.fullmatch(r"error: quadrature estimate \S+ exceeds tol 1e-16 "
+        assert re.fullmatch(r"error: quadrature bound \S+ exceeds tol 1e-16 "
                             r"relative to \|value\| = \S+ at 0/1 \(path '0/1'\)\n", err)
 
 
@@ -667,10 +689,10 @@ class TestFreshInterpreter:
 
     @pytest.mark.parametrize("argv, sha", [
         (["--depth", "3", "table"],
-         "7083f0aee81b024417c7c05d18a22f078b8bc76472477d14ab1b132ee168285e"),
+         "a76c94c6e4875657c54c5f14b5f8e882c26c01f7afa86d3d6792e71aed402b53"),
         (["--depth", "3", "verify"],
          "d03a3717ca2b09691d833c8264bd9e754fa9319423d1955db7506a2983aa1f95"),
-        (["value", "RL"], "cc1edd64b05f272e9d8e40f57bb88c37c2533ae401e7da898d58b37564e12284"),
+        (["value", "RL"], "73c31cc0a3b35c57b9795592b87dae8df69b497aa607608dcd291d59d99e4287"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
     def test_value_commands_load_their_layers(self, argv, sha):
