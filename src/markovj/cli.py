@@ -2,13 +2,13 @@
 
 Subcommands: tree, value, table, interlace, asymptotics, bounds,
 verify.  Numbers are printed with 12 significant digits; rows come in
-the order of p/q, the published layout of the table.  A JSON-lines cache
-(--cache) makes warm reruns byte-identical without re-integrating.
+the order of p/q, the published layout of the table.  Every command that
+prints values reads them from a JSON-lines cache (--cache) at any --tol
+their bounds meet, so warm reruns are byte-identical without integrating.
 The numeric layers (integrals, analysis) are imported by the commands
 that need them, so ``tree`` runs without them.  numpy is imported only
-where values are computed and by ``asymptotics``, so ``bounds``, and
-``verify`` and ``interlace`` on a cache that holds every value, run
-without it.
+where values are computed and by ``asymptotics``, so ``bounds``, and the
+value commands on a cache that holds every value, run without it.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ def _value_row(value: CycleValue) -> tuple[str, ...]:
 
 
 def _values_with_cache(nodes: list[TreeNode], args: argparse.Namespace) -> dict[str, CycleValue]:
-    """Compute values for the nodes, consulting the JSONL cache.
+    """The values of the nodes by path, for every command that prints them.
 
-    A node's cached record is used only if it matches the node and the
-    run (integrals.cached_value); the other nodes are computed, and only
-    then is the cache rewritten, in path order: the run's values and,
-    as read, every record of a path outside the run.  A cache that
+    A node's cached record is served if it matches the node and its bound
+    meets --tol (integrals.cached_value); the other nodes are computed,
+    and only then is the cache rewritten, in path order: the run's values
+    and, as read, every record of a path outside the run.  A cache that
     could not be written is refused before any value is computed.
     """
     from . import integrals
@@ -114,10 +114,8 @@ def _resolve_target(target: str) -> TreeNode:
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    from . import integrals
-
     node = _resolve_target(args.target)
-    value = integrals.integrate_J(node, args.tol)
+    value = _values_with_cache([node], args)[node.path]
     if args.fmt == "json":
         print(json.dumps(dict(zip(CSV_HEADER, _value_row(value))), indent=2))
     else:

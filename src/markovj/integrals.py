@@ -65,10 +65,8 @@ RULE_ULPS = 48
 CACHE_SCHEMA = 2
 #: The type of each field of a cache record, as read back from JSON.
 CACHE_FIELDS = {
-    "schema": int, "path": str, "level": int, "p": int, "q": int, "c": str,
-    "J_re": float, "J_im": float, "j_re": float, "j_im": float,
-    "log_eps": float, "quad_err": float,
-    "tol": float, "series_order": int, "method": str,
+    "schema": int, "path": str, "q": int, "c": str, "J_re": float, "J_im": float,
+    "quad_err": float, "series_order": int, "method": str,
 }
 
 
@@ -139,14 +137,20 @@ def _rule():
 
 @dataclass(frozen=True)
 class CycleValue:
-    """Computed cycle integral for one node."""
+    """The cycle integral J of one node, a function of the node alone, and
+    a proved bound on its quadrature error; log eps and j follow from c."""
 
     node: TreeNode
     J: complex
-    j: complex
-    log_eps: float
     quad_error: float
-    tol: float
+
+    @functools.cached_property
+    def log_eps(self) -> float:
+        return log_epsilon(self.node.c)
+
+    @property
+    def j(self) -> complex:
+        return self.J / (2.0 * self.log_eps)
 
     @property
     def J_over_q(self) -> complex:
@@ -154,8 +158,8 @@ class CycleValue:
 
 
 def integrate_J(node: TreeNode, tol: float) -> CycleValue:
-    """Cycle integral J, the value j = J/(2 log eps), and a proved bound
-    on J's quadrature error for one tree node:
+    """Cycle integral J and a proved bound on its quadrature error for
+    one tree node:
     J = sum_m g_m sum_i [1/(z_m - w_i) - 1/(z_m - w_i')] by the 20-point
     rule over the node's l states w_i and conjugates w_i'.
 
@@ -224,8 +228,7 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     if not err <= tol * abs(J):
         raise QuadratureError(f"quadrature bound {err:g} exceeds tol {tol:g} "
                               f"relative to |value| = {abs(J):g} {at}")
-    le = log_epsilon(node.c)
-    return CycleValue(node=node, J=J, j=J / (2.0 * le), log_eps=le, quad_error=err, tol=tol)
+    return CycleValue(node=node, J=J, quad_error=err)
 
 
 def compute_values(nodes: Iterable[TreeNode], tol: float) -> dict[str, CycleValue]:
@@ -235,36 +238,32 @@ def compute_values(nodes: Iterable[TreeNode], tol: float) -> dict[str, CycleValu
 
 
 def cache_record(value: CycleValue) -> dict:
+    """A value's record: its node (path, q, c), J, its bound, and the
+    series order and method that computed it."""
     node = value.node
     return {
         "schema": CACHE_SCHEMA,
         "path": node.path,
-        "level": node.level,
-        "p": node.p,
         "q": node.q,
         "c": str(node.c),
         "J_re": value.J.real,
         "J_im": value.J.imag,
-        "j_re": value.j.real,
-        "j_im": value.j.imag,
-        "log_eps": value.log_eps,
         "quad_err": value.quad_error,
-        "tol": value.tol,
         "series_order": SERIES_ORDER,
         "method": METHOD,
     }
 
 
 def cached_value(rec: dict | None, node: TreeNode, tol: float) -> CycleValue | None:
-    """The value a cache record holds for ``node`` at ``tol``, or None
-    unless the record matches the node (q, c) and the run (tol, series
-    order, quadrature method)."""
-    if rec is None or (rec["q"], rec["c"], rec["tol"], rec["series_order"], rec["method"]) != (
-            node.q, str(node.c), tol, SERIES_ORDER, METHOD):
+    """The value a cache record holds for ``node``, or None unless it
+    matches the node (q, c), the series order and the method, and its
+    bound meets ``tol`` as integrate_J's must; a node left None is
+    recomputed, so integrate_J alone refuses a value."""
+    if rec is None or (rec["q"], rec["c"], rec["series_order"], rec["method"]) != (
+            node.q, str(node.c), SERIES_ORDER, METHOD):
         return None
-    return CycleValue(node=node, J=complex(rec["J_re"], rec["J_im"]),
-                      j=complex(rec["j_re"], rec["j_im"]), log_eps=rec["log_eps"],
-                      quad_error=rec["quad_err"], tol=rec["tol"])
+    value = CycleValue(node=node, J=complex(rec["J_re"], rec["J_im"]), quad_error=rec["quad_err"])
+    return value if value.quad_error <= tol * abs(value.J) else None
 
 
 def _open_temp(path):
@@ -312,7 +311,8 @@ def read_cache(path) -> list[dict]:
     """The records of a JSON-lines result cache.  A line that is not a
     JSON object of this schema, with every CACHE_FIELDS key of its type
     and every float finite (JSON admits NaN and Infinity), raises
-    ValueError naming the file and line."""
+    ValueError naming the file and line; other keys, such as the p, j and
+    tol of older records, are kept unread."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):

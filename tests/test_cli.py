@@ -17,6 +17,7 @@ import markovj
 from markovj import analysis, cli, tree
 from markovj.cf import format_period
 from markovj.cli import main
+from markovj.integrals import cached_value
 from markovj.tree import build_tree, joins_neighbours
 
 DATA = Path(__file__).parent / "data"
@@ -40,6 +41,22 @@ def refused(capsys, *argv) -> str:
     assert len(out.err.splitlines()) == 1 and out.err.endswith("\n"), out.err
     assert out.err.startswith("error: "), out.err
     return out.err
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The nodes the cli computes instead of reading from the cache."""
+    import markovj.integrals as integrals
+
+    nodes = []
+    compute = integrals.compute_values
+
+    def counting(missing, **kwargs):
+        nodes.extend(missing)
+        return compute(missing, **kwargs)
+
+    monkeypatch.setattr(integrals, "compute_values", counting)
+    return nodes
 
 
 class TestConfig:
@@ -196,6 +213,20 @@ class TestValue:
         assert code == 0 and err == ""
         assert f"c         {c}\n" in out
 
+    def test_value_reads_and_fills_the_cache(self, capsys, tmp_path, computed):
+        cache = tmp_path / "cache.jsonl"
+        _, cold, _ = run(capsys, "value", "RL")
+        computed.clear()
+        code, out, _ = run(capsys, "--cache", str(cache), "value", "RL")
+        assert (code, out) == (0, cold)
+        assert [node.path for node in computed] == ["RL"]
+        assert [json.loads(line)["path"] for line in cache.read_text().splitlines()] == ["RL"]
+        cache_bytes = cache.read_bytes()
+        computed.clear()
+        code, out, _ = run(capsys, "--cache", str(cache), "value", "RL")
+        assert (code, out, computed) == (0, cold, [])
+        assert cache.read_bytes() == cache_bytes
+
     def test_path_target(self, capsys):
         code, out, _ = run(capsys, "value", "RL")
         assert code == 0
@@ -249,21 +280,6 @@ class TestTable:
         assert code == 0 and err == ""
         assert len(out.strip().splitlines()) == 1 + 2 + 2**10 - 1
 
-    @pytest.fixture
-    def computed(self, monkeypatch):
-        """The nodes the cli computes instead of reading from the cache."""
-        import markovj.integrals as integrals
-
-        nodes = []
-        compute = integrals.compute_values
-
-        def counting(missing, **kwargs):
-            nodes.extend(missing)
-            return compute(missing, **kwargs)
-
-        monkeypatch.setattr(integrals, "compute_values", counting)
-        return nodes
-
     def test_cache_not_served_across_series_order(self, capsys, tmp_path, computed):
         cache = tmp_path / "cache.jsonl"
         run(capsys, "--depth", "2", "--cache", str(cache), "table")
@@ -278,14 +294,59 @@ class TestTable:
         _, cold, _ = run(capsys, "--depth", "2", "table")
         assert warm == cold
 
-    def test_cache_not_served_across_tol(self, capsys, tmp_path, computed):
-        cache = str(tmp_path / "cache.jsonl")
-        run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
+    def test_cache_served_across_tol(self, capsys, tmp_path, computed):
+        # tol admits values and changes none, so it is not part of the key.
+        cache = tmp_path / "cache.jsonl"
+        _, cold, _ = run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", str(cache), "table")
+        cache_bytes = cache.read_bytes()
         computed.clear()
-        run(capsys, "--depth", "2", "--tol", "1e-8", "--cache", cache, "table")
-        assert computed == []
-        run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", cache, "table")
-        assert len(computed) == 5
+        code, warm, _ = run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", str(cache),
+                            "table")
+        assert (code, warm, computed) == (0, cold, [])
+        assert cache.read_bytes() == cache_bytes
+
+    def test_cached_bound_above_tol_refused(self, capsys, tmp_path, computed):
+        # A tol between the nodes' bounds: the records that meet it are
+        # served, the others are recomputed, and integrate_J refuses the
+        # first of them, naming it.
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "3", "--cache", str(cache), "table")
+        cache_bytes = cache.read_bytes()
+        records = {rec["path"]: rec for rec in map(json.loads, cache.read_text().splitlines())}
+        rel = sorted(rec["quad_err"] / abs(complex(rec["J_re"], rec["J_im"]))
+                     for rec in records.values())
+        tol = (rel[4] + rel[5]) / 2
+        over = [node for node in build_tree(3) if not records[node.path]["quad_err"]
+                <= tol * abs(complex(records[node.path]["J_re"], records[node.path]["J_im"]))]
+        assert 0 < len(over) < 9
+        computed.clear()
+        err = refused(capsys, "--depth", "3", "--tol", repr(tol), "--cache", str(cache), "table")
+        assert re.fullmatch(rf"error: quadrature bound \S+ exceeds tol {tol:g} relative to "
+                            rf"\|value\| = \S+ at {over[0].p}/{over[0].q} "
+                            rf"\(path '{over[0].path}'\)\n", err)
+        assert computed == over
+        assert cache.read_bytes() == cache_bytes
+
+    def test_serves_records_with_the_older_fields(self, capsys, tmp_path, computed):
+        # Records of this schema once also held level, p, j, log eps and
+        # the tol of the run that wrote them, 15 fields; they are served.
+        cache = tmp_path / "cache.jsonl"
+        _, cold, _ = run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        nodes = {node.path: node for node in build_tree(2)}
+        lines = []
+        for rec in map(json.loads, cache.read_text().splitlines()):
+            node = nodes[rec["path"]]
+            value = cached_value(rec, node, 1e-10)
+            rec.update(level=node.level, p=node.p, j_re=value.j.real, j_im=value.j.imag,
+                       log_eps=value.log_eps, tol=1e-10)
+            assert len(rec) == 15
+            lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        cache.write_text("".join(lines))
+        cache_bytes = cache.read_bytes()
+        computed.clear()
+        code, warm, _ = run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        assert (code, warm, computed) == (0, cold, [])
+        assert cache.read_bytes() == cache_bytes
 
     def test_warm_run_does_not_rewrite_cache(self, capsys, tmp_path, monkeypatch):
         import markovj.integrals as integrals
@@ -315,20 +376,24 @@ class TestTable:
 
     def test_rewrite_keeps_other_nodes_records(self, capsys, tmp_path, computed):
         # A rewrite once kept only the run's nodes: the depth-2 run left
-        # 5 of 17 records, and the next depth-4 run recomputed 12.
+        # 5 of 17 records, and the next depth-4 run recomputed 12.  The
+        # depth-2 run's own records are dropped first, so it rewrites.
         cache = tmp_path / "cache.jsonl"
         run(capsys, "--depth", "4", "--cache", str(cache), "table")
         before = cache.read_text().splitlines()
         assert len(before) == 17
-        run(capsys, "--depth", "2", "--tol", "1e-9", "--cache", str(cache), "table")
-        after = cache.read_text().splitlines()
         shallow = {node.path for node in build_tree(2)}
         kept = [line for line in before if json.loads(line)["path"] not in shallow]
+        cache.write_text("".join(line + "\n" for line in kept))
+        computed.clear()
+        run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        assert {node.path for node in computed} == shallow
+        after = cache.read_text().splitlines()
         assert len(after) == 17 and len(kept) == 12
         assert [line for line in after if json.loads(line)["path"] not in shallow] == kept
         computed.clear()
         run(capsys, "--depth", "4", "--cache", str(cache), "table")
-        assert {node.path for node in computed} == shallow
+        assert computed == []
         assert cache.read_text().splitlines() == before
 
     def test_symlinked_cache_written_through(self, capsys, tmp_path):
@@ -392,7 +457,7 @@ class TestTable:
         lines = cache.read_text().splitlines()
         rec = json.loads(lines[0])  # the root's: records are in path order
         assert rec["path"] == ""
-        rec["J_re"] = rec["j_re"] = float("nan")
+        rec["J_re"] = float("nan")
         lines[0] = json.dumps(rec)
         cache.write_text("\n".join(lines) + "\n")
         assert refused(capsys, "--depth", "3", "--cache", str(cache), command) == (
@@ -664,7 +729,8 @@ class TestFreshInterpreter:
                               text=True, timeout=120, env=self.ENV)
         assert json.loads(proc.stderr.splitlines()[-1]) == [rc, False], proc.stderr
 
-    @pytest.mark.parametrize("command", ["verify", "interlace", "bounds"])
+    @pytest.mark.parametrize("command", [["verify"], ["interlace"], ["bounds"], ["value", "RL"]],
+                             ids=["verify", "interlace", "bounds", "value"])
     def test_warm_cache_commands_load_no_numpy(self, command, tmp_path):
         # numpy computes values; with every value in the cache, these
         # commands read them back and check them in plain Python.
@@ -673,7 +739,8 @@ class TestFreshInterpreter:
                                "table"], capture_output=True, timeout=120, env=self.ENV)
         assert fill.returncode == 0, fill.stderr
         proc = subprocess.run([sys.executable, "-c", self.PROBE, "--depth", "5", "--cache", cache,
-                               command], capture_output=True, text=True, timeout=120, env=self.ENV)
+                               *command], capture_output=True, text=True, timeout=120,
+                              env=self.ENV)
         assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
 
     def test_tree_loads_no_fractions(self):
