@@ -16,7 +16,10 @@ there and the computed Im J is rounding of either sign (below
 Each value carries a proved bound on its quadrature error: the
 20-point Gauss-Legendre truncation error over a Bernstein ellipse, in
 which every node's integrand is analytic, plus the rounding of the sum
-(see integrate_J).
+(see integrate_J).  The rule's nodes and weights are built in floats by
+Newton's method on the Legendre recurrence (see _rule), and einsum, not
+BLAS, sums over the states, so a value needs neither numpy.polynomial
+nor a BLAS or LAPACK call.
 
 Only integrate_J needs numpy, and it imports it when called, so the
 cache functions load without it.
@@ -52,15 +55,19 @@ __all__ = [
 ARC_LO = math.pi / 3.0
 ARC_HI = 2.0 * math.pi / 3.0
 
-#: Points of the Gauss-Legendre rule that gives each value.
+#: Points of the Gauss-Legendre rule that gives each value.  METHOD
+#: names the rule, not how its floats are formed: a record's bound was
+#: proved for the arrays that computed it, so it holds whatever rule
+#: arrays a later version builds.
 RULE_POINTS = 20
 METHOD = f"gauss-legendre-{RULE_POINTS}"
 #: The Bernstein ellipse of the truncation bound, E_rho around the
 #: rule's interval; 3.15 is near the rho that minimises the bound.
 RHO = 3.15
 #: Units u = 2^-53 that the rule's float arrays add to each term of the
-#: sum (integrate_J); tests/test_integrals.py checks them.
-RULE_ULPS = 48
+#: sum, 4.7 + 4 + 4 + 10 rounded up (integrate_J); tests/test_integrals.py
+#: checks them.
+RULE_ULPS = 23
 
 CACHE_SCHEMA = 2
 #: The type of each field of a cache record, as read back from JSON.
@@ -91,6 +98,15 @@ def log_epsilon(c: int) -> float:
     )
 
 
+def _legendre(x):
+    """P_n and P_n' at x (|x| < 1) for n = RULE_POINTS, by the three-term
+    recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)."""
+    p0, p1 = 1.0, x
+    for k in range(2, RULE_POINTS + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, RULE_POINTS * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.cache
 def _rule():
     """The Gauss-Legendre rule on the arc, built once per process with
@@ -99,6 +115,15 @@ def _rule():
     (Im z_m)^2, and G_m = h w_m sum_k |c_k| |q_m|^k, the series'
     absolute sum (j at i Im z_m, where q > 0); then the truncation
     constant K, and h w_m j(z_m).
+
+    The nodes x_m, in increasing order, are the roots of P_n (n = 20):
+    five Newton steps on its three-term recurrence from Tricomi's
+    estimates cos(pi (m - 1/4)/(n + 1/2)), m = n, ..., 1.  The fourth
+    step is below 4e-16 and the fifth only rounding.  The weights are
+    w_m = 2/((1 - x_m^2) P_n'(x_m)^2) (Hale and Townsend, SIAM J. Sci.
+    Comput. 35 (2013); Trefethen, ATAP, ch. 19).  Against the rule
+    to 40 digits, x_m is within 1.3u and g_m within 7.0u G_m, where
+    integrate_J's proof allows 4u and 10u.
 
     K l bounds the rule's error for a node of l states.  An n-point
     rule errs by at most (64/15) M RHO^(-2n)/(RHO^2 - 1) on an integrand
@@ -120,8 +145,12 @@ def _rule():
     """
     import numpy as np
 
-    h = 0.5 * (ARC_HI - ARC_LO)
-    x, w = np.polynomial.legendre.leggauss(RULE_POINTS)
+    n, h = RULE_POINTS, 0.5 * (ARC_HI - ARC_LO)
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        p, dp = _legendre(x)
+        x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * _legendre(x)[1] ** 2)
     z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
     series = j_coefficients(SERIES_ORDER)
     wj = h * w * j_eval(z, series)
@@ -179,8 +208,8 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     t_m = sum_i r_mi w_i - sum_i r'_mi w'_i, primes for the conjugates.
     Each of its 4nl products, such as g_m conj(z_m) r_mi, is computed
     with at most l + n + 9 roundings of relative size u: 5 in r_mi (its
-    difference counted twice); l - 1 in an l-term sum, or l in a dot
-    product; at most 3 in the subtractions and conj(z_m) times a real;
+    difference counted twice); l - 1 in an l-term sum, or l in a sum of
+    l products; at most 3 in the subtractions and conj(z_m) times a real;
     3 in g_m times a complex, whose relative error is below
     sqrt(2) 2u/(1 - 2u); and n - 1 in the n-term sum.  Any order of
     summation, and a fused multiply-add, stays within that count, and a
@@ -189,7 +218,7 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     within 4u of exact, which moves (x_m - w)^2 + y_m^2 by below
     4u 2|x_m - w|/((x_m - w)^2 + y_m^2) <= 4u/y_m < 4.7u of itself;
     y_m^2 and conj(z_m) are within 4u of themselves; and g_m is within
-    35u G_m of exact, where G_m >= |exact g_m|.  (j vanishes at the
+    10u G_m of exact, where G_m >= |exact g_m|.  (j vanishes at the
     arc's ends, so g_m has no relative bound.)  The tests check these
     against the rule to 40 digits.  So each product errs by at most
     gamma_k = ku/(1 - ku) (Higham, Accuracy and Stability of Numerical
@@ -217,10 +246,13 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     # z = x + iy, so the (quadrature node, state) matrices stay real.
     r = 1.0 / ((x - values) ** 2 + y2)
     rc = 1.0 / ((x - conj) ** 2 + y2)
-    s, sc, t = r.sum(axis=1), rc.sum(axis=1), r @ values - rc @ conj
+    s, sc = r.sum(axis=1), rc.sum(axis=1)
+    # einsum sums the products in its own loop; @ would call BLAS, no
+    # faster at these sizes and dearer in peak memory.
+    t = np.einsum("ij,j->i", r, values) - np.einsum("ij,j->i", rc, conj)
     J = complex((g * (zbar * (s - sc) - t)).sum())
     # The values are positive and the conjugates negative, so t is the
-    # sum of |r @ values| and |rc @ conj|.
+    # sum of the moduli of its two sums.
     u, l = 2.0 ** -53, len(values)
     k = l + RULE_POINTS + 9 + RULE_ULPS
     rounding = k * u / (1.0 - 2.0 * k * u) * float((G * (s + sc + t)).sum())

@@ -90,7 +90,8 @@ def j_eval(z, coefficients: tuple[int, ...]):
     import numpy as np
 
     arr = np.asarray(z, dtype=complex)
-    if np.any(arr.imag < ARC_MIN_IM):
+    # Written so that NaN fails too.
+    if not np.all(arr.imag >= ARC_MIN_IM):
         raise ValueError(f"Im z must be >= {ARC_MIN_IM}")
     q = np.exp(2j * math.pi * arr)
     acc = np.zeros_like(q)
@@ -106,7 +107,7 @@ def truncation_error_bound(order: int, y: float) -> float:
     Uses the growth envelope c_m <= e^(4 pi sqrt m), summing terms
     until a geometric tail bound takes over.
     """
-    if y < ARC_MIN_IM:
+    if not y >= ARC_MIN_IM:
         raise ValueError("y below the admissible strip")
     total = 0.0
     m = order + 1

@@ -510,9 +510,9 @@ class TestRowWriter:
         (["--format", "json", "--depth", "3", "tree"],
          "ee73be0a85dab8e31c2e065478b0a65fc8a70cdf4427ee856ad1c3a0dbe0afee"),
         (["--format", "json", "--depth", "3", "table"],
-         "4da4d60ccde4df8d934983250e196816f2c5d7edc094d1f302ce4591db2269d8"),
+         "1abcfefc434d9024304e3de0015eea4ebb7e197c5cd6122c769981d3b7475059"),
         (["--depth", "9", "table"],
-         "5dbf7a6da69399a9309b059c0f7b065a8d8622ce2487a26bd82b6986026ad99a"),
+         "36fc9c42dc6b2d6ff9da0b82a59d41eb6061bcdfd5b2c24bdec5c5304e0b073c"),
     ], ids=["json_tree", "json_table", "cold_table_depth_nine"])
     def test_output_unchanged(self, capsys, argv, sha):
         # SHA-256 of each output as the csv and json modules wrote it.
@@ -743,6 +743,21 @@ class TestFreshInterpreter:
                               env=self.ENV)
         assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
 
+    @pytest.mark.parametrize("command", [["--depth", "3", "table"], ["value", "RL"]],
+                             ids=["table", "value"])
+    def test_cold_values_load_no_numpy_polynomial(self, command, tmp_path):
+        # The rule's nodes and weights are built by Newton's method in
+        # floats: computing values loads numpy, but not numpy.polynomial.
+        probe = ("import sys\n"
+                 "from markovj import cli\n"
+                 "rc = cli.main(sys.argv[1:])\n"
+                 "print(rc, 'numpy' in sys.modules, 'numpy.polynomial' in sys.modules, "
+                 "file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", probe, "--cache",
+                               str(tmp_path / "cache.jsonl"), *command],
+                              capture_output=True, text=True, timeout=120, env=self.ENV)
+        assert proc.stderr == "0 True False\n"
+
     def test_tree_loads_no_fractions(self):
         # fractions imports decimal: about 3 ms of every start.
         probe = ("import sys\n"
@@ -756,10 +771,10 @@ class TestFreshInterpreter:
 
     @pytest.mark.parametrize("argv, sha", [
         (["--depth", "3", "table"],
-         "a76c94c6e4875657c54c5f14b5f8e882c26c01f7afa86d3d6792e71aed402b53"),
+         "eef34f5a14c3f85d5145453a731ebead8dbbfa2e07cb948fe71ec47fd1c29344"),
         (["--depth", "3", "verify"],
          "d03a3717ca2b09691d833c8264bd9e754fa9319423d1955db7506a2983aa1f95"),
-        (["value", "RL"], "73c31cc0a3b35c57b9795592b87dae8df69b497aa607608dcd291d59d99e4287"),
+        (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
     def test_value_commands_load_their_layers(self, argv, sha):

@@ -52,6 +52,12 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             j_eval(0.5 + 0.5j, series)
 
+    def test_rejects_nan(self, series):
+        # A NaN imaginary part is not on the strip: refused, not evaluated.
+        for z in (complex(0.1, math.nan), np.array([1j, complex(0.1, math.nan)])):
+            with pytest.raises(ValueError, match="Im z must be"):
+                j_eval(z, series)
+
     def test_scalar_and_array_agree(self, series):
         z = 0.3 + 1.1j
         arr = j_eval(np.array([z]), series)
@@ -69,6 +75,10 @@ class TestEvaluation:
     def test_bound_rejects_low_y(self):
         with pytest.raises(ValueError):
             truncation_error_bound(40, 0.5)
+
+    def test_bound_rejects_nan_y(self):
+        with pytest.raises(ValueError, match="below the admissible strip"):
+            truncation_error_bound(40, math.nan)
 
     def test_min_im_constant(self):
         assert ARC_MIN_IM == pytest.approx(math.sqrt(3) / 2, abs=1e-8)
