@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, asdict
 from typing import TYPE_CHECKING, Sequence
 
-from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _mat_mul, eval_periodic
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, eval_periodic
 from .integrals import CycleValue, log_epsilon
 from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
 
@@ -160,6 +160,14 @@ NONE_CHECKED = "no node of level >= 2 checked"
 
 # ---------------------------------------------------------------------------
 # exact q recursions
+
+def _mat_mul(A, B):
+    """The product AB of two 2x2 integer matrices given as row pairs."""
+    return (
+        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
+    )
+
 
 def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
     """Exact integer checks of the denominator recursions at every node

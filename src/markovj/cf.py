@@ -3,7 +3,7 @@
 A period is a cyclic word, held as plain ``bytes`` with one byte per
 digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
 converges to a real > 1 whenever all digits are >= 2.  The tree builds
-every word and checks it (its length and its matrix's trace), so the
+every word and checks it (its length and its digit sum), so the
 functions here take words as given.  This module holds the joins of
 words and of their compact texts, and the numerics (fixed-point
 evaluation, and cycle-state enumeration with a contraction certificate
@@ -29,7 +29,6 @@ __all__ = [
     "format_period",
     "join_texts",
     "eval_periodic",
-    "period_matrix",
     "cycle_states",
 ]
 
@@ -86,26 +85,6 @@ def eval_periodic(word: bytes) -> float:
     value, iterated from 2 to within CONVERGED by :func:`_rotation_values`.
     """
     return _rotation_values(word)[0]
-
-
-def period_matrix(word: bytes) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Product of the step matrices [[a,-1],[1,0]], exact integers.
-
-    det = 1 always; trace = 3c for the period of a Markov number c.
-    The matrix of a joined word u + v is the product of u's and v's.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for digit in word:
-        a, b, c, d = a * digit + b, -a, c * digit + d, -c
-    return ((a, b), (c, d))
-
-
-def _mat_mul(A, B):
-    """The product AB of two 2x2 integer matrices given as row pairs."""
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, NoReturn
 
-from .tree import TreeError, TreeNode, build_tree, find_fraction, node_at
+from .tree import TreeError, TreeNode, build_tree, find_fraction, node_at, period_texts
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Sequence
@@ -93,8 +93,9 @@ def _write_rows(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) 
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    rows = ((node.path, str(node.level), str(node.p), str(node.q), str(node.c), node.text)
-            for node in build_tree(args.depth))
+    nodes = build_tree(args.depth)
+    rows = ((node.path, str(node.level), str(node.p), str(node.q), str(node.c), text)
+            for node, text in zip(nodes, period_texts(nodes)))
     _write_rows(["path", "level", "p", "q", "c", "period"], rows, args.fmt)
     return 0
 
@@ -122,7 +123,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         Jq, jv = value.J_over_q, value.j
         print(f"node      {node.p}/{node.q}  (path {node.path!r}, level {node.level})")
         print(f"c         {node.c}")
-        print(f"period    {node.text}")
+        print(f"period    {next(period_texts([node]))}")
         print(f"J/q       {_fmt(Jq.real)} {'+' if Jq.imag >= 0 else '-'} {_fmt(abs(Jq.imag))}i")
         print(f"j         {_fmt(jv.real)} {'+' if jv.imag >= 0 else '-'} {_fmt(abs(jv.imag))}i")
         print(f"log eps   {_fmt(value.log_eps)}")

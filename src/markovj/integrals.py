@@ -114,7 +114,7 @@ def _rule():
     g_m = h w_m j(z_m) i z_m, conj(z_m), the columns Re z_m and
     (Im z_m)^2, and G_m = h w_m sum_k |c_k| |q_m|^k, the series'
     absolute sum (j at i Im z_m, where q > 0); then the truncation
-    constant K, and h w_m j(z_m).
+    constant K.
 
     The nodes x_m, in increasing order, are the roots of P_n (n = 20):
     five Newton steps on its three-term recurrence from Tricomi's
@@ -161,7 +161,7 @@ def _rule():
         c * math.exp(-2.0 * math.pi * k * y_min) for k, c in enumerate(series[1:]))
     K = (1.0 + 1e-9) * h * (64.0 / 15.0) * RHO ** (-2 * RULE_POINTS) / (RHO ** 2 - 1.0) \
         * 2.0 * math.exp(b) * j_max / y_min
-    return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], G, K, wj
+    return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], G, K
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     if not (np.all((-CONJ_MAX <= values) & (values <= -CONJ_MIN))
             and np.all((-STATE_MAX <= conj) & (conj <= -STATE_MIN))):
         raise QuadratureError(f"cycle state outside the certified box {at}")
-    g, zbar, x, y2, G, K, _ = _rule()
+    g, zbar, x, y2, G, K = _rule()
     # 1/(z - w) = (conj(z) - w) / ((x - w)^2 + y^2) for real w and
     # z = x + iy, so the (quadrature node, state) matrices stay real.
     r = 1.0 / ((x - values) ** 2 + y2)

@@ -12,27 +12,26 @@ The two tips (1,1,1) <-> 0/1 and (1,1,2) <-> 1/2 are level-0 boundary
 nodes.  build_tree lists the nodes in the order of p/q, which is the
 in-order of the tree: 0/1 first and 1/2 last.
 
-Each node carries the period matrix M of its word (cf.period_matrix),
-which is ((3c + k, -c), (l + 3k, -k)) with k^2 + 1 = lc (Cohn, Approach
-to Markoff's minimal forms through modular functions, Ann. Math. 1955).
-A joined word's M is the product of its neighbours' matrices.  c is
-read off M, with no per-node modular arithmetic, and every node checks
-Cohn's identity trace M = 3c.  That check, with the word's length
-against q, is the guard on every word: the words are plain bytes.
+A node carries its Markov number c, one Vieta step (vieta_children,
+the one place that computes a Markov number) on its parent's triple
+(right.c, left.c, c): c_w = 3 c_left c_right - c_other, exact at any
+size (Aigner, Markov's Theorem and 100 Years of the Uniqueness
+Conjecture, 2013, ch. 3).
 
 Memory note: Markov numbers grow doubly exponentially with depth (the
 largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
 digit count grows by a factor of about phi per level, so depth 24 is
-about 7.6e4 digits); each node holds four integers of about the size
-of its c in M.  A node's word (bytes, one per digit) is joined from its
-neighbours' words the first time something reads it, and is then kept
-on the node, and so is its compact text, joined from the neighbours'
-texts: build_tree holds no words, and `markovj tree` never joins one.
-Once every word of the tree of depth d has been read, they total about
-1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree refuses
-depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).  Along
-one path the word length q grows like the Fibonacci numbers, so no
-node is built whose word would be longer than MAX_Q, the longest of
+about 7.6e4 digits).  A node's word (bytes, one per digit) is joined
+from its neighbours' words the first time something reads it, and is
+then kept on the node; its length and digit sum are checked against q
+then, the guard on every word, as the words are plain bytes.  Texts
+are not kept on the nodes (period_texts holds one per level), so
+build_tree holds no words and no texts, and `markovj tree` never joins
+a word.  Once every word of the tree of depth d has been read, they
+total about 1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree
+refuses depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).
+Along one path the word length q grows like the Fibonacci numbers, so
+no node is built whose word would be longer than MAX_Q, the longest of
 that tree, and no path goes below MAX_LEVEL.
 """
 
@@ -41,15 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .cf import _mat_mul, conjunction, format_period, join_texts, period_matrix
+from .cf import conjunction, format_period, join_texts
 
 __all__ = [
     "TreeNode",
     "TreeError",
     "vieta_children",
     "joins_neighbours",
+    "period_texts",
     "build_tree",
     "node_at",
     "walk_path",
@@ -83,12 +83,11 @@ def vieta_children(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
-    ``p``/``q`` is the node's Farey fraction and ``matrix`` the period
-    matrix M of its word; c is read off M.  ``left`` and ``right`` are
-    the endpoints of the node's Farey interval: the two predecessors
-    whose fractions it is the mediant of (``None`` at the tips).  They
-    take no part in equality or repr, so neither walks up the tree.
-    The word, ``period``, and its text, ``text``, are no fields: each is
+    ``p``/``q`` is the node's Farey fraction and ``c`` its Markov number.
+    ``left`` and ``right`` are the endpoints of the node's Farey
+    interval: the two predecessors whose fractions it is the mediant of
+    (``None`` at the tips).  They take no part in equality or repr, so
+    neither walks up the tree.  The word, ``period``, is no field: it is
     built when first read.
     """
 
@@ -96,41 +95,26 @@ class TreeNode:
     level: int
     p: int
     q: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]
+    c: int
     left: TreeNode | None = field(compare=False, repr=False)
     right: TreeNode | None = field(compare=False, repr=False)
 
     @cached_property
     def period(self) -> bytes:
         """The node's word, one byte per digit, built the first time it is
-        read and then kept: 3 and 2 4 at the tips, 2 3^level 4 on the
-        branch down from the left tip, and otherwise the right
-        neighbour's word followed by the left's.  Its length is checked against q here; its matrix
-        passed trace M = 3c when the node was built."""
-        if joins_neighbours(self.left):
-            word = conjunction(self.right.period, self.left.period)
-        elif self.level:
-            word = b"\2" + b"\3" * self.level + b"\4"
-        else:
-            word = b"\3" if self.p == 0 else b"\2\4"
+        read and then kept: the right neighbour's word followed by the
+        left's, or else _unjoined_word.  Its length is checked against q,
+        and its digit sum against 3q, which every word of the tree meets
+        and any change of one digit breaks."""
+        word = (conjunction(self.right.period, self.left.period)
+                if joins_neighbours(self.left) else _unjoined_word(self))
         if len(word) != self.q:
             raise TreeError(
                 f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
             )
+        if sum(word) != 3 * self.q:
+            raise TreeError(f"period digit sum {sum(word)} != 3q = {3 * self.q} at {self.path!r}")
         return word
-
-    @cached_property
-    def text(self) -> str:
-        """The word's compact text (cf.format_period), made the first time
-        it is read and then kept: a joined word's text is its neighbours'
-        texts joined, so only the other words are formatted."""
-        if joins_neighbours(self.left):
-            return join_texts(self.right.text, self.left.text)
-        return format_period(self.period)
-
-    @property
-    def c(self) -> int:
-        return -self.matrix[0][1]
 
     def __str__(self) -> str:
         label = self.path or ("root" if self.level == 1 else "tip")
@@ -141,35 +125,58 @@ def joins_neighbours(left: TreeNode | None) -> bool:
     """Whether the node whose Farey interval starts at ``left`` has for
     word its neighbours' words joined, the right one first.  The tips
     (no left neighbour) and the branch down from the left tip, root
-    included, do not: their words are 3, 2 4 and 2 3^level 4."""
+    included, do not: their words are _unjoined_word's."""
     return left is not None and left is not TIP_LEFT
 
 
-def _make_node(path: str, level: int, p: int, q: int,
-               matrix: tuple[tuple[int, int], tuple[int, int]] | None,
-               left: TreeNode | None, right: TreeNode | None) -> TreeNode:
-    """A node checked against Cohn's identity trace M = 3c.  A node whose
-    word is not its neighbours' words joined (``matrix`` None) takes M
-    from its word, which is then built."""
-    node = TreeNode(path, level, p, q, matrix, left, right)
-    if matrix is None:
-        node.matrix = matrix = period_matrix(node.period)
-    (m00, m01), (_, m11) = matrix
-    if m00 + m11 != -3 * m01:
-        raise TreeError(f"period matrix of {path!r} has trace {m00 + m11}, "
-                        f"not 3c = {-3 * m01}")
-    return node
+def _unjoined_word(node: TreeNode) -> bytes:
+    """3 and 2 4 at the tips, 2 3^level 4 on the branch down from the
+    left tip."""
+    if node.level:
+        return b"\2" + b"\3" * node.level + b"\4"
+    return b"\3" if node.p == 0 else b"\2\4"
 
 
-TIP_LEFT = _make_node("0/1", 0, 0, 1, None, None, None)
-TIP_RIGHT = _make_node("1/2", 0, 1, 2, None, None, None)
-ROOT = _make_node("", 1, 1, 3, None, TIP_LEFT, TIP_RIGHT)
+TIP_LEFT = TreeNode("0/1", 0, 0, 1, 1, None, None)
+TIP_RIGHT = TreeNode("1/2", 0, 1, 2, 2, None, None)
+ROOT = TreeNode("", 1, 1, 3, 5, TIP_LEFT, TIP_RIGHT)
+
+
+def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
+    """The compact text (cf.format_period) of each node's word, in turn.
+
+    A joined word's text is its neighbours' texts joined, so no word is
+    joined.  A node's neighbours are its ancestors or the tips, and the
+    right one comes after it in the order of p/q, so texts are filled
+    top-down through the neighbours, one held per level and one per tip.
+    In the order of p/q a node is a neighbour only within its subtree,
+    whose nodes follow one another, so each text is made once; another
+    order, or a single node, gets the same texts.
+    """
+    held: dict[int | str, tuple[TreeNode, str]] = {}
+
+    def text(node: TreeNode) -> str:
+        # The tips are both level 0, so they are held by path.
+        slot = node.level or node.path
+        kept = held.get(slot)
+        if kept is not None and kept[0] is node:
+            return kept[1]
+        if joins_neighbours(node.left):
+            made = join_texts(text(node.right), text(node.left))
+        else:
+            made = format_period(node.period)
+        held[slot] = node, made
+        return made
+
+    for node in nodes:
+        yield text(node)
 
 
 def _child(node: TreeNode, step: str) -> TreeNode:
     """One step down the tree: the child's interval is the left or the
     right half of the node's, split at the node, and its fraction is
-    the mediant of that interval's ends."""
+    the mediant of that interval's ends.  Its Markov number is Vieta's
+    step on the node's triple (right.c, left.c, c)."""
     if step == "L":
         left, right = node.left, node
     else:
@@ -179,8 +186,8 @@ def _child(node: TreeNode, step: str) -> TreeNode:
     if q > MAX_Q:
         raise TreeError(f"node {p}/{q} (path {path!r}): its word of {q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
-    matrix = _mat_mul(right.matrix, left.matrix) if joins_neighbours(left) else None
-    return _make_node(path, level, p, q, matrix, left, right)
+    c = vieta_children((node.right.c, node.left.c, node.c))["LR".index(step)][2]
+    return TreeNode(path, level, p, q, c, left, right)
 
 
 def walk_path(path: str) -> Iterator[TreeNode]:

@@ -1,10 +1,11 @@
 """Per-node derivations that the tree no longer runs, and the word and
 node API that only the tests call, kept as test oracles.
 
-The tree reads c off each node's period matrix.  These re-derive the
-node's data independently: the triple by Vieta involutions with the
-Markov equation checked, k by a modular inverse, the form from (c, k)
-with its discriminant checked.  farey_mismatches checks the Farey
+The tree takes each node's c by one Vieta step from its neighbours'.
+These re-derive the node's data independently: the triple by Vieta
+involutions from the root with the Markov equation checked, k by a
+modular inverse, the form from (c, k) with its discriminant checked,
+and the word's period matrix, whose trace is 3c by Cohn's identity.  farey_mismatches checks the Farey
 neighbour identity and the mediant, which the tree relies on and does
 not check, at any node below the tips.
 
@@ -16,10 +17,12 @@ the tests, lives here as plain functions:
 - least_rotation: Period.canonical (Booth's algorithm);
 - parse_period: the inverse of cf.format_period;
 - digit_sum and cycle_length: the Period properties;
+- period_matrix: the word's matrix, which tree nodes carried;
 - node_k, node_form and node_triple: the TreeNode properties k, form
-  and triple, read off the node's matrix and its neighbours;
+  and triple, read off the word's matrix and the node's neighbours;
 - envelope_from_values: analysis.envelope_from_values;
-- average_integral: integrals.average_integral.
+- average_integral: integrals.average_integral;
+- truncation_error_bound: jfunction.truncation_error_bound.
 
 exact_arc_rule and exact_truncation_constant compute, to 40 digits in
 decimal arithmetic, the rule and the truncation constant K that
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from markovj.cf import PeriodError
 from markovj.integrals import ARC_HI, ARC_LO, _rule
-from markovj.jfunction import SERIES_ORDER, j_coefficients, j_eval
+from markovj.jfunction import ARC_MIN_IM, SERIES_ORDER, j_coefficients, j_eval
 from markovj.tree import TreeError, vieta_children
 
 
@@ -181,16 +184,33 @@ def cycle_length(word: bytes) -> int:
     return sum(word) - len(word)
 
 
+def period_matrix(word: bytes) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Product of the step matrices [[a,-1],[1,0]], exact integers.
+
+    det = 1 always.  For the word of a node with Markov number c it is
+    ((3c + k, -c), (l + 3k, -k)) with k^2 + 1 = lc, so its trace is 3c
+    (Cohn, Approach to Markoff's minimal forms through modular
+    functions, Ann. Math. 1955).  The matrix of a joined word u + v is
+    the product of u's and v's.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for digit in word:
+        a, b, c, d = a * digit + b, -a, c * digit + d, -c
+    return ((a, b), (c, d))
+
+
 def node_k(node) -> int:
     """The 0 <= k < c with c | k^2 + 1 that the node's word gives."""
-    return -node.matrix[1][1]
+    return -period_matrix(node.period)[1][1]
 
 
 def node_form(node) -> tuple[int, int, int]:
     """The quadratic form (c, 3c - 2k, l - 3k), l = (k^2 + 1)/c, of
-    discriminant 9c^2 - 4, read off the node's matrix."""
-    c, k = node.c, node_k(node)
-    ell = node.matrix[1][0] - 3 * k
+    discriminant 9c^2 - 4, with the node's c and with k and l read off
+    its word's matrix."""
+    _, (m10, m11) = period_matrix(node.period)
+    c, k = node.c, -m11
+    ell = m10 - 3 * k
     return (c, 3 * c - 2 * k, ell - 3 * k)
 
 
@@ -229,13 +249,38 @@ def average_integral(tol: float) -> float:
     relative with an independent 40-point Gauss-Legendre sum."""
     import numpy as np
 
-    value = complex(_rule()[-1].sum())
+    # h w j(z) = -i g conj(z), as g = h w j(z) i z and |z| = 1.
+    g, zbar = _rule()[:2]
+    value = complex((-1j * g * zbar).sum())
     h = 0.5 * (ARC_HI - ARC_LO)
     x, w = np.polynomial.legendre.leggauss(40)
     z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
     check = complex((h * w * j_eval(z, j_coefficients(SERIES_ORDER))).sum())
     assert abs(value - check) <= tol * abs(value)
     return value.real
+
+
+def truncation_error_bound(order: int, y: float) -> float:
+    """Upper bound on |sum_{m > order} c_m e^(-2 pi m y)|.
+
+    Uses the growth envelope c_m <= e^(4 pi sqrt m), summing terms
+    until a geometric tail bound takes over.
+    """
+    if not y >= ARC_MIN_IM:
+        raise ValueError("y below the admissible strip")
+    total = 0.0
+    m = order + 1
+    while True:
+        term = math.exp(4.0 * math.pi * math.sqrt(m) - 2.0 * math.pi * m * y)
+        total += term
+        # Ratio of consecutive terms is below exp(2 pi / sqrt(m) - 2 pi y).
+        ratio = math.exp(2.0 * math.pi / math.sqrt(m) - 2.0 * math.pi * y)
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < 1e-3 * max(total, 1e-300):
+            total += term * ratio / (1.0 - ratio)
+            return total
+        m += 1
+        if m > order + 10_000:
+            return math.inf
 
 
 def _decimal_pi() -> Decimal:

@@ -24,8 +24,8 @@ from markov_oracles import (
     envelope_from_values,
     node_k,
     node_triple,
+    period_matrix,
 )
-from markovj.cf import period_matrix
 from markovj.jfunction import j_eval
 from markovj.tree import build_tree
 

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from markov_oracles import checked_word, cycle_length, least_rotation, parse_period
-from markovj import cf
+from markov_oracles import checked_word, cycle_length, least_rotation, parse_period, period_matrix
+from markovj import cf, tree
 from markovj.cf import (
     CONJ_MAX,
     CONJ_MIN,
@@ -17,7 +18,6 @@ from markovj.cf import (
     eval_periodic,
     format_period,
     join_texts,
-    period_matrix,
 )
 from markovj.tree import TreeError, build_tree, node_at
 
@@ -399,13 +399,15 @@ class TestOneSweepStates:
         _assert_oracle_agrees(node.period)
         assert len(cycle_states(node.period)) == cycle_length(node.period)
 
-    def test_needs_no_period_matrix(self, monkeypatch):
-        # No big-integer matrix at runtime, even at q = 1597.
-        def refuse(*args, **kwargs):
-            raise AssertionError("period_matrix called")
-
-        monkeypatch.setattr(cf, "period_matrix", refuse)
-        cycle_states(node_at("RLRLRLRLRLRLR").period[::-1])
+    def test_needs_no_period_matrix(self):
+        # No big-integer matrix at runtime, even at q = 1597: neither cf
+        # nor tree has one (the oracle's is in the tests), and c is the
+        # node's only integer of c's size.
+        assert not hasattr(cf, "period_matrix") and not hasattr(tree, "_mat_mul")
+        node = node_at("RLRLRLRLRLRLR")
+        assert [f.name for f in dataclasses.fields(node)] == \
+            ["path", "level", "p", "q", "c", "left", "right"]
+        cycle_states(node.period[::-1])
 
 
 class TestExactCheckFires:

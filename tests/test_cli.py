@@ -18,7 +18,7 @@ from markovj import analysis, cli, tree
 from markovj.cf import format_period
 from markovj.cli import main
 from markovj.integrals import cached_value
-from markovj.tree import build_tree, joins_neighbours
+from markovj.tree import build_tree, joins_neighbours, node_at, period_texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,8 +112,16 @@ class TestTree:
             "78378a99ea1d36844206f9cf386c11b13e71d2f63ae94106f38ff1c213672f50")
 
     def test_texts_match_format_period_to_depth_twelve(self):
-        for node in build_tree(12):
-            assert node.text == format_period(node.period), node.path
+        nodes = build_tree(12)
+        texts = list(period_texts(nodes))
+        assert len(texts) == len(nodes)
+        for node, text in zip(nodes, texts):
+            assert text == format_period(node.period), node.path
+        # One node on its own, and the nodes out of order, get the same texts.
+        for path in ("", "L", "R", "RL", "LRRLRL", "RLRLRLRLRLR"):
+            node = node_at(path)
+            assert list(period_texts([node])) == [format_period(node.period)], path
+        assert list(period_texts(nodes[::-1])) == texts[::-1]
 
     def test_in_order_sort_is_fraction_sort(self):
         # build_tree walks the tree in order, which is the order of p/q.
@@ -125,21 +133,17 @@ class TestTree:
 
     @pytest.mark.parametrize("depth", [1, 2, 8])
     def test_formats_only_unjoined_words(self, capsys, monkeypatch, depth):
-        # The tips, the root and the branch from the left tip.  The tips
-        # and the root are built once per process, so texts that an
-        # earlier run kept on them are dropped first.
+        # The tips, the root and the branch from the left tip, once each.
         calls = []
 
         def counting(period):
             calls.append(period)
             return format_period(period)
 
-        for node in (tree.TIP_LEFT, tree.ROOT, tree.TIP_RIGHT):
-            monkeypatch.delitem(vars(node), "text", raising=False)
         monkeypatch.setattr(tree, "format_period", counting)
         code, _, _ = run(capsys, "--depth", str(depth), "tree")
         assert code == 0
-        assert 0 < len(calls) <= depth + 3
+        assert len(calls) == depth + 2
 
     def test_lists_without_joining_a_word(self, capsys, monkeypatch):
         _, want, _ = run(capsys, "--depth", "8", "tree")

@@ -11,8 +11,6 @@ from markov_oracles import average_integral, exact_arc_rule, exact_truncation_co
 import markovj.integrals as integrals
 from markovj.cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, CycleStates, cycle_states
 from markovj.integrals import (
-    ARC_HI,
-    ARC_LO,
     CACHE_FIELDS,
     METHOD,
     RHO,
@@ -30,18 +28,19 @@ from markovj.integrals import (
     _rule,
     write_cache,
 )
-from markovj.jfunction import SERIES_ORDER, j_coefficients, j_eval
+from markovj.jfunction import SERIES_ORDER, j_coefficients
 from markovj.tree import ROOT, TIP_LEFT, TIP_RIGHT, build_tree, node_at
 
 
 @functools.cache
 def _oracle_rule(series, points):
     """The nodes z and the weights h w j(z) i z of a ``points``-point
-    Gauss-Legendre rule on the arc."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    h = 0.5 * (ARC_HI - ARC_LO)
-    z = np.exp(1j * (0.5 * (ARC_LO + ARC_HI) + h * x))
-    return z, h * w * j_eval(z, series) * 1j * z
+    Gauss-Legendre rule on the arc, to 30 digits and then rounded to
+    floats (numpy's leggauss(200) is 5.5e-15 relative off)."""
+    rule = exact_arc_rule(points, series, digits=30)
+    z = np.array([complex(float(x), float(y)) for x, y, _ in rule])
+    g = np.array([complex(float(gr), float(gi)) for _, _, (gr, gi) in rule])
+    return z, g
 
 
 def _oracle_J(node, series, points=200):
@@ -178,7 +177,7 @@ class TestBound:
         # arrays, against the rule to 40 digits: x absolutely, y^2 and
         # conj(z) relatively, g relative to the absolute sum G, which
         # bounds the exact |g|; and they fit in RULE_ULPS.
-        g, zbar, x, y2, G, _, _ = _rule()
+        g, zbar, x, y2, G, _ = _rule()
         units = {"x": 4, "y2": 4, "zbar": 4, "g": 10}
         # x moves (x - w)^2 + y^2 by at most 2/y <= 2/sqrt(3) times its error.
         added = units["x"] * 2 / math.sqrt(3) + units["y2"] + units["zbar"] + units["g"]
@@ -244,15 +243,15 @@ class TestSeriesOrder:
     @pytest.mark.parametrize("order", [14, 20, 100, 300])
     def test_arc_weights_bit_identical_across_orders(self, monkeypatch, order):
         # Why the order is a constant: no order from 14 up changes a bit.
-        fixed = _rule()[-1]
+        fixed = _rule()[0]
         monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(order))
-        assert np.array_equal(_rule.__wrapped__()[-1], fixed)
+        assert np.array_equal(_rule.__wrapped__()[0], fixed)
 
     def test_order_thirteen_differs(self, monkeypatch):
         # The comparison above can fail: one order lower it does.
-        fixed = _rule()[-1]
+        fixed = _rule()[0]
         monkeypatch.setattr(integrals, "j_coefficients", lambda _: j_coefficients(13))
-        assert not np.array_equal(_rule.__wrapped__()[-1], fixed)
+        assert not np.array_equal(_rule.__wrapped__()[0], fixed)
 
     def test_rule_built_once(self, monkeypatch):
         # Every node of a run shares the one rule; j is evaluated once.

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from markov_oracles import truncation_error_bound
 from markovj.jfunction import (
     ARC_MIN_IM,
     j_coefficients,
     j_eval,
-    truncation_error_bound,
 )
 
 KNOWN = [1, 744, 196884, 21493760, 864299970, 20245856256]

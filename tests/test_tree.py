@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -18,10 +19,11 @@ from markov_oracles import (
     node_form,
     node_k,
     node_triple,
+    period_matrix,
     vieta_triple,
 )
 from markovj import tree
-from markovj.cf import period_matrix
+from markovj.cli import main
 from markovj.tree import (
     MAX_DEPTH,
     MAX_LEVEL,
@@ -34,6 +36,7 @@ from markovj.tree import (
     find_fraction,
     joins_neighbours,
     node_at,
+    period_texts,
     vieta_children,
 )
 
@@ -119,18 +122,20 @@ class TestFormData:
 
 
 def oracle_mismatches(node) -> list[str]:
-    """The fields of ``node`` that differ from the oracles: its triple
-    by Vieta involutions (the Markov equation checked on the way), k by
-    a modular inverse, the form from (c, k), the matrix from the word."""
+    """The data of ``node`` that differ from the oracles: its triple
+    by Vieta involutions from the root (the Markov equation checked on
+    the way), k by a modular inverse, the form from (c, k), and Cohn's
+    identity trace M = 3c for the matrix M of the node's word."""
     if node.level:
         triple = vieta_triple(node.path)
     else:
         triple = MarkovTriple(1, 1, node.c)
     k = markov_k(triple)
+    (m00, _), (_, m11) = period_matrix(node.period)
     want = {"triple": tuple(triple), "c": triple.c, "k": k,
-            "form": markov_form(triple.c, k), "matrix": period_matrix(node.period)}
+            "form": markov_form(triple.c, k), "trace": 3 * node.c}
     got = {"triple": node_triple(node), "c": node.c, "k": node_k(node),
-           "form": node_form(node), "matrix": node.matrix}
+           "form": node_form(node), "trace": m00 + m11}
     return [name for name, value in want.items() if got[name] != value]
 
 
@@ -162,32 +167,81 @@ class TestCohnMatrix:
                     checked += 1
         assert checked > 1000
 
-    def test_one_digit_change_at_the_seam_is_refused(self, monkeypatch):
-        # M(u') = M(u) ((1, 0), (1, 1)) M(v) when the last digit of the
-        # right word u drops by one.
-        product = tree._mat_mul
-        monkeypatch.setattr(tree, "_mat_mul",
-                            lambda A, B: product(product(A, ((1, 0), (1, 1))), B))
-        with pytest.raises(TreeError, match=r"^period matrix of 'R' has trace \d+, not 3c = \d+$"):
-            build_tree(2)
+    def test_one_digit_change_at_the_seam_is_refused(self, monkeypatch, capsys):
+        # The last digit of the right word u drops by one where it meets v.
+        join = tree.conjunction
+        monkeypatch.setattr(tree, "conjunction",
+                            lambda u, v: join(u[:-1] + bytes([u[-1] - 1]), v))
+        node = build_tree(2)[3]
+        assert node.path == "R"
+        with pytest.raises(TreeError, match=r"^period digit sum 14 != 3q = 15 at 'R'$"):
+            node.period
+        assert main(["value", "R"]) == 2
+        assert capsys.readouterr().err == "error: period digit sum 14 != 3q = 15 at 'R'\n"
 
-    def test_one_digit_change_in_a_branch_word_is_refused(self, monkeypatch):
+    def test_one_digit_change_in_a_branch_word_is_refused(self, monkeypatch, capsys):
         # The left branch's word 2 3^n 4 ending in 3 instead.
-        matrix_of = tree.period_matrix
-        monkeypatch.setattr(tree, "period_matrix",
-                            lambda period: matrix_of(period[:-1] + b"\3"))
-        with pytest.raises(TreeError, match="^period matrix of 'L' has trace"):
-            node_at("L")
+        unjoined = tree._unjoined_word
+        monkeypatch.setattr(tree, "_unjoined_word", lambda node: unjoined(node)[:-1] + b"\3")
+        with pytest.raises(TreeError, match=r"^period digit sum 11 != 3q = 12 at 'L'$"):
+            node_at("L").period
+        assert main(["value", "L"]) == 2
+        assert capsys.readouterr().err == "error: period digit sum 11 != 3q = 12 at 'L'\n"
 
-    @pytest.mark.parametrize("entry", ["k", "l", "c"])
-    def test_mutated_matrix_fails_the_oracle(self, entry):
-        # Each mutation keeps trace M = 3c, so only the oracle can see it.
+    @pytest.mark.parametrize("mutation", ["plus_one", "other_root", "neighbour"])
+    def test_mutated_c_fails_the_oracle(self, mutation):
+        # The other root of the Markov equation, 3ab - c, and a
+        # neighbour's c are Markov numbers, so only the path can tell.
         for node in build_tree(5)[1:-1]:
-            (m00, m01), (m10, m11) = node.matrix
-            matrix = {"k": ((m00 - 1, m01), (m10, m11 + 1)),
-                      "l": ((m00, m01), (m10 + 1, m11)),
-                      "c": ((m00 + 3, m01 - 1), (m10, m11))}[entry]
-            assert oracle_mismatches(dataclasses.replace(node, matrix=matrix)), node.path
+            a, b, c = node_triple(node)
+            wrong = {"plus_one": c + 1, "other_root": 3 * a * b - c, "neighbour": b}[mutation]
+            assert oracle_mismatches(dataclasses.replace(node, c=wrong)), node.path
+
+    def test_deep_markov_numbers_are_vieta_steps(self, monkeypatch):
+        # One Vieta step per level, through vieta_children, matches the
+        # triple walked from the root, at seeded paths of levels 50-200.
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return vieta_children(t)
+
+        monkeypatch.setattr(tree, "vieta_children", counting)
+        rng = random.Random(50)
+        for level in (50, 100, 150, MAX_LEVEL):
+            for _ in range(3):
+                # Random ends around one long run keep q below MAX_Q (at
+                # most 4 687 here, with c of up to 1 824 digits).
+                head, tail = ("".join(rng.choice("LR") for _ in range(3)) for _ in range(2))
+                path = head + rng.choice("LR") * (level - 7) + tail
+                calls.clear()
+                node = node_at(path)
+                assert len(calls) == level - 1, path
+                assert node_triple(node) == tuple(vieta_triple(path)), path
+
+
+class TestPeriodTexts:
+    def test_draining_depth_fourteen_holds_a_text_per_level(self, monkeypatch):
+        # Depth 14's texts total about 15 MB; the walk holds at most one
+        # per level and one per tip, and joins each text once.
+        nodes = build_tree(14)
+        joins = []
+        join = tree.join_texts
+
+        def counting(u, v):
+            joins.append(None)
+            return join(u, v)
+
+        monkeypatch.setattr(tree, "join_texts", counting)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in period_texts(nodes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == len(nodes)
+        assert peak < 1e6
+        assert len(joins) == sum(joins_neighbours(node.left) for node in nodes)
 
 
 class TestStructure:
@@ -204,8 +258,6 @@ class TestStructure:
             assert checked_word(list(word)) == word, node.path
 
     def test_trace_is_three_c(self):
-        from markovj.cf import period_matrix
-
         for node in build_tree(7):
             (a, _), (_, d) = period_matrix(node.period)
             assert a + d == 3 * node.c
