@@ -13,12 +13,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass, field, asdict
 from typing import TYPE_CHECKING, Sequence
 
-from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, eval_periodic
+from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _rotation_values
 from .integrals import CycleValue, log_epsilon
 from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
 
@@ -73,16 +72,15 @@ CONJ_BOX = (CONJ_MIN, CONJ_MAX)
 #: are counted, and those beyond INTERLACE_HARD_TOL fail; DELTA_SLACK is
 #: absolute slack on each delta_w bound; g and g' are sampled at GG_GRID
 #: points per axis, and their extrema must come within GG_ENDPOINT_RTOL
-#: times the stated range of its endpoints; COINCIDENCE_SAMPLES pairs of
-#: rotations are drawn with COINCIDENCE_SEED; the asymptotic trends are
+#: times the stated range of its endpoints; rotations are compared on
+#: their first COINCIDENCE_DIGITS digits; the asymptotic trends are
 #: averaged over TREND_WINDOWS windows.
 INTERLACE_TOL = 1e-9
 INTERLACE_HARD_TOL = 1e-6
 DELTA_SLACK = 1e-6
 GG_GRID = 200
 GG_ENDPOINT_RTOL = 0.02
-COINCIDENCE_SAMPLES = 400
-COINCIDENCE_SEED = 0
+COINCIDENCE_DIGITS = 60
 TREND_WINDOWS = 4
 #: The deepest asymptotics report.  Its denominators up to depth + 2 are
 #: enumerated one by one: 1.5-2.2 s and 104 MB at depth 1200, against
@@ -505,59 +503,66 @@ def gg_prime_ranges() -> Report:
 # ---------------------------------------------------------------------------
 # coincidence bound
 
-def _common_prefix(a: bytes, b: bytes, cap: int) -> int:
-    ra = (a * (cap // len(a) + 1))[:cap]
-    rb = (b * (cap // len(b) + 1))[:cap]
-    r = 0
-    while r < cap and ra[r] == rb[r]:
-        r += 1
-    return r
-
-
 def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     """|u - v| <= 10 phi^(-2(r-1)) for expansions sharing r quotients,
-    on COINCIDENCE_SAMPLES pairs drawn from the rotations of the nodes'
-    periods, plus the geometric tail-sum bound of the per-level
-    envelope."""
+    on every pair of rotations of the nodes' words that shares 1 to
+    COINCIDENCE_DIGITS - 1 digits, plus the geometric tail-sum bound of
+    the per-level envelope.
+
+    A reduced minus continued fraction grows with its digits (Zagier,
+    Zetafunktionen und quadratische Koerper, 1981), so the sorted
+    rotations that share r digits form blocks (LCP intervals, found by
+    one pass with a stack) whose widest pair is the first and the last.
+    Their gap D_0 comes from D_k = D_(k+1)/(T_a(k+1) T_b(k+1)), back from
+    the first digit r where they differ: relative precision at any r,
+    where a float u - v has none from about r = 20 on.  Rotations that
+    share all COINCIDENCE_DIGITS digits stay in an arbitrary order, their
+    pairs unchecked, so a block that ends among them takes one of them
+    as its end."""
     report = Report(title="coincidence bound")
-    words = sorted({word[i:] + word[:i] for word in (node.period for node in nodes)
-                    for i in range(len(word))})
-    rng = random.Random(COINCIDENCE_SEED)
-    cap = 60
-    worst_ratio = 0.0
-    checked = 0
-    for _ in range(COINCIDENCE_SAMPLES):
-        a, b = rng.sample(words, 2)
-        r = _common_prefix(a, b, cap)
-        if r == 0 or r >= cap:
-            continue
-        u, v = eval_periodic(a), eval_periodic(b)
-        bound = coincidence_envelope(r)
-        worst_ratio = max(worst_ratio, abs(u - v) / bound)
-        checked += 1
-    report.add(CheckResult(
-        name="pairwise coincidence bound",
-        status="pass" if worst_ratio <= 1.0 else "fail",
-        measured=worst_ratio,
-        bound=1.0,
-        details=f"{checked} sampled pairs, max |u-v|/bound",
-    ))
-    tail_ok = True
-    worst_tail = 0.0
+    cap = COINCIDENCE_DIGITS
+    bounds = [coincidence_envelope(r) for r in range(cap)]
+    # A key is a rotation's first cap digits as a big-endian int, so keys
+    # sort as the digits do, and two keys share r digits when their xor
+    # has at most 8 (cap - r) bits.  One sweep per word gives every
+    # rotation's value T.
+    rotations = []
+    for node in nodes:
+        word = node.period
+        reps = -(-(len(word) + cap) // len(word))
+        text, values = word * reps, _rotation_values(word) * reps
+        rotations += [(int.from_bytes(text[s:s + cap], "big"), node.path, s, values)
+                      for s in range(len(word))]
+    rotations.sort()
+    shared = [cap - ((a[0] ^ b[0]).bit_length() + 7) // 8 for a, b in zip(rotations, rotations[1:])]
+    worst, widest = 0.0, ""
+    stack = [(0, 0)]  # (shared digits, first rotation) of each open block
+    for last, r_next in enumerate(shared + [0]):
+        first = last
+        while stack[-1][0] > r_next:
+            r, first = stack.pop()
+            if r < cap:
+                (_, a, sa, ta), (_, b, sb, tb) = rotations[first], rotations[last]
+                ratio = abs(ta[sa + r] - tb[sb + r]) / (bounds[r] * math.prod(
+                    ta[sa + 1:sa + r + 1]) * math.prod(tb[sb + 1:sb + r + 1]))
+                if ratio > worst:
+                    worst, widest = ratio, f", widest at r={r}: {a!r} and {b!r}"
+        if stack[-1][0] < r_next:
+            stack.append((r_next, first))
+    details = f"every pair of {len(rotations)} rotations sharing 1 to {cap - 1} digits{widest}"
+    if cap in shared:
+        details += f"; {shared.count(cap)} sorted neighbours share all {cap}, unchecked"
+    report.add(CheckResult(name="pairwise coincidence bound",
+                           status="pass" if worst <= 1.0 else "fail",
+                           measured=worst, bound=1.0, details=details))
     terms = [coincidence_envelope(k) for k in range(1, 2020)]  # k = 1 .. 2019
-    for k0 in range(1, 21):
-        partial = sum(terms[k0 - 1:k0 + 1999])  # k = k0 .. k0 + 1999
-        bound = 10.0 * CONTRACTION ** (2 * k0 - 3)
-        worst_tail = max(worst_tail, partial / bound)
-        if partial > bound * (1.0 + 1e-12):
-            tail_ok = False
-    report.add(CheckResult(
-        name="envelope tail sum",
-        status="pass" if tail_ok else "fail",
-        measured=worst_tail,
-        bound=1.0,
-        details="sum_{k>=k0} b(k) vs 10 phi^(-(2k0-3)) for k0=1..20",
-    ))
+    # sum_{k >= k0} b(k), as k = k0 .. k0 + 1999, against its bound.
+    worst_tail = max(sum(terms[k0 - 1:k0 + 1999]) / (10.0 * CONTRACTION ** (2 * k0 - 3))
+                     for k0 in range(1, 21))
+    report.add(CheckResult(name="envelope tail sum",
+                           status="pass" if worst_tail <= 1.0 + 1e-12 else "fail",
+                           measured=worst_tail, bound=1.0,
+                           details="sum_{k>=k0} b(k) vs 10 phi^(-(2k0-3)) for k0=1..20"))
     return report
 
 

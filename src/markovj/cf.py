@@ -28,7 +28,6 @@ __all__ = [
     "conjunction",
     "format_period",
     "join_texts",
-    "eval_periodic",
     "cycle_states",
 ]
 
@@ -80,21 +79,12 @@ def join_texts(left: str, right: str) -> str:
     return ",".join(filter(None, (head, run, tail)))
 
 
-def eval_periodic(word: bytes) -> float:
-    """Value of the purely periodic expansion: the word's first rotation
-    value, iterated from 2 to within CONVERGED by :func:`_rotation_values`.
-    """
-    return _rotation_values(word)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class CycleStates:
     """The quadratics w^(1), ..., w^(l) of a cycle, in walk order: the
-    leading integers ``a0`` (each over a rotation of the period), the
     values and their Galois conjugates, one array each.  Not comparable
     with ``==``: arrays have no single truth value."""
 
-    a0: np.ndarray
     values: np.ndarray
     conj_values: np.ndarray
 
@@ -195,4 +185,4 @@ def cycle_states(word: bytes) -> CycleStates:
     _certify(word, "reversed-word", last[::-1], rev)
     values = a0 - 1.0 / tails[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
-    return CycleStates(a0=a0, values=values, conj_values=conj)
+    return CycleStates(values=values, conj_values=conj)

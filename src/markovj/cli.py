@@ -77,15 +77,18 @@ def _values_with_cache(nodes: list[TreeNode], args: argparse.Namespace) -> dict[
 
 
 def _write_rows(header: Sequence[str], rows: Iterable[Sequence[str]], fmt: str) -> None:
-    """Write the rows as json.dump(rows as dicts, indent=2) with a final
-    newline, or as CSV lines under a header line, each turned into text
-    once and quoted as csv.writer quotes it.  Fields are numbers, L/R
-    paths and period texts, which hold no quote and no line break, so a
-    field is quoted exactly when it holds a comma."""
+    """Write each row as it arrives: as json.dump(rows as dicts, indent=2)
+    would, with a final newline, or as a CSV line under a header line,
+    turned into text once and quoted as csv.writer quotes it.  Fields are
+    numbers, L/R paths and period texts, which hold no quote and no line
+    break, so a field is quoted exactly when it holds a comma."""
     write = sys.stdout.write
     if fmt == "json":
-        json.dump([dict(zip(header, row)) for row in rows], sys.stdout, indent=2)
-        write("\n")
+        lead = "[\n  "
+        for row in rows:
+            write(lead + json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n  "))
+            lead = ",\n  "
+        write("[]\n" if lead == "[\n  " else "\n]\n")
     else:
         write(",".join(header) + "\n")
         for row in rows:

@@ -73,10 +73,11 @@ class TreeError(ValueError):
     """Raised for invalid fractions or paths, or a node failing its checks."""
 
 
-def vieta_children(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Left child (c, b, 3bc - a) and right child (a, c, 3ac - b)."""
+def vieta_children(t: tuple[int, int, int], steps: str = "LR") -> list[tuple[int, int, int]]:
+    """The children of t = (a, b, c), one per step in ``steps``: the left
+    child (c, b, 3bc - a) on L and the right child (a, c, 3ac - b) on R."""
     a, b, c = t
-    return (c, b, 3 * b * c - a), (a, c, 3 * a * c - b)
+    return [(c, b, 3 * b * c - a) if step == "L" else (a, c, 3 * a * c - b) for step in steps]
 
 
 @dataclass
@@ -176,7 +177,7 @@ def _child(node: TreeNode, step: str) -> TreeNode:
     """One step down the tree: the child's interval is the left or the
     right half of the node's, split at the node, and its fraction is
     the mediant of that interval's ends.  Its Markov number is Vieta's
-    step on the node's triple (right.c, left.c, c)."""
+    step to that one child of the node's triple (right.c, left.c, c)."""
     if step == "L":
         left, right = node.left, node
     else:
@@ -186,7 +187,7 @@ def _child(node: TreeNode, step: str) -> TreeNode:
     if q > MAX_Q:
         raise TreeError(f"node {p}/{q} (path {path!r}): its word of {q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
-    c = vieta_children((node.right.c, node.left.c, node.c))["LR".index(step)][2]
+    c = vieta_children((node.right.c, node.left.c, node.c), step)[0][2]
     return TreeNode(path, level, p, q, c, left, right)
 
 

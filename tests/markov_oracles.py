@@ -18,11 +18,16 @@ the tests, lives here as plain functions:
 - parse_period: the inverse of cf.format_period;
 - digit_sum and cycle_length: the Period properties;
 - period_matrix: the word's matrix, which tree nodes carried;
+- eval_periodic: cf.eval_periodic, a word's first rotation value;
 - node_k, node_form and node_triple: the TreeNode properties k, form
   and triple, read off the word's matrix and the node's neighbours;
 - envelope_from_values: analysis.envelope_from_values;
 - average_integral: integrals.average_integral;
 - truncation_error_bound: jfunction.truncation_error_bound.
+
+periodic_value, coincidence_gaps and coincidence_ratio are the
+60-digit decimal oracle of analysis.coincidence_bound: every rotation's
+value, and a scan of every pair of rotations.
 
 exact_arc_rule and exact_truncation_constant compute, to 40 digits in
 decimal arithmetic, the rule and the truncation constant K that
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from markovj.cf import PeriodError
+from markovj.cf import PeriodError, _rotation_values
 from markovj.integrals import ARC_HI, ARC_LO, _rule
 from markovj.jfunction import ARC_MIN_IM, SERIES_ORDER, j_coefficients, j_eval
 from markovj.tree import TreeError, vieta_children
@@ -197,6 +202,58 @@ def period_matrix(word: bytes) -> tuple[tuple[int, int], tuple[int, int]]:
     for digit in word:
         a, b, c, d = a * digit + b, -a, c * digit + d, -c
     return ((a, b), (c, d))
+
+
+def eval_periodic(word: bytes) -> float:
+    """Value of the purely periodic expansion: the word's first rotation
+    value, by the float sweep of cf._rotation_values."""
+    return _rotation_values(word)[0]
+
+
+def periodic_value(word: bytes, digits: int = 60) -> Decimal:
+    """The value of the purely periodic expansion of ``word`` to
+    ``digits`` significant digits: the fixed point > 1 of its matrix
+    ((a, b), (c, d)), a root of c x^2 + (d - a) x - b = 0.  Of the two
+    forms of that root, the one without cancellation is taken."""
+    (a, b), (c, d) = period_matrix(word)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        root = Decimal((a + d) ** 2 - 4).sqrt()
+        return (a - d + root) / (2 * c) if a >= d else 2 * b / (d - a + root)
+
+
+def coincidence_gaps(words, digits: int = 60) -> dict[int, tuple[Decimal, str, str]]:
+    """For each r = 1 to digits - 1 that occurs, the largest |u - v| over
+    the pairs of rotations of ``words``, (name, word) pairs, that share
+    exactly r leading digits, with the names of that pair's words, the
+    smaller value first: a scan of every pair, each value to ``digits``
+    digits."""
+    rotations = []
+    for name, word in words:
+        text = word * (digits // len(word) + 2)
+        rotations += [(text[s:s + digits], name, periodic_value(word[s:] + word[:s], digits))
+                      for s in range(len(word))]
+    gaps: dict[int, tuple[Decimal, str, str]] = {}
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for i, (key_a, name_a, u) in enumerate(rotations):
+            for key_b, name_b, v in rotations[i + 1:]:
+                r = 0
+                while r < digits and key_a[r] == key_b[r]:
+                    r += 1
+                if 0 < r < digits and abs(u - v) > gaps.get(r, (0,))[0]:
+                    gaps[r] = (abs(u - v),) + ((name_a, name_b) if u < v else (name_b, name_a))
+    return gaps
+
+
+def coincidence_ratio(gaps, digits: int = 60) -> tuple[Decimal, int, str, str]:
+    """The largest |u - v| / (10 phi^(-2(r-1))) of coincidence_gaps, with
+    its r and the pair's names."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        phi_squared = ((1 + Decimal(5).sqrt()) / 2) ** 2
+        return max((gap * phi_squared ** (r - 1) / 10, r, a, b)
+                   for r, (gap, a, b) in gaps.items())
 
 
 def node_k(node) -> int:

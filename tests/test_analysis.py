@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from markov_oracles import envelope_from_values, farey_mismatches
+from markov_oracles import (
+    coincidence_gaps,
+    coincidence_ratio,
+    envelope_from_values,
+    farey_mismatches,
+)
 from markovj import analysis
 from markovj.analysis import (
     CONTRACTION,
@@ -307,13 +312,50 @@ class TestCoincidence:
         report = coincidence_bound(build_tree(5))
         assert report.passed
 
+    @pytest.mark.parametrize("depth, rotations", [(4, 123), (5, 366)])
+    def test_equals_the_all_pairs_oracle(self, depth, rotations):
+        # Every pair, not a sample: 400 seeded draws read 0.0088965 at
+        # depth 5, where every pair reads 0.0089073.
+        nodes = build_tree(depth)
+        ratio, r, a, b = coincidence_ratio(coincidence_gaps([(n.path, n.period) for n in nodes]))
+        check = coincidence_bound(nodes).checks[0]
+        assert check.measured == pytest.approx(float(ratio), rel=1e-12)
+        assert check.details == (f"every pair of {rotations} rotations sharing 1 to 59 digits, "
+                                 f"widest at r={r}: {a!r} and {b!r}")
+
+    def test_every_shared_length_to_depth_six(self, monkeypatch):
+        # An envelope that admits one r at a time makes the check read
+        # the widest |u - v| of the pairs sharing exactly r digits.  It
+        # keeps relative precision at every r, down to 3.4e-41 at r = 52,
+        # where a float u - v of values near 3 would read 0.
+        nodes = build_tree(6)
+        gaps = coincidence_gaps([(n.path, n.period) for n in nodes])
+        assert sorted(gaps) == list(range(1, 53))
+        for r, (gap, a, b) in gaps.items():
+            monkeypatch.setattr(analysis, "coincidence_envelope",
+                                lambda k, r=r: 1.0 if k == r else math.inf)
+            check = coincidence_bound(nodes).checks[0]
+            assert check.measured == pytest.approx(float(gap), rel=1e-12)
+            assert check.details.endswith(f"widest at r={r}: {a!r} and {b!r}")
+
+    def test_passes_at_depth_seven(self):
+        # 3 282 rotations, whose sorted neighbours share up to 59 digits
+        # and beyond; a float max - min over the blocks reads 4.3e6 at
+        # r = 56.
+        check = coincidence_bound(build_tree(7)).checks[0]
+        assert check.status == "pass"
+        assert check.measured == pytest.approx(0.0089073, abs=5e-8)
+        assert check.details.startswith("every pair of 3282 rotations sharing 1 to 59 digits, "
+                                        "widest at r=1: '0/1' and 'RRRRRR'; ")
+
     def test_rotations_sort_as_digit_tuples(self):
-        # The sample is drawn from the sorted rotations, so bytes must
-        # sort exactly as the digit tuples they replaced.
+        # Rotations are sorted by their first 60 digits read as one
+        # big-endian int, so the ints must sort exactly as the digits.
         words = {node.period for node in build_tree(6)}
-        rotations = {w[i:] + w[:i] for w in words for i in range(len(w))}
-        assert len(rotations) == 1095
-        assert [tuple(r) for r in sorted(rotations)] == sorted(map(tuple, rotations))
+        keys = {(w[i:] + w[:i]) * 60 for w in words for i in range(len(w))}
+        keys = [key[:60] for key in keys]
+        assert len(set(keys)) == 1095
+        assert sorted(keys, key=lambda k: int.from_bytes(k, "big")) == sorted(keys, key=tuple)
 
     def test_contraction_constant(self):
         assert CONTRACTION == pytest.approx(2 / (1 + math.sqrt(5)), rel=1e-15)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from markov_oracles import checked_word, cycle_length, least_rotation, parse_period, period_matrix
+from markov_oracles import (
+    checked_word,
+    cycle_length,
+    eval_periodic,
+    least_rotation,
+    parse_period,
+    period_matrix,
+)
 from markovj import cf, tree
 from markovj.cf import (
     CONJ_MAX,
@@ -15,7 +22,6 @@ from markovj.cf import (
     PeriodError,
     conjunction,
     cycle_states,
-    eval_periodic,
     format_period,
     join_texts,
 )
@@ -245,10 +251,18 @@ class TestCycleStates:
         assert len(period) == 610
         from_period = cycle_states(period)
         from_digits = cycle_states(checked_word(tuple(period)))
-        assert from_period.a0.dtype == from_digits.a0.dtype == np.int64
-        for field in ("a0", "values", "conj_values"):
+        # A uint8 cumsum of the digits would wrap and move the a0's.
+        assert np.ceil(from_period.values).tolist() == _leading_integers(period)
+        for field in ("values", "conj_values"):
             got, want = getattr(from_period, field), getattr(from_digits, field)
             assert got.tobytes() == want.tobytes()
+
+
+def _leading_integers(digits):
+    """The leading integer a0 of each state, in walk order: a_i - 1 down
+    to 1 at each position i.  A state a0 - 1/t has t > 1, so a0 is the
+    ceiling of its value."""
+    return [a0 for last in digits for a0 in range(last - 1, 0, -1)]
 
 
 def _reference_cycle_states(digits):
@@ -280,7 +294,7 @@ def _loop_cycle_states(digits):
 def _assert_equals_loop(digits):
     states = cycle_states(digits)
     a0, values, conj = zip(*_loop_cycle_states(digits))
-    assert states.a0.tolist() == list(a0)
+    assert list(a0) == _leading_integers(digits) == np.ceil(states.values).tolist()
     assert np.array_equal(states.values, values)
     assert np.array_equal(states.conj_values, conj)
 
@@ -370,7 +384,8 @@ class TestOneSweepStates:
         states = cycle_states(digits)
         reference = _reference_cycle_states(digits)
         assert len(states) == len(reference)
-        assert states.a0.tolist() == [a0 for a0, _, _ in reference]
+        assert [a0 for a0, _, _ in reference] == _leading_integers(digits)
+        assert np.ceil(states.values).tolist() == _leading_integers(digits)
         for value, conj, (_, ref_value, ref_conj) in zip(
                 states.values, states.conj_values, reference):
             assert abs(value - ref_value) <= 1e-13
@@ -385,11 +400,15 @@ class TestOneSweepStates:
             _assert_equals_loop(node.period[::-1])
 
     def test_makes_no_eval_periodic_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("eval_periodic called")
-
-        monkeypatch.setattr(cf, "eval_periodic", refuse)
-        cycle_states(node_at("RL").period[::-1])
+        # cf keeps no per-rotation evaluation: cycle_states makes its two
+        # sweeps, one per family of rotations, and nothing else.
+        assert not hasattr(cf, "eval_periodic")
+        sweep, sweeps = cf._rotation_values, []
+        monkeypatch.setattr(cf, "_rotation_values",
+                            lambda digits: sweeps.append(digits) or sweep(digits))
+        period = node_at("RL").period[::-1]
+        cycle_states(period)
+        assert sweeps == [period[1:] + period[:1], period[::-1]]
 
     def test_deep_node_exact_check(self):
         # Level 14, q = 1597, c has 621 digits: far beyond float range,

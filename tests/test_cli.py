@@ -510,6 +510,42 @@ class TestRowWriter:
         writer.writerows(rows)
         assert self._written(header, rows, "csv") == want.getvalue()
 
+    @staticmethod
+    def _dumped(header, rows):
+        want = io.StringIO()
+        json.dump([dict(zip(header, row)) for row in rows], want, indent=2)
+        return want.getvalue() + "\n"
+
+    @staticmethod
+    def _tree_rows(depth):
+        nodes = build_tree(depth)
+        return [[n.path, str(n.level), str(n.p), str(n.q), str(n.c), text]
+                for n, text in zip(nodes, period_texts(nodes))]
+
+    @pytest.mark.parametrize("rows", [[], [["", "1", "1", "3", "5", "2,3,4"]], "depth 6"],
+                             ids=["empty", "one_row", "depth_six"])
+    def test_json_rows_are_written_as_they_arrive(self, rows):
+        # Each row is on the output before the next is drawn, and the
+        # output is what json.dump writes for the list of rows.
+        header = self.HEADERS[1]
+        rows = self._tree_rows(6) if rows == "depth 6" else rows
+        out = io.StringIO()
+
+        def drawn():
+            for i, row in enumerate(rows):
+                assert out.getvalue().count("{") == i
+                yield row
+            assert out.getvalue().count("{") == len(rows)
+
+        with contextlib.redirect_stdout(out):
+            cli._write_rows(header, drawn(), "json")
+        assert out.getvalue() == self._dumped(header, rows)
+
+    def test_json_tree_is_json_dump_output(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "--depth", "6", "tree")
+        assert (code, err) == (0, "")
+        assert out == self._dumped(self.HEADERS[1], self._tree_rows(6))
+
     @pytest.mark.parametrize("argv, sha", [
         (["--format", "json", "--depth", "3", "tree"],
          "ee73be0a85dab8e31c2e065478b0a65fc8a70cdf4427ee856ad1c3a0dbe0afee"),
@@ -532,8 +568,7 @@ class TestFailures:
 
         def outside(word):
             states = cycle_states(word)
-            return CycleStates(a0=states.a0, values=-states.values,
-                               conj_values=states.conj_values)
+            return CycleStates(values=-states.values, conj_values=states.conj_values)
 
         monkeypatch.setattr(integrals, "cycle_states", outside)
         for argv, node in ((("--depth", "2", "table"), "0/1 (path '0/1')"),
@@ -777,7 +812,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eef34f5a14c3f85d5145453a731ebead8dbbfa2e07cb948fe71ec47fd1c29344"),
         (["--depth", "3", "verify"],
-         "d03a3717ca2b09691d833c8264bd9e754fa9319423d1955db7506a2983aa1f95"),
+         "eb74e86b337e6ede327be07260c13ab092a11f35e8c4c017b19469a9cd33fd31"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])

@@ -152,7 +152,7 @@ class TestFixedRule:
         arrays = {"values": states.values.copy(),
                   "conj_values": states.conj_values.copy()}
         arrays[field][2] = value
-        pushed = CycleStates(a0=states.a0, **arrays)
+        pushed = CycleStates(**arrays)
         integrate_J(ROOT, 1e-10)  # the unpushed states pass
         monkeypatch.setattr(integrals, "cycle_states", lambda word: pushed)
         with pytest.raises(QuadratureError) as info:

@@ -52,6 +52,9 @@ class TestTriples:
         left, right = vieta_children(MarkovTriple(2, 1, 5))
         assert tuple(left) == (5, 1, 13)
         assert tuple(right) == (2, 5, 29)
+        # The indexed form computes one child alone.
+        assert vieta_children((2, 1, 5), "L") == [(5, 1, 13)]
+        assert vieta_children((2, 1, 5), "R") == [(2, 5, 29)]
 
     def test_tree_children_are_vieta_children(self):
         for node in build_tree(8):
@@ -200,11 +203,13 @@ class TestCohnMatrix:
     def test_deep_markov_numbers_are_vieta_steps(self, monkeypatch):
         # One Vieta step per level, through vieta_children, matches the
         # triple walked from the root, at seeded paths of levels 50-200.
+        # Each step computes the one child it takes.
         calls = []
 
-        def counting(t):
+        def counting(t, steps="LR"):
             calls.append(t)
-            return vieta_children(t)
+            assert steps in ("L", "R")
+            return vieta_children(t, steps)
 
         monkeypatch.setattr(tree, "vieta_children", counting)
         rng = random.Random(50)
