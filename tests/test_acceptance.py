@@ -129,7 +129,6 @@ def test_criterion_8_envelope(capsys, depth9_values, reference_values):
 
 
 def test_criterion_9_gg_ranges(capsys):
-    assert analysis.GG_GRID == 200
     report = gg_prime_ranges()
     verdict(capsys, 9, report.passed, "; ".join(c.details for c in report.checks[:1]))
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 import tracemalloc
@@ -184,26 +185,42 @@ def _numpy_kernels(x, y, theta):
     return -s * (1.0 - x * y) / den, (-x - y + c * (1.0 + x * y)) / den
 
 
-def _grid(box, grid):
-    """The grid's x values and thetas, and sin and cos at the thetas."""
-    thetas = analysis._linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid)
-    return (analysis._linspace(*box, grid), thetas,
-            [(math.sin(t), math.cos(t)) for t in thetas])
+#: The extremizers of g and g' on the state boxes, all on x = y at an
+#: end of the arc, from a multistart L-BFGS-B run: (box, part, sign,
+#: x = y, theta, extremum), sign 1 for a least value and -1 for a
+#: greatest.
+EXTREMIZERS = [
+    (analysis.VALUE_BOX, "g", 1, 3 / 8, math.pi / 3, -1.26964157),
+    (analysis.VALUE_BOX, "g", -1, 1.5320889, math.pi / 3, 0.354112475),
+    (analysis.VALUE_BOX, "g'", 1, 0.8152075, math.pi / 3, -1.106359287),
+    (analysis.VALUE_BOX, "g'", -1, 29 / 12, math.pi / 3, -0.0722184297),
+    (analysis.CONJ_BOX, "g", 1, -2 / 5, 2 * math.pi / 3, -1.25945523),
+    (analysis.CONJ_BOX, "g", -1, -1.5320889, 2 * math.pi / 3, 0.354112475),
+    (analysis.CONJ_BOX, "g'", 1, -21 / 8, 2 * math.pi / 3, 0.0470550943),
+    (analysis.CONJ_BOX, "g'", -1, -0.8152075, 2 * math.pi / 3, 1.106359287),
+]
+#: The rotation k whose Re(k F) is g or g', with F = g' + i g.
+KEYS = {"g": -1j, "g'": 1.0}
+
+
+def _key_value(k, x, y, theta):
+    """Re(k (g' + i g)) from the numpy kernels."""
+    g, gp = _numpy_kernels(x, y, theta)
+    return (k * complex(gp, g)).real
 
 
 class TestGGPrime:
     def test_zero_at_unit_product(self):
-        assert analysis._kernels(1.0, 1.0, math.sin(math.pi / 2), math.cos(math.pi / 2))[0] == 0.0
+        assert abs(analysis._kernel(1.0, 1.0, math.pi / 2).imag) <= 2.0**-45
 
     @pytest.mark.parametrize("part", [0, 1], ids=["g_kernel", "gp_kernel"])
     def test_scalar_and_array_calls_agree(self, part):
-        # s**2 of a numpy scalar is C pow, of an array s*s: at this theta
-        # they differed by an ulp, and so did the kernels.  The float
-        # kernels square by multiplying, as arrays do.
+        # The search's F and the numpy kernels of the grid oracle below
+        # are one function, to the rounding of a value of F.
         theta = 1.8408131400379806
-        scalar = analysis._kernels(-1.0, -0.5, math.sin(theta), math.cos(theta))[part]
+        scalar = analysis._kernel(-1.0, -0.5, theta)
         array = _numpy_kernels(np.array([-1.0]), np.array([-0.5]), np.array([theta]))[part]
-        assert scalar == array[0]
+        assert abs((scalar.imag, scalar.real)[part] - array[0]) <= 2.0**-45
 
     @settings(deadline=None, max_examples=300)
     @given(x=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
@@ -212,8 +229,7 @@ class TestGGPrime:
     def test_kernels_are_one_over_w(self, x, y, theta):
         # g' + i g = 1/w with w = z - (x + y) + xy conj(z), z = e^(i theta).
         z = cmath.exp(1j * theta)
-        g, gp = analysis._kernels(x, y, math.sin(theta), math.cos(theta))
-        assert abs(complex(gp, g) - 1.0 / (z - (x + y) + x * y * z.conjugate())) <= 4e-15
+        assert abs(analysis._kernel(x, y, theta) - 1.0 / (z - (x + y) + x * y * z.conjugate())) <= 4e-15
 
     def test_ranges(self):
         report = gg_prime_ranges()
@@ -231,65 +247,103 @@ class TestGGPrime:
         return vmin, vmax
 
     @pytest.mark.parametrize("grid", [2, 3, 7, 37, 100, 101, 200])
-    def test_fused_sampler_equals_kernels(self, grid, monkeypatch):
-        expected = [self._brute_force_extrema(part, box, grid)
-                    for box in (analysis.VALUE_BOX, analysis.CONJ_BOX) for part in (0, 1)]
-        got = (analysis._grid_extrema([analysis.VALUE_BOX], grid)[0]
-               + analysis._grid_extrema([analysis.CONJ_BOX], grid)[0])
-        assert got == expected
-        monkeypatch.setattr(analysis, "GG_GRID", grid)
-        report = gg_prime_ranges()
-        assert [c.measured for c in report.checks] == [lo for lo, _ in expected]
+    def test_proved_ranges_hold_the_grid_extrema(self, grid):
+        for box in (analysis.VALUE_BOX, analysis.CONJ_BOX):
+            for part, name in enumerate(("g", "g'")):
+                k = KEYS[name]
+                lo = analysis._least(*box, k)[1]
+                hi = -analysis._least(*box, -k)[1]
+                vmin, vmax = self._brute_force_extrema(part, box, grid)
+                assert lo - 2.0**-45 <= vmin and vmax <= hi + 2.0**-45
+
+    @pytest.mark.parametrize("box, part, sign, x, theta, extremum", EXTREMIZERS,
+                             ids=[f"{'value' if b is analysis.VALUE_BOX else 'conj'}-"
+                                  f"{p}-{'min' if s == 1 else 'max'}"
+                                  for b, p, s, *_ in EXTREMIZERS])
+    def test_proved_ranges_hold_the_continuous_extrema(self, box, part, sign, x, theta,
+                                                       extremum):
+        # The grid's greatest g on the value box, 0.354110, falls short of
+        # the 0.3541125 that g reaches.
+        k = sign * KEYS[part]
+        least, proved, at = analysis._least(*box, k)
+        value = _key_value(k, x, x, theta)
+        assert value == pytest.approx(sign * extremum, abs=1e-8)
+        assert proved <= value + 2.0**-45 and least < value + analysis.GG_TOL
+        assert least == pytest.approx(_key_value(k, *at), abs=2.0**-45)
 
     @settings(deadline=None, max_examples=200)
-    @given(grid=st.integers(2, 40), box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]),
-           data=st.data())
-    def test_enclosure_holds_every_sample(self, grid, box, data):
-        # The disc of a block holds (g, g') at each of its samples, and
-        # the disc of one sample is that sample, padded.
-        xs, thetas, sin_cos = _grid(box, grid)
-        block = []
-        for _ in range(3):  # x, y, theta; small widths give tight discs
-            lo = data.draw(st.integers(0, grid - 1))
-            width = data.draw(st.one_of(st.integers(1, 3), st.integers(1, grid)))
-            block += [lo, min(lo + width, grid)]
-        i0, i1, j0, j1, k0, k1 = block
-        g, gp, radius = analysis._disc(xs, thetas, tuple(block))
-        for i in range(i0, i1):
-            for j in range(j0, j1):
-                for s, c in sin_cos[k0:k1]:
-                    sg, sgp = analysis._kernels(xs[i], xs[j], s, c)
-                    assert math.hypot(sg - g, sgp - gp) <= radius
-        if i1 - i0 == j1 - j0 == k1 - k0 == 1:
-            assert radius < 2.0**-38
+    @given(box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]), data=st.data())
+    def test_enclosure_holds_every_sample(self, box, data):
+        # The lower and upper bounds of each part over a random sub-box,
+        # some of its axes collapsed to a point, hold the part at the
+        # box's corners and at random points inside it.
+        ranges = []
+        for lo, hi in (box, box, (math.pi / 3.0, 2.0 * math.pi / 3.0)):
+            a = data.draw(st.floats(lo, hi))
+            width = data.draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, hi - lo))
+            ranges.append((a, min(a + width, hi)))
+        sub = tuple(end for axis in ranges for end in axis)
+        points = list(itertools.product(*ranges)) + [
+            tuple(data.draw(st.floats(a, b)) for a, b in ranges) for _ in range(8)]
+        for k in (1.0, -1.0, 1j, -1j):
+            lower, _, face, _, _ = analysis._enclose(sub, k)
+            upper = -analysis._enclose(sub, -k)[0]
+            assert all(a <= face[2 * i] <= face[2 * i + 1] <= b for i, (a, b) in enumerate(ranges))
+            for x, y, theta in points:
+                assert lower - 2.0**-45 <= _key_value(k, x, y, theta) <= upper + 2.0**-45
 
     @pytest.mark.parametrize("grid", [2, 7, 13])
-    def test_unpruned_search_samples_each_pair_once(self, grid, monkeypatch):
-        # With no block ever dropped by its disc, the leaves of each of
-        # the four searches must hold every sample with i <= j exactly once.
-        calls = []
+    def test_unpruned_search_covers_each_pair(self, grid, monkeypatch):
+        # Give every box narrower than 1/4 on each axis the bound 0, the
+        # least value found, and every wider one no bound: the search
+        # ends with only narrow boxes left, and they hold each sample
+        # with x <= y, so it leaves no part of that half unsearched.
+        leaves = []
 
-        def recording(x, y, s, c):
-            calls.append((x, y, s, c))
-            return kernels(x, y, s, c)
+        def enclose(box, k):
+            xa, xb, ya, yb, ta, tb = box
+            widths = (xb - xa, yb - ya, tb - ta)
+            if max(widths) < 0.25:
+                leaves.append(box)
+                return 0.0, widths, box, 0.0, (xa, ya, ta)
+            return -math.inf, widths, box, 0.0, (xa, ya, ta)
 
-        kernels = analysis._kernels
-        monkeypatch.setattr(analysis, "_kernels", recording)
-        monkeypatch.setattr(analysis, "_disc", lambda *_: (0.0, 0.0, math.inf))
-        analysis._grid_extrema([analysis.VALUE_BOX], grid)
-        xs, _, sin_cos = _grid(analysis.VALUE_BOX, grid)
-        pairs = [(xs[i], xs[j], s, c) for i in range(grid) for j in range(i, grid)
-                 for s, c in sin_cos]
-        assert sorted(calls) == sorted(pairs * 4)
+        monkeypatch.setattr(analysis, "_enclose", enclose)
+        analysis._least(*analysis.VALUE_BOX, 1.0)
+        xs = np.linspace(*analysis.VALUE_BOX, grid)
+        for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
+            for i, x in enumerate(xs):
+                for y in xs[i:]:
+                    assert any(xa <= x <= xb and ya <= y <= yb and ta <= theta <= tb
+                               for xa, xb, ya, yb, ta, tb in leaves)
 
     def test_search_evaluates_few_samples(self, monkeypatch):
-        calls = []
-        kernels = analysis._kernels
-        monkeypatch.setattr(analysis, "_kernels", lambda *args: calls.append(args) or kernels(*args))
+        # The eight searches bisect 1 223 boxes and bound 2 285.
+        pops, boxes = [], []
+        heappop, enclose = analysis.heapq.heappop, analysis._enclose
+        monkeypatch.setattr(analysis.heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+        monkeypatch.setattr(analysis, "_enclose", lambda *args: boxes.append(1) or enclose(*args))
         assert gg_prime_ranges().passed
-        grid = analysis.GG_GRID
-        samples = 2 * grid * grid * (grid + 1) // 2  # both boxes, pairs i <= j
-        assert 0 < len(calls) < 0.02 * samples
+        assert 0 < len(pops) < 4000 and len(boxes) < 8000
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["min", "max"])
+    def test_stated_endpoint_past_the_proved_extremum_fails(self, side, monkeypatch):
+        k = -1j if side == 0 else 1j
+        proved = analysis._least(*analysis.VALUE_BOX, k)[1] * (1 if side == 0 else -1)
+        stated = list(analysis.G_RANGE_VALUE)
+        stated[side] = proved + (1e-4 if side == 0 else -1e-4)
+        monkeypatch.setattr(analysis, "G_RANGE_VALUE", tuple(stated))
+        report = gg_prime_ranges()
+        assert [c.status for c in report.checks] == ["fail", "pass", "pass", "pass"]
+        relation = ">=" if side == 0 else "<="
+        assert f"proved {relation} {proved:.6f}" in report.checks[0].details
+
+    def test_loose_endpoint_fails_near(self, monkeypatch):
+        lo, hi = analysis.GP_RANGE_CONJ
+        monkeypatch.setattr(analysis, "GP_RANGE_CONJ", (lo - 0.03 * (hi - lo), hi))
+        report = gg_prime_ranges()
+        assert [c.status for c in report.checks] == ["pass", "pass", "pass", "fail"]
+        assert report.checks[3].details.endswith("endpoints within 2%: False")
 
     def test_no_cube_sized_array(self):
         # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.
@@ -398,6 +452,16 @@ class TestAsymptotics:
         check = next(c for c in report.checks if c.name == "log(c_n) sqrt(C/n) -> 1")
         assert check.status == "pass" and report.passed
         assert -0.002 < check.measured < 0
+
+    @pytest.mark.parametrize("depth, lone", [(1, 3), (2, 1)])
+    def test_one_window_is_no_trend(self, depth, lone):
+        # Depth 1 has three denominators, and log(c_n)/q_n at depth 2
+        # skips the first two of four: one window each, over which a
+        # trend check once passed.
+        report = asymptotics_report(depth=depth)
+        single = [c for c in report.checks if "one window, no trend" in c.details]
+        assert len(single) == lone and {c.status for c in single} == {"info"}
+        assert report.passed
 
     @staticmethod
     def _ratios(deviation):

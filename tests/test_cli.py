@@ -716,7 +716,7 @@ class TestReports:
         assert [r["title"] for r in rec["reports"]] == [
             "interlacing to depth 3 (componentwise)",
             "local recursion errors to depth 3",
-            f"g/g' ranges on a {analysis.GG_GRID}^3 grid",
+            "g/g' ranges on the state boxes",
             "coincidence bound",
         ]
         assert [r["passed"] for r in rec["reports"]] == [not fail, True, True, True]
@@ -812,7 +812,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eef34f5a14c3f85d5145453a731ebead8dbbfa2e07cb948fe71ec47fd1c29344"),
         (["--depth", "3", "verify"],
-         "eb74e86b337e6ede327be07260c13ab092a11f35e8c4c017b19469a9cd33fd31"),
+         "ba153583ae0411a708e64d8d0546a61f50d5ceb9e2366939c731c6e9716622c0"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
