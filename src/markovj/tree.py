@@ -18,18 +18,13 @@ the one place that computes a Markov number) on its parent's triple
 size (Aigner, Markov's Theorem and 100 Years of the Uniqueness
 Conjecture, 2013, ch. 3).
 
-Memory note: Markov numbers grow doubly exponentially with depth (the
-largest c has 56 decimal digits at depth 9 and 237 at depth 12; the
-digit count grows by a factor of about phi per level, so depth 24 is
-about 7.6e4 digits).  A node's word (bytes, one per digit) is joined
-from its neighbours' words the first time something reads it, and is
-then kept on the node; its length and digit sum are checked against q
-then, the guard on every word, as the words are plain bytes.  Texts
-are not kept on the nodes (period_texts holds one per level), so
-build_tree holds no words and no texts, and `markovj tree` never joins
-a word.  Once every word of the tree of depth d has been read, they
-total about 1.5 * 3^d bytes (21.5 MB at depth 15), so build_tree
-refuses depths above MAX_DEPTH (581 MB of words at 18, 5.2 GB at 20).
+Memory note: no node keeps its word (bytes, one per digit) or its
+text.  One fold, _held, makes both from the neighbours' and holds one
+per level and one per tip, so build_tree holds neither and `markovj
+tree` joins no word.  A tree holds its nodes and their c's, whose digit
+count grows by about phi per level (237 digits at depth 12): `markovj
+--depth 18 tree` lists 2^18 + 1 nodes in 7-11 s at 185 MB, and each
+level doubles them, so build_tree refuses depths above MAX_DEPTH.
 Along one path the word length q grows like the Fibonacci numbers, so
 no node is built whose word would be longer than MAX_Q, the longest of
 that tree, and no path goes below MAX_LEVEL.
@@ -39,8 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .cf import conjunction, format_period, join_texts
 
@@ -68,6 +62,8 @@ MAX_LEVEL = 200
 #: the Fibonacci number F(MAX_DEPTH + 3).  No node's word is longer.
 MAX_Q = 10_946
 
+T = TypeVar("T")
+
 
 class TreeError(ValueError):
     """Raised for invalid fractions or paths, or a node failing its checks."""
@@ -80,7 +76,7 @@ def vieta_children(t: tuple[int, int, int], steps: str = "LR") -> list[tuple[int
     return [(c, b, 3 * b * c - a) if step == "L" else (a, c, 3 * a * c - b) for step in steps]
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
@@ -89,7 +85,7 @@ class TreeNode:
     interval: the two predecessors whose fractions it is the mediant of
     (``None`` at the tips).  They take no part in equality or repr, so
     neither walks up the tree.  The word, ``period``, is no field: it is
-    built when first read.
+    built when read, and not kept on the node.
     """
 
     path: str
@@ -100,22 +96,10 @@ class TreeNode:
     left: TreeNode | None = field(compare=False, repr=False)
     right: TreeNode | None = field(compare=False, repr=False)
 
-    @cached_property
+    @property
     def period(self) -> bytes:
-        """The node's word, one byte per digit, built the first time it is
-        read and then kept: the right neighbour's word followed by the
-        left's, or else _unjoined_word.  Its length is checked against q,
-        and its digit sum against 3q, which every word of the tree meets
-        and any change of one digit breaks."""
-        word = (conjunction(self.right.period, self.left.period)
-                if joins_neighbours(self.left) else _unjoined_word(self))
-        if len(word) != self.q:
-            raise TreeError(
-                f"period length {len(word)} != Farey denominator {self.q} at {self.path!r}"
-            )
-        if sum(word) != 3 * self.q:
-            raise TreeError(f"period digit sum {sum(word)} != 3q = {3 * self.q} at {self.path!r}")
-        return word
+        """The node's word, one byte per digit (see _word)."""
+        return _held_words(self)
 
     def __str__(self) -> str:
         label = self.path or ("root" if self.level == 1 else "tip")
@@ -143,34 +127,50 @@ TIP_RIGHT = TreeNode("1/2", 0, 1, 2, 2, None, None)
 ROOT = TreeNode("", 1, 1, 3, 5, TIP_LEFT, TIP_RIGHT)
 
 
-def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
-    """The compact text (cf.format_period) of each node's word, in turn.
+def _held(make: Callable[[TreeNode, Callable[[TreeNode], T]], T]) -> Callable[[TreeNode], T]:
+    """node -> make(node, itself), holding one result per level and one
+    per tip, reused only for the same node.  A node's neighbours are its
+    ancestors or the tips, and in the order of p/q a node is a neighbour
+    only within its subtree, whose nodes follow one another, so each
+    result is made once; any other order gets the same results."""
+    held: dict[int | str, tuple[TreeNode, T]] = {}
 
-    A joined word's text is its neighbours' texts joined, so no word is
-    joined.  A node's neighbours are its ancestors or the tips, and the
-    right one comes after it in the order of p/q, so texts are filled
-    top-down through the neighbours, one held per level and one per tip.
-    In the order of p/q a node is a neighbour only within its subtree,
-    whose nodes follow one another, so each text is made once; another
-    order, or a single node, gets the same texts.
-    """
-    held: dict[int | str, tuple[TreeNode, str]] = {}
-
-    def text(node: TreeNode) -> str:
-        # The tips are both level 0, so they are held by path.
-        slot = node.level or node.path
+    def value(node: TreeNode) -> T:
+        slot = node.level or node.path  # the tips are both level 0
         kept = held.get(slot)
-        if kept is not None and kept[0] is node:
-            return kept[1]
-        if joins_neighbours(node.left):
-            made = join_texts(text(node.right), text(node.left))
-        else:
-            made = format_period(node.period)
-        held[slot] = node, made
-        return made
+        if kept is None or kept[0] is not node:
+            kept = held[slot] = node, make(node, value)
+        return kept[1]
 
-    for node in nodes:
-        yield text(node)
+    return value
+
+
+def _word(node: TreeNode, word: Callable[[TreeNode], bytes]) -> bytes:
+    """The right neighbour's word followed by the left's, or else
+    _unjoined_word, its length checked against q and its digit sum against
+    3q, which every word of the tree meets and any change of a digit breaks."""
+    made = (conjunction(word(node.right), word(node.left))
+            if joins_neighbours(node.left) else _unjoined_word(node))
+    if len(made) != node.q:
+        raise TreeError(f"period length {len(made)} != Farey denominator {node.q} at {node.path!r}")
+    if sum(made) != 3 * node.q:
+        raise TreeError(f"period digit sum {sum(made)} != 3q = {3 * node.q} at {node.path!r}")
+    return made
+
+
+_held_words = _held(_word)  # at most MAX_LEVEL + 2 words of at most MAX_Q digits
+
+
+def _text(node: TreeNode, text: Callable[[TreeNode], str]) -> str:
+    """A joined word's text is its neighbours' texts joined: no word is joined."""
+    if joins_neighbours(node.left):
+        return join_texts(text(node.right), text(node.left))
+    return format_period(node.period)
+
+
+def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
+    """The compact text (cf.format_period) of each node's word, in turn."""
+    return map(_held(_text), nodes)
 
 
 def _child(node: TreeNode, step: str) -> TreeNode:
@@ -223,8 +223,8 @@ def build_tree(depth: int) -> list[TreeNode]:
     if depth < 1:
         raise TreeError("depth must be >= 1")
     if depth > MAX_DEPTH:
-        raise TreeError(f"depth {depth} exceeds {MAX_DEPTH}: its words alone "
-                        f"would take over {1.5 * 3 ** (MAX_DEPTH + 1) / 1e9:.2g} GB")
+        raise TreeError(f"depth {depth} exceeds {MAX_DEPTH}: listing the {2 ** MAX_DEPTH + 1} "
+                        f"nodes of depth {MAX_DEPTH} takes 7-11 s and 185 MB")
     nodes = [TIP_LEFT, ROOT, TIP_RIGHT]
     frontier = [ROOT]
     for _ in range(2, depth + 1):

@@ -111,17 +111,35 @@ class TestTree:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "78378a99ea1d36844206f9cf386c11b13e71d2f63ae94106f38ff1c213672f50")
 
-    def test_texts_match_format_period_to_depth_twelve(self):
+    def test_texts_match_format_period_to_depth_twelve(self, monkeypatch):
         nodes = build_tree(12)
+        joins = []
+        join = tree.conjunction
+
+        def counting(u, v):
+            joins.append(None)
+            return join(u, v)
+
+        monkeypatch.setattr(tree, "conjunction", counting)
+        # In the order of p/q each word is joined once.
+        words = [node.period for node in nodes]
+        assert len(joins) == sum(joins_neighbours(node.left) for node in nodes)
         texts = list(period_texts(nodes))
         assert len(texts) == len(nodes)
-        for node, text in zip(nodes, texts):
-            assert text == format_period(node.period), node.path
-        # One node on its own, and the nodes out of order, get the same texts.
+        for node, word, text in zip(nodes, words, texts):
+            assert text == format_period(word), node.path
+        # One node on its own, the nodes out of order, and a subsequence
+        # of new nodes in the order of p/q get the same words and texts.
+        index = {node.path: i for i, node in enumerate(nodes)}
         for path in ("", "L", "R", "RL", "LRRLRL", "RLRLRLRLRLR"):
             node = node_at(path)
-            assert list(period_texts([node])) == [format_period(node.period)], path
+            assert node.period == words[index[path]], path
+            assert list(period_texts([node])) == [texts[index[path]]], path
+        assert [node.period for node in nodes[::-1]] == words[::-1]
         assert list(period_texts(nodes[::-1])) == texts[::-1]
+        fresh = build_tree(12)[::7]
+        assert [node.period for node in fresh] == words[::7]
+        assert list(period_texts(fresh)) == texts[::7]
 
     def test_in_order_sort_is_fraction_sort(self):
         # build_tree walks the tree in order, which is the order of p/q.
@@ -610,8 +628,8 @@ class TestRunSizes:
         for command in ("tree", "table", "interlace", "verify"):
             code, out, err = run(capsys, "--depth", "19", command)
             assert code == 2 and out == ""
-            assert err == ("error: depth 19 exceeds 18: its words alone would "
-                           "take over 1.7 GB\n")
+            assert err == ("error: depth 19 exceeds 18: listing the 262145 nodes "
+                           "of depth 18 takes 7-11 s and 185 MB\n")
 
     def test_asymptotics_depth_above_cap_refused_before_enumerating(self, capsys, monkeypatch):
         def no_enumeration(qmax):

@@ -249,6 +249,32 @@ class TestPeriodTexts:
         assert len(joins) == sum(joins_neighbours(node.left) for node in nodes)
 
 
+class TestHeldWords:
+    def test_no_node_keeps_its_word(self):
+        # Depth 13's words total 2 391 486 bytes; reading them all in the
+        # order of p/q leaves held only one per level and one per tip.
+        nodes = build_tree(13)
+        assert sum(node.q for node in nodes) == 2_391_486
+        assert not hasattr(nodes[1], "__dict__")
+        tracemalloc.start()
+        try:
+            for node in nodes:
+                node.period
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+
+    def test_a_copy_with_a_wrong_q_is_not_served_the_held_word(self):
+        node = node_at("RL")
+        word = node.period
+        assert joins_neighbours(node.left) and len(word) == node.q == 8
+        wrong = dataclasses.replace(node, q=9)
+        with pytest.raises(TreeError, match=r"^period length 8 != Farey denominator 9 at 'RL'$"):
+            wrong.period
+        assert node.period == word
+
+
 class TestStructure:
     def test_period_length_and_digit_sum(self):
         for node in build_tree(7):
@@ -271,8 +297,8 @@ class TestStructure:
         assert len(build_tree(9)) == 2 + (2**9 - 1)
 
     def test_depth_bounds(self):
-        # Refused before any node is built: the words of depth 19 alone
-        # would take 1.7 GB.
+        # Refused before any node is built: depth 18 has 262 145 nodes,
+        # and each level doubles them.
         assert MAX_DEPTH == 18
         for depth in (0, MAX_DEPTH + 1, 10**9):
             with pytest.raises(TreeError, match="depth"):
