@@ -5,11 +5,12 @@ digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
 converges to a real > 1 whenever all digits are >= 2.  The tree builds
 every word and checks it (its length and its digit sum), so the
 functions here take words as given.  This module holds the joins of
-words and of their compact texts, and the numerics (fixed-point
-evaluation, and cycle-state enumeration with a contraction certificate
-that bounds every state's float error).  Only the cycle states need
-numpy, and they import it when first called, so the word layer loads
-without it.
+words and of their compact texts, and the numerics: a word's rotation
+values from one backward sweep after a warm-up stopped by its own
+contraction (a parabolic word, all 2s, is refused), and cycle states
+with a certificate that proves every state's float error.  Only the
+cycle states need numpy, and they import it when first called, so the
+word layer loads without it.
 """
 
 from __future__ import annotations
@@ -37,18 +38,13 @@ STATE_MAX = 29.0 / 12.0
 CONJ_MIN = -21.0 / 8.0
 CONJ_MAX = -2.0 / 5.0
 
-#: Fixed-point iterations stop at a step below CONVERGED, or fail after MAX_SWEEPS.
-CONVERGED = 1e-14
-MAX_SWEEPS = 10_000
-
 #: cycle_states proves every state within CHECK_TOL of its exact value.
 CHECK_TOL = 1e-9
 
 
 class PeriodError(ValueError):
-    """Raised when a word's rotation sweep does not converge or its
-    cycle states fail their certificate; the message names the word by
-    its compact text."""
+    """Raised when a word is parabolic or its cycle states fail their
+    certificate; the message names the word by its compact text."""
 
 
 def conjunction(left: bytes, right: bytes) -> bytes:
@@ -93,25 +89,29 @@ class CycleStates:
 
 
 def _rotation_values(word: bytes) -> list[float]:
-    """Values T_k of every rotation word[k:] + word[:k].
+    """Values T_k of every rotation word[k:] + word[:k], proved by
+    :func:`_certify`.
 
-    Cyclic backward sweeps of T_k = d_k - 1/T_{k+1}, started at T_0 = 2,
-    run until T_0 moves by less than CONVERGED in one sweep; the last
-    sweep's values are returned.  The map contracts by about 1/eps^2
-    per sweep, so a few sweeps suffice, and :func:`_certify` bounds
-    every value's error.
+    T_k = d_k - 1/T_(k+1) runs backward and cyclically from 2.  A step
+    scales the start's error by 1/(T T'), so a warm-up runs until the
+    product of 1/x^2 is below 2^-60 (|2 - T| < 2 leaves it below 2^-59),
+    then one sweep stores the q values.  A digit above 2 makes a period
+    contract by 1/eps^2 (Zagier 1981); a word of 2s is parabolic (every
+    value 1) and is refused before any digit is read.
     """
-    n = len(word)
-    x = 2.0
-    for _ in range(MAX_SWEEPS):
-        start = x
-        values = [0.0] * n
-        for k in range(n - 1, -1, -1):
-            x = word[k] - 1.0 / x
-            values[k] = x
-        if abs(x - start) < CONVERGED:
-            return values
-    raise PeriodError(f"rotation sweep did not converge for {format_period(word)}")
+    if not word.translate(None, b"\2"):
+        raise PeriodError(f"parabolic word {format_period(word)}: every rotation value is 1")
+    n, x, product, k = len(word), 2.0, 1.0, 0
+    while product >= 2.0 ** -60:
+        k -= 1
+        x = word[k % n] - 1.0 / x
+        product /= x * x
+    values = [0.0] * n
+    # Back from where the warm-up stopped; a negative index wraps once.
+    for k in range(k % n - 1, k % n - 1 - n, -1):
+        x = word[k] - 1.0 / x
+        values[k] = x
+    return values
 
 
 def _up(x: float) -> float:
@@ -166,10 +166,10 @@ def cycle_states(word: bytes) -> CycleStates:
     States are produced in walk order: for each cyclic position the
     leading integer a0 runs down from a_i - 1 to 1 over the rotation
     that follows digit a_i.  Conjugates come from the reversed-word
-    formula.  Both families of rotation values come from cyclic sweeps
-    and are spread over the states by array indexing, so a node costs
-    O(q).  :func:`_certify` proves every value and conjugate within
-    CHECK_TOL of its exact value, or raises PeriodError.
+    formula.  The word's and its reversal's sweeps give the rotation
+    values, spread over the states by array indexing: O(q) a node.
+    :func:`_certify` proves every value and conjugate within CHECK_TOL
+    of its exact value, or raises PeriodError.
     """
     import numpy as np
 
@@ -178,11 +178,11 @@ def cycle_states(word: bytes) -> CycleStates:
     # pos[s]: the cyclic position of state s; a0 counts down to 1 within it.
     pos = np.repeat(np.arange(len(word)), last - 1)
     a0 = np.cumsum(last - 1)[pos] - np.arange(len(pos))
-    # tails[i]: the word after digit i; rev[-i]: the reversed word before it.
-    tails = np.array(_rotation_values(word[1:] + word[:1]))
+    # t[i + 1]: the word after digit i; rev[-i]: the reversed word before it.
+    t = np.array(_rotation_values(word))
     rev = np.array(_rotation_values(word[::-1]))
-    _certify(word, "rotation", np.concatenate((last[1:], last[:1])), tails)
+    _certify(word, "rotation", last, t)
     _certify(word, "reversed-word", last[::-1], rev)
-    values = a0 - 1.0 / tails[pos]
+    values = a0 - 1.0 / np.roll(t, -1)[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
     return CycleStates(values=values, conj_values=conj)

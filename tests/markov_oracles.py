@@ -18,7 +18,8 @@ the tests, lives here as plain functions:
 - parse_period: the inverse of cf.format_period;
 - digit_sum and cycle_length: the Period properties;
 - period_matrix: the word's matrix, which tree nodes carried;
-- eval_periodic: cf.eval_periodic, a word's first rotation value;
+- eval_periodic: cf.eval_periodic, a word's first rotation value, as
+  the float of its 40-digit periodic_value;
 - node_k, node_form and node_triple: the TreeNode properties k, form
   and triple, read off the word's matrix and the node's neighbours;
 - envelope_from_values: analysis.envelope_from_values;
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-from markovj.cf import PeriodError, _rotation_values
+from markovj.cf import PeriodError
 from markovj.integrals import ARC_HI, ARC_LO, _rule
 from markovj.jfunction import ARC_MIN_IM, SERIES_ORDER, j_coefficients, j_eval
 from markovj.tree import TreeError, vieta_children
@@ -205,9 +206,15 @@ def period_matrix(word: bytes) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def eval_periodic(word: bytes) -> float:
-    """Value of the purely periodic expansion: the word's first rotation
-    value, by the float sweep of cf._rotation_values."""
-    return _rotation_values(word)[0]
+    """Value of the purely periodic expansion, the word's first rotation
+    value: the float of its 40-digit periodic_value, independent of the
+    float sweep of cf._rotation_values.  A parabolic word (trace 2, all
+    digits 2) has the value 1 at which no sweep contracts, and is
+    refused with PeriodError as cf refuses it."""
+    (a, _), (_, d) = period_matrix(word)
+    if a + d == 2:
+        raise PeriodError(f"parabolic word {word!r}")
+    return float(periodic_value(word, 40))
 
 
 def periodic_value(word: bytes, digits: int = 60) -> Decimal:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from markov_oracles import (
     least_rotation,
     parse_period,
     period_matrix,
+    periodic_value,
 )
 from markovj import cf, tree
 from markovj.cf import (
@@ -141,26 +143,6 @@ class TestTreeWords:
             node_at("LX")
 
 
-def _per_position_values(digits):
-    """Rotation values by the per-position rule, the reference for the
-    whole-sweep rule of cf._rotation_values."""
-    n = len(digits)
-    prev = [math.inf] * n
-    kept = [None] * n
-    left = n
-    x = 2.0
-    for _ in range(cf.MAX_SWEEPS):
-        for k in range(n - 1, -1, -1):
-            x = digits[k] - 1.0 / x
-            if kept[k] is None and abs(x - prev[k]) < cf.CONVERGED:
-                kept[k] = x
-                left -= 1
-            prev[k] = x
-        if not left:
-            return kept
-    raise AssertionError("did not converge")
-
-
 class TestEval:
     def test_golden_values(self):
         assert eval_periodic(b"\3") == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
@@ -177,24 +159,49 @@ class TestEval:
             y = d - 1.0 / y
         assert y == pytest.approx(x, abs=1e-9)
 
-    def test_parabolic_word_does_not_converge(self):
-        # All-2 words have the parabolic value 1, which the iteration
-        # approaches too slowly; the message names the word as text.
-        with pytest.raises(PeriodError, match="did not converge for 2_2$"):
+    def test_parabolic_word_is_refused(self):
+        # All-2 words have the parabolic value 1, at which no sweep
+        # contracts: refused before a digit is read, the word named as
+        # text.
+        with pytest.raises(PeriodError):
             eval_periodic(b"\2\2")
-        with pytest.raises(PeriodError, match="did not converge for 2_2$"):
-            cf._rotation_values(b"\2\2")
+        for refuse in (cf._rotation_values, cycle_states):
+            word = _CountingWord(b"\2\2")
+            with pytest.raises(PeriodError, match="parabolic word 2_2:"):
+                refuse(word)
+            assert word.reads == 0
 
-    def test_sweeps_agree_with_per_position_rule(self):
-        # The per-position rule keeps each value from the first sweep in
-        # which it moves by less than CONVERGED; whole sweeps until T_0
-        # settles may differ from it by a few ulps of values below 4.
-        for node in build_tree(9):
-            word = node.period
-            for digits in (word, word[::-1]):
+    def test_one_sweep_per_word(self):
+        # A warm-up of a few dozen steps, then one sweep of the q
+        # positions: whole sweeps until T_0 settled read the level-12
+        # zigzag word 1 220 times.
+        period = node_at("RLRLRLRLRLR").period
+        for digits in (period, b"\3"):
+            word = _CountingWord(digits)
+            cf._rotation_values(word)
+            assert word.reads <= len(digits) + 64
+
+    def test_rotation_values_reach_rounding(self):
+        # Every rotation value of every word to depth 8 and of its
+        # reversal within 2 ulps (4.5e-16 relative) of its 40-digit
+        # value; a stop at a step below 1e-14 left 9.0e-16 at
+        # 2,3_2,4,2,3_2,4,2,3_2,4,2,3_3,4.
+        for node in build_tree(8):
+            for digits in (node.period, node.period[::-1]):
                 got = cf._rotation_values(digits)
-                want = _per_position_values(digits)
-                assert max(abs(x - y) for x, y in zip(got, want)) < 1e-14
+                for k in range(len(digits)):
+                    exact = periodic_value(digits[k:] + digits[:k], 40)
+                    assert abs(Decimal(got[k]) - exact) <= Decimal("4.5e-16") * exact
+
+
+class _CountingWord(bytes):
+    """A word that counts the reads of its digits by indexing."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
 
 
 class TestMatrix:
@@ -281,11 +288,11 @@ def _reference_cycle_states(digits):
 def _loop_cycle_states(digits):
     """The per-state loop over the same sweeps (same arithmetic as the
     array version, so the results must be bit-identical)."""
-    tails = cf._rotation_values(digits[1:] + digits[:1])
+    values = cf._rotation_values(digits)
     rev = cf._rotation_values(digits[::-1])
     states = []
     for i, last in enumerate(digits):
-        t, t_rev = tails[i], rev[-i]
+        t, t_rev = values[(i + 1) % len(digits)], rev[-i]
         for a0 in range(last - 1, 0, -1):
             states.append((a0, a0 - 1.0 / t, -((last - a0) - 1.0 / t_rev)))
     return states
@@ -380,6 +387,9 @@ block_words = st.builds(
 class TestOneSweepStates:
     @given(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=40).filter(
         lambda w: any(d > 2 for d in w)).map(bytes))
+    # A stop at a sweep that moved T_0 by less than 1e-14 left states
+    # 5.0e-15 off here.
+    @example(bytes([2, 2, 2, 3, 2, 2, 3, 2, 2, 2, 2]))
     def test_matches_per_rotation_reference(self, digits):
         states = cycle_states(digits)
         reference = _reference_cycle_states(digits)
@@ -388,8 +398,8 @@ class TestOneSweepStates:
         assert np.ceil(states.values).tolist() == _leading_integers(digits)
         for value, conj, (_, ref_value, ref_conj) in zip(
                 states.values, states.conj_values, reference):
-            assert abs(value - ref_value) <= 1e-13
-            assert abs(conj - ref_conj) <= 1e-13
+            assert abs(value - ref_value) <= 2e-15
+            assert abs(conj - ref_conj) <= 2e-15
 
     @given(st.one_of(digit_words, block_words))
     def test_arrays_equal_per_state_loop(self, digits):
@@ -401,14 +411,14 @@ class TestOneSweepStates:
 
     def test_makes_no_eval_periodic_call(self, monkeypatch):
         # cf keeps no per-rotation evaluation: cycle_states makes its two
-        # sweeps, one per family of rotations, and nothing else.
+        # sweeps, of the word and of its reversal, and nothing else.
         assert not hasattr(cf, "eval_periodic")
         sweep, sweeps = cf._rotation_values, []
         monkeypatch.setattr(cf, "_rotation_values",
                             lambda digits: sweeps.append(digits) or sweep(digits))
         period = node_at("RL").period[::-1]
         cycle_states(period)
-        assert sweeps == [period[1:] + period[:1], period[::-1]]
+        assert sweeps == [period, period[::-1]]
 
     def test_deep_node_exact_check(self):
         # Level 14, q = 1597, c has 621 digits: far beyond float range,

