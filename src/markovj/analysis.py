@@ -16,14 +16,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, asdict
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _rotation_values
 from .integrals import CycleValue, log_epsilon
 from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "BoundChain",
@@ -82,8 +79,8 @@ GG_ENDPOINT_RTOL = 0.02
 COINCIDENCE_DIGITS = 60
 TREND_WINDOWS = 4
 #: The deepest asymptotics report.  Its denominators up to depth + 2 are
-#: enumerated one by one: 1.5-2.2 s and 104 MB at depth 1200, against
-#: 0.7-1.0 s and 58 MB at 800 and 3.4-4.7 s and 181 MB at 1600 (whole
+#: enumerated one by one: 1.4-1.7 s and 94 MB at depth 1200, against
+#: 0.6-0.8 s and 46 MB at 800 and 2.5-3.0 s and 173 MB at 1600 (whole
 #: process, 2 cores, Python 3.11).
 MAX_ASYMPTOTICS_DEPTH = 1200
 
@@ -178,7 +175,7 @@ def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
     tree-construction bug, so it raises TreeError.
     """
     report = Report(title=f"q recursions to depth {_depth(nodes)}")
-    worst = 0
+    worst, where = 0, None
     count = 0
     for node in nodes:
         n = node.level
@@ -214,14 +211,17 @@ def check_q_recursion(nodes: Sequence[TreeNode]) -> Report:
             for j in range(2, m + 1):
                 if qs[n] < lam[j] * qs[turns[j - 2]]:
                     raise TreeError(f"coefficient bound fails at {path!r}")
-                worst = max(worst, lam[j])
+                if lam[j] > worst:
+                    worst, where = lam[j], path
         count += 1
-    report.add(CheckResult(
-        name="exact recursions",
-        status="pass",
-        measured=float(count),
-        details=f"{count} nodes verified, max coefficient {worst}",
-    ))
+    if not count:
+        details = NONE_CHECKED
+    elif where is None:
+        details = f"{count} nodes verified, no path changes direction"
+    else:
+        details = f"{count} nodes verified, max coefficient {worst} at {where!r}"
+    report.add(CheckResult(name="exact recursions", status="pass",
+                           measured=float(count), details=details))
     return report
 
 
@@ -567,23 +567,23 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     sorted as the published sequence (by q, ties by Markov number).
 
     Enumerates the infinite tree with pruning: q strictly increases
-    down every branch, so the search below qmax is finite.  The walk
-    keeps its own stack, as a branch can be qmax levels deep.
+    down every branch, so the search below qmax is finite, and a child
+    is built only if its q is within qmax.  The walk keeps its own
+    stack, as a branch can be qmax levels deep.
     """
     out = [(1, 1), (2, 2)]
-    stack = [((2, 1, 5), 3, 1, 2)]
+    stack = [((2, 1, 5), 3, 1, 2)] if qmax >= 3 else []
     while stack:
         triple, q, ql, qr = stack.pop()
-        if q > qmax:
-            continue
         out.append((q, triple[2]))
-        tl, tr = vieta_children(triple)
-        stack.append((tl, q + ql, ql, q))
-        stack.append((tr, q + qr, q, qr))
+        if q + ql <= qmax:
+            stack.append((vieta_children(triple, "L")[0], q + ql, ql, q))
+        if q + qr <= qmax:
+            stack.append((vieta_children(triple, "R")[0], q + qr, q, qr))
     return sorted(out)
 
 
-def _window_means(values: np.ndarray) -> list[float]:
+def _window_means(values: Sequence[float]) -> list[float]:
     """Mean over geometrically growing index windows.
 
     The deviations decay like n^(-1/2), so equal-width windows average
@@ -592,12 +592,12 @@ def _window_means(values: np.ndarray) -> list[float]:
     """
     n, windows = len(values), TREND_WINDOWS
     if n < windows:
-        return [float(values.mean())]
+        return [math.fsum(values) / n]
     edges = sorted({0, n} | {int(round(n ** (k / windows))) for k in range(windows + 1)})
-    return [float(values[a:b].mean()) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    return [math.fsum(values[a:b]) / (b - a) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _trend_check(name: str, ratios: np.ndarray, target: float) -> CheckResult:
+def _trend_check(name: str, ratios: Iterable[float], target: float) -> CheckResult:
     """Does ``ratios`` tend to ``target`` on average?  The signed
     deviation, averaged over each window of :func:`_window_means`, must
     shrink strictly in size from each window to the next.  With a single
@@ -611,7 +611,7 @@ def _trend_check(name: str, ratios: np.ndarray, target: float) -> CheckResult:
     700 on) while the signed mean still falls.  A sequence that stays
     off its limit, or drifts away, keeps or grows its window means.
     """
-    means = _window_means(ratios - target)
+    means = _window_means([r - target for r in ratios])
     details = "window mean deviations " + ", ".join(f"{m:+.4f}" for m in means)
     if len(means) < 2:
         status, details = "info", "one window, no trend: " + details
@@ -629,26 +629,25 @@ def asymptotics_report(depth: int) -> Report:
     :func:`_trend_check` over TREND_WINDOWS windows.  Depths above
     MAX_ASYMPTOTICS_DEPTH raise ValueError before any enumeration.
     """
-    import numpy as np
-
     if depth > MAX_ASYMPTOTICS_DEPTH:
         raise ValueError(f"depth {depth} exceeds {MAX_ASYMPTOTICS_DEPTH}, "
                          "the deepest asymptotics report")
     report = Report(title=f"asymptotics (denominators up to {depth + 2})")
     seq = denominator_sequence(depth + 2)
-    ns = np.arange(1, len(seq) + 1, dtype=float)
-    qs = np.array([q for q, _ in seq], dtype=float)
-    logc = np.array([math.log(c) for _, c in seq])
-    head = [int(q) for q in qs[:6]]
+    logc = [math.log(c) for _, c in seq]
+    head = [q for q, _ in seq[:6]]
     report.add(CheckResult(
         name="ordering head",
         status="pass" if head == [1, 2, 3, 4, 5, 5][:len(head)] else "fail",
         details=f"first denominators {head}",
     ))
-    report.add(_trend_check("q_n / sqrt(n) -> pi sqrt(2/3)", qs / np.sqrt(ns), Q_GROWTH))
+    report.add(_trend_check("q_n / sqrt(n) -> pi sqrt(2/3)",
+                            (q / math.sqrt(n) for n, (q, _) in enumerate(seq, 1)), Q_GROWTH))
     report.add(_trend_check("log(c_n) sqrt(C/n) -> 1",
-                            logc * math.sqrt(ZAGIER_C) / np.sqrt(ns), 1.0))
-    report.add(_trend_check("log(c_n)/q_n -> sqrt(3)/(pi sqrt(2C))", logc[2:] / qs[2:],
+                            (lc * math.sqrt(ZAGIER_C) / math.sqrt(n)
+                             for n, lc in enumerate(logc, 1)), 1.0))
+    report.add(_trend_check("log(c_n)/q_n -> sqrt(3)/(pi sqrt(2C))",
+                            (lc / q for lc, (q, _) in zip(logc[2:], seq[2:])),
                             math.sqrt(3.0) / (math.pi * math.sqrt(2.0 * ZAGIER_C))))
     # log(eps_n) against its linear-in-q_n prediction.
     slope = math.sqrt(3.0) / (math.sqrt(2.0 * ZAGIER_C) * math.pi)
@@ -656,7 +655,7 @@ def asymptotics_report(depth: int) -> Report:
     for q, c in seq[2:]:
         log_eps = log_epsilon(c)
         eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
-    means = _window_means(np.array(eps_dev))
+    means = _window_means(eps_dev)
     report.add(CheckResult(
         name="log eps ~ slope q + log(3/2)",
         status="info",

@@ -7,8 +7,8 @@ prints values reads them from a JSON-lines cache (--cache) at any --tol
 their bounds meet, so warm reruns are byte-identical without integrating.
 The numeric layers (integrals, analysis) are imported by the commands
 that need them, so ``tree`` runs without them.  numpy is imported only
-where values are computed and by ``asymptotics``, so ``bounds``, and the
-value commands on a cache that holds every value, run without it.
+where values are computed, so ``asymptotics``, ``bounds``, and the value
+commands on a cache that holds every value, run without it.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import analysis
 
     nodes = build_tree(args.depth)
-    analysis.check_q_recursion(nodes)  # raises on failure
+    reports = [analysis.check_q_recursion(nodes)]  # raises on failure, before any value
     values = _values_with_cache(nodes, args)
-    reports = [
+    reports += [
         analysis.check_interlacing(values, nodes),
         analysis.check_J_recursion(values, nodes),
         analysis.gg_prime_ranges(),

@@ -121,8 +121,8 @@ class TestQRecursion:
         # of the path carries its largest coefficient.
         alone = check_q_recursion([node_at("RLLRRL")]).checks[0].details
         along = check_q_recursion(list(walk_path("RLLRRL"))).checks[0].details
-        assert (alone, along) == ("1 nodes verified, max coefficient 12",
-                                  "6 nodes verified, max coefficient 12")
+        assert (alone, along) == ("1 nodes verified, max coefficient 12 at 'RLLRRL'",
+                                  "6 nodes verified, max coefficient 12 at 'RLLRRL'")
 
     def test_failure_raises_tree_error(self, monkeypatch):
         monkeypatch.setattr(analysis, "_mat_mul", lambda A, B: ((0, 0), (0, 0)))

@@ -244,6 +244,18 @@ class TestCycleStates:
                 assert STATE_MIN - 1e-12 <= value <= STATE_MAX + 1e-12
                 assert CONJ_MIN - 1e-12 <= conj <= CONJ_MAX + 1e-12
 
+    def test_reversed_word_swaps_and_negates_states(self):
+        # The orientation convention of the integrals module: the
+        # reversed word's geodesic is the forward one run backwards, so
+        # its values are the forward conjugates negated, and its
+        # conjugates the forward values negated, in reverse order and
+        # bit for bit.
+        for node in build_tree(10):
+            forward = cycle_states(node.period)
+            backward = cycle_states(node.period[::-1])
+            assert np.array_equal(backward.values, -forward.conj_values[::-1]), node.path
+            assert np.array_equal(backward.conj_values, -forward.values[::-1]), node.path
+
     def test_exact_cross_check_long_period(self):
         # Length-28 cycle; a float walk drifts ~1e-6 here, the exact
         # walk must still confirm the certified states at 1e-9.

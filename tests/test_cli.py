@@ -712,15 +712,16 @@ class TestReports:
         code, out, _ = run(capsys, "--depth", "1", "verify")
         assert code == 0 and out.endswith("verify: PASS\n")
         lines = out.splitlines()
-        assert lines[1] == ("[PASS] componentwise betweenness  measured=0  bound=1e-06  "
+        assert lines[1] == "[PASS] exact recursions  measured=0  no node of level >= 2 checked"
+        assert lines[5] == ("[PASS] componentwise betweenness  measured=0  bound=1e-06  "
                             "no node of level >= 2 checked")
-        assert lines[5] == ("[PASS] |delta| within geometric bound  measured=0  bound=1  "
+        assert lines[9] == ("[PASS] |delta| within geometric bound  measured=0  bound=1  "
                             "margin=1  no node of level >= 2 checked")
         code, out, _ = run(capsys, "--format", "json", "--depth", "1", "verify")
         rec = json.loads(out)
         assert code == 0 and rec["passed"] is True
-        assert [r["checks"][0]["details"] for r in rec["reports"][:2]] == [
-            analysis.NONE_CHECKED, analysis.NONE_CHECKED]
+        assert [r["checks"][0]["details"] for r in rec["reports"][:3]] == [
+            analysis.NONE_CHECKED, analysis.NONE_CHECKED, analysis.NONE_CHECKED]
         assert analysis.NONE_CHECKED == "no node of level >= 2 checked"
 
     @pytest.mark.parametrize("fail", [False, True], ids=["pass", "fail"])
@@ -732,12 +733,13 @@ class TestReports:
         assert code == (1 if fail else 0)
         assert rec["passed"] is (code == 0)
         assert [r["title"] for r in rec["reports"]] == [
+            "q recursions to depth 3",
             "interlacing to depth 3 (componentwise)",
             "local recursion errors to depth 3",
             "g/g' ranges on the state boxes",
             "coincidence bound",
         ]
-        assert [r["passed"] for r in rec["reports"]] == [not fail, True, True, True]
+        assert [r["passed"] for r in rec["reports"]] == [True, not fail, True, True, True]
         assert rec["bound_chain"] == {"k0": analysis.CHAIN_K0, "consistent": True,
                                       "re_delta_bound": pytest.approx(1.41173, abs=1e-3)}
 
@@ -780,7 +782,8 @@ class TestFreshInterpreter:
         (["--depth", "19", "tree"], 2),
         (["--depth", "3", "--jobs", "2", "table"], 2),
         (["--depth", "abc", "tree"], 2),
-    ], ids=["tree", "help", "depth_0", "depth_19", "jobs_2", "depth_abc"])
+        (["--depth", "3", "asymptotics"], 0),
+    ], ids=["tree", "help", "depth_0", "depth_19", "jobs_2", "depth_abc", "asymptotics"])
     def test_tree_and_refusals_load_no_numpy(self, argv, rc):
         proc = subprocess.run([sys.executable, "-c", self.PROBE, *argv], capture_output=True,
                               text=True, timeout=120, env=self.ENV)
@@ -830,7 +833,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
-         "ba153583ae0411a708e64d8d0546a61f50d5ceb9e2366939c731c6e9716622c0"),
+         "79e154b5e67673f73a39220e3d2ce711445ecd537b9ff9dcad6ddff194733961"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
