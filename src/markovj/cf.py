@@ -2,15 +2,15 @@
 
 A period is a cyclic word, held as plain ``bytes`` with one byte per
 digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
-converges to a real > 1 whenever all digits are >= 2.  The tree builds
-every word and checks it (its length and its digit sum), so the
-functions here take words as given.  This module holds the joins of
-words and of their compact texts, and the numerics: a word's rotation
-values from one backward sweep after a warm-up stopped by its own
-contraction (a parabolic word, all 2s, is refused), and cycle states
-with a certificate that proves every state's float error.  Only the
-cycle states need numpy, and they import it when first called, so the
-word layer loads without it.
+converges to a real > 1 whenever all digits are >= 2.  This module
+holds the word of a Markov fraction p/q (markov_word, a closed form of
+p/q), the compact text of a word and the join of two texts, and the
+numerics, which take words as given: a word's rotation values from one
+backward sweep after a warm-up stopped by its own contraction (a
+parabolic word, all 2s, is refused), and cycle states with a
+certificate that proves every state's float error.  Only the cycle
+states need numpy, and they import it when first called, so the word
+layer loads without it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CycleStates",
     "PeriodError",
-    "conjunction",
+    "markov_word",
     "format_period",
     "join_texts",
     "cycle_states",
@@ -47,9 +47,31 @@ class PeriodError(ValueError):
     certificate; the message names the word by its compact text."""
 
 
-def conjunction(left: bytes, right: bytes) -> bytes:
-    """Concatenate two words (the child word on the tree)."""
-    return left + right
+def markov_word(p: int, q: int) -> bytes:
+    """The word of the Markov fraction p/q in [0, 1/2], one byte per digit.
+
+    A Farey descent from the ends 0/1 (word 3) and 1/2 (word 4 2): the
+    mediant of the ends has for word the right end's word followed by
+    the left end's, and replaces the end on its side of p/q, until the
+    mediant is p/q.  That word, rotated left by one digit, is p/q's: the
+    upper Christoffel word of slope p/(q - p), p letters b and q - 2p
+    letters a, with a -> 3 and b -> 4 2 (Reutenauer, From Christoffel
+    Words to Markoff Numbers, 2019).  So it has q digits summing to 3q.
+    A fraction at tree level n takes n mediants, and each copies at most
+    q digits.  Outside [0, 1/2] no mediant is ever p/q, and a ValueError
+    is raised instead.
+    """
+    if q < 1 or not 0 <= 2 * p <= q:
+        raise ValueError(f"{p}/{q} lies outside [0, 1/2], where no Markov word is")
+    lp, lq, left, rp, rq, right = 0, 1, b"\3", 1, 2, b"\4\2"
+    mp, mq, word = (lp, lq, left) if p == 0 else (rp, rq, right)
+    while p * mq != mp * q:
+        mp, mq, word = lp + rp, lq + rq, right + left
+        if p * mq < mp * q:
+            rp, rq, right = mp, mq, word
+        else:
+            lp, lq, left = mp, mq, word
+    return word[1:] + word[:1]
 
 
 #: Digit bytes to their characters, and a run of two or more equal digits.
@@ -64,9 +86,9 @@ def format_period(word: bytes) -> str:
 
 
 def join_texts(left: str, right: str) -> str:
-    """``format_period(conjunction(a, b))`` from the compact texts of a
-    and b.  Runs are maximal in each text, so only the run that ends a
-    and the run that starts b can merge: "2,3_2" + "3,4" is "2,3_3,4"."""
+    """``format_period(a + b)`` from the compact texts of words a and b.
+    Runs are maximal in each text, so only the run that ends a and the
+    run that starts b can merge: "2,3_2" + "3,4" is "2,3_3,4"."""
     head, _, last = left.rpartition(",")
     first, _, tail = right.partition(",")
     if last[0] != first[0]:

@@ -341,10 +341,11 @@ def write_cache(records: Iterable[dict], path) -> None:
 
 def read_cache(path) -> list[dict]:
     """The records of a JSON-lines result cache.  A line that is not a
-    JSON object of this schema, with every CACHE_FIELDS key of its type
-    and every float finite (JSON admits NaN and Infinity), raises
-    ValueError naming the file and line; other keys, such as the p, j and
-    tol of older records, are kept unread."""
+    JSON object of this schema, with every CACHE_FIELDS key of its type,
+    every float finite (JSON admits NaN and Infinity) and quad_err above
+    0 (integrate_J proves no bound below K l > 0), raises ValueError
+    naming the file and line; other keys, such as the p, j and tol of
+    older records, are kept unread."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -356,7 +357,7 @@ def read_cache(path) -> list[dict]:
                 rec = None
             if not (isinstance(rec, dict) and rec.get("schema") == CACHE_SCHEMA and all(
                     type(rec.get(key)) is kind and (kind is not float or math.isfinite(rec[key]))
-                    for key, kind in CACHE_FIELDS.items())):
+                    for key, kind in CACHE_FIELDS.items()) and rec["quad_err"] > 0):
                 raise ValueError(f"{path} line {number} is not a schema-{CACHE_SCHEMA} "
                                  "cache record")
             records.append(rec)

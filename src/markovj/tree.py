@@ -19,12 +19,14 @@ size (Aigner, Markov's Theorem and 100 Years of the Uniqueness
 Conjecture, 2013, ch. 3).
 
 Memory note: no node keeps its word (bytes, one per digit) or its
-text.  One fold, _held, makes both from the neighbours' and holds one
-per level and one per tip, so build_tree holds neither and `markovj
-tree` joins no word.  A tree holds its nodes and their c's, whose digit
-count grows by about phi per level (237 digits at depth 12): `markovj
---depth 18 tree` lists 2^18 + 1 nodes in 7-11 s at 185 MB, and each
-level doubles them, so build_tree refuses depths above MAX_DEPTH.
+text.  A word is made from the node's p/q when read (cf.markov_word),
+and period_texts joins the neighbours' texts, holding one per level and
+one per tip, so build_tree holds neither and `markovj tree` makes only
+the words of the tips and of the branch down from the left tip.  A
+tree holds its nodes and their c's, whose digit count grows by about
+phi per level (237 digits at depth 12): `markovj --depth 18 tree` lists
+2^18 + 1 nodes in 7-11 s at 185 MB, and each level doubles them, so
+build_tree refuses depths above MAX_DEPTH.
 Along one path the word length q grows like the Fibonacci numbers, so
 no node is built whose word would be longer than MAX_Q, the longest of
 that tree, and no path goes below MAX_LEVEL.
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
-from .cf import conjunction, format_period, join_texts
+from .cf import format_period, join_texts, markov_word
 
 __all__ = [
     "TreeNode",
@@ -62,11 +64,10 @@ MAX_LEVEL = 200
 #: the Fibonacci number F(MAX_DEPTH + 3).  No node's word is longer.
 MAX_Q = 10_946
 
-T = TypeVar("T")
-
 
 class TreeError(ValueError):
-    """Raised for invalid fractions or paths, or a node failing its checks."""
+    """Raised for invalid fractions, paths or depths, or a node whose
+    word would be longer than MAX_Q."""
 
 
 def vieta_children(t: tuple[int, int, int], steps: str = "LR") -> list[tuple[int, int, int]]:
@@ -84,8 +85,8 @@ class TreeNode:
     ``left`` and ``right`` are the endpoints of the node's Farey
     interval: the two predecessors whose fractions it is the mediant of
     (``None`` at the tips).  They take no part in equality or repr, so
-    neither walks up the tree.  The word, ``period``, is no field: it is
-    built when read, and not kept on the node.
+    neither walks up the tree.  The word, ``period``, is no field:
+    cf.markov_word builds it from p/q when read, and no node keeps it.
     """
 
     path: str
@@ -98,8 +99,8 @@ class TreeNode:
 
     @property
     def period(self) -> bytes:
-        """The node's word, one byte per digit (see _word)."""
-        return _held_words(self)
+        """The node's word, one byte per digit (cf.markov_word)."""
+        return markov_word(self.p, self.q)
 
     def __str__(self) -> str:
         label = self.path or ("root" if self.level == 1 else "tip")
@@ -110,16 +111,9 @@ def joins_neighbours(left: TreeNode | None) -> bool:
     """Whether the node whose Farey interval starts at ``left`` has for
     word its neighbours' words joined, the right one first.  The tips
     (no left neighbour) and the branch down from the left tip, root
-    included, do not: their words are _unjoined_word's."""
+    included, do not: their words are 3 and 2 4 at the tips and
+    2 3^level 4 on the branch."""
     return left is not None and left is not TIP_LEFT
-
-
-def _unjoined_word(node: TreeNode) -> bytes:
-    """3 and 2 4 at the tips, 2 3^level 4 on the branch down from the
-    left tip."""
-    if node.level:
-        return b"\2" + b"\3" * node.level + b"\4"
-    return b"\3" if node.p == 0 else b"\2\4"
 
 
 TIP_LEFT = TreeNode("0/1", 0, 0, 1, 1, None, None)
@@ -127,50 +121,28 @@ TIP_RIGHT = TreeNode("1/2", 0, 1, 2, 2, None, None)
 ROOT = TreeNode("", 1, 1, 3, 5, TIP_LEFT, TIP_RIGHT)
 
 
-def _held(make: Callable[[TreeNode, Callable[[TreeNode], T]], T]) -> Callable[[TreeNode], T]:
-    """node -> make(node, itself), holding one result per level and one
-    per tip, reused only for the same node.  A node's neighbours are its
-    ancestors or the tips, and in the order of p/q a node is a neighbour
-    only within its subtree, whose nodes follow one another, so each
-    result is made once; any other order gets the same results."""
-    held: dict[int | str, tuple[TreeNode, T]] = {}
+def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
+    """The compact text (cf.format_period) of each node's word, in turn.
 
-    def value(node: TreeNode) -> T:
+    A joined word's text is its neighbours' texts joined, so no word is
+    joined.  One text is held per level and one per tip, reused only for
+    the same node.  A node's neighbours are its ancestors or the tips,
+    and in the order of p/q a node is a neighbour only within its
+    subtree, whose nodes follow one another, so each text is made once;
+    any other order gets the same texts.
+    """
+    held: dict[int | str, tuple[TreeNode, str]] = {}
+
+    def text(node: TreeNode) -> str:
         slot = node.level or node.path  # the tips are both level 0
         kept = held.get(slot)
         if kept is None or kept[0] is not node:
-            kept = held[slot] = node, make(node, value)
+            made = (join_texts(text(node.right), text(node.left))
+                    if joins_neighbours(node.left) else format_period(node.period))
+            kept = held[slot] = node, made
         return kept[1]
 
-    return value
-
-
-def _word(node: TreeNode, word: Callable[[TreeNode], bytes]) -> bytes:
-    """The right neighbour's word followed by the left's, or else
-    _unjoined_word, its length checked against q and its digit sum against
-    3q, which every word of the tree meets and any change of a digit breaks."""
-    made = (conjunction(word(node.right), word(node.left))
-            if joins_neighbours(node.left) else _unjoined_word(node))
-    if len(made) != node.q:
-        raise TreeError(f"period length {len(made)} != Farey denominator {node.q} at {node.path!r}")
-    if sum(made) != 3 * node.q:
-        raise TreeError(f"period digit sum {sum(made)} != 3q = {3 * node.q} at {node.path!r}")
-    return made
-
-
-_held_words = _held(_word)  # at most MAX_LEVEL + 2 words of at most MAX_Q digits
-
-
-def _text(node: TreeNode, text: Callable[[TreeNode], str]) -> str:
-    """A joined word's text is its neighbours' texts joined: no word is joined."""
-    if joins_neighbours(node.left):
-        return join_texts(text(node.right), text(node.left))
-    return format_period(node.period)
-
-
-def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
-    """The compact text (cf.format_period) of each node's word, in turn."""
-    return map(_held(_text), nodes)
+    return map(text, nodes)
 
 
 def _child(node: TreeNode, step: str) -> TreeNode:

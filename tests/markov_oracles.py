@@ -22,6 +22,8 @@ the tests, lives here as plain functions:
   the float of its 40-digit periodic_value;
 - node_k, node_form and node_triple: the TreeNode properties k, form
   and triple, read off the word's matrix and the node's neighbours;
+- joined_word: a node's word by the join rule the tree once ran, the
+  oracle of cf.markov_word;
 - envelope_from_values: analysis.envelope_from_values;
 - average_integral: integrals.average_integral;
 - truncation_error_bound: jfunction.truncation_error_bound.
@@ -276,6 +278,23 @@ def node_form(node) -> tuple[int, int, int]:
     c, k = node.c, -m11
     ell = m10 - 3 * k
     return (c, 3 * c - 2 * k, ell - 3 * k)
+
+
+def joined_word(node, words: dict) -> bytes:
+    """The node's word by the join rule: 3 and 2 4 at the tips,
+    2 3^level 4 down the branch from the left tip, and otherwise the
+    right neighbour's word followed by the left's.  ``words`` keeps
+    every word made, by path, for the next call to reuse."""
+    word = words.get(node.path)
+    if word is None:
+        if node.left is None:
+            word = b"\3" if node.p == 0 else b"\2\4"
+        elif node.left.p == 0:
+            word = b"\2" + b"\3" * node.level + b"\4"
+        else:
+            word = joined_word(node.right, words) + joined_word(node.left, words)
+        words[node.path] = word
+    return word
 
 
 def node_triple(node) -> tuple[int, int, int]:

@@ -22,7 +22,6 @@ from markovj.cf import (
     STATE_MAX,
     STATE_MIN,
     PeriodError,
-    conjunction,
     cycle_states,
     format_period,
     join_texts,
@@ -78,7 +77,6 @@ class TestPeriod:
         p = checked_word((2, 3, 4))
         assert p == b"\2\3\4"
         assert checked_word(p) is p
-        assert conjunction(p, p) == p * 2
         assert p[::-1] == b"\4\3\2"
 
     def test_cycle_length(self):
@@ -113,7 +111,7 @@ class TestSerialization:
     @example([2] + [3] * 12 + [4], [4] * 10 + [2])
     def test_joined_texts(self, left, right):
         a, b = checked_word(left), checked_word(right)
-        assert join_texts(format_period(a), format_period(b)) == format_period(conjunction(a, b))
+        assert join_texts(format_period(a), format_period(b)) == format_period(a + b)
 
     def test_joined_texts_merge_at_the_seam(self):
         assert join_texts("2,3_2", "3,4") == "2,3_3,4"
@@ -260,9 +258,6 @@ class TestCycleStates:
         # Length-28 cycle; a float walk drifts ~1e-6 here, the exact
         # walk must still confirm the certified states at 1e-9.
         _assert_oracle_agrees(node_at("L" * 11).period)
-
-    def test_conjunction(self):
-        assert conjunction(b"\2\3", b"\4") == b"\2\3\4"
 
     def test_period_and_its_digits_give_identical_states(self):
         # The tree's word and the same digits rebuilt by the oracle.

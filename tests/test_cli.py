@@ -23,6 +23,19 @@ from markovj.tree import build_tree, joins_neighbours, node_at, period_texts
 DATA = Path(__file__).parent / "data"
 
 
+def count_words(monkeypatch) -> list[tuple[int, int]]:
+    """The p/q of every word the tree makes from here on."""
+    made = []
+    build = tree.markov_word
+
+    def counting(p, q):
+        made.append((p, q))
+        return build(p, q)
+
+    monkeypatch.setattr(tree, "markov_word", counting)
+    return made
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -113,17 +126,10 @@ class TestTree:
 
     def test_texts_match_format_period_to_depth_twelve(self, monkeypatch):
         nodes = build_tree(12)
-        joins = []
-        join = tree.conjunction
-
-        def counting(u, v):
-            joins.append(None)
-            return join(u, v)
-
-        monkeypatch.setattr(tree, "conjunction", counting)
-        # In the order of p/q each word is joined once.
+        made = count_words(monkeypatch)
+        # Each word is made once, from its own p/q.
         words = [node.period for node in nodes]
-        assert len(joins) == sum(joins_neighbours(node.left) for node in nodes)
+        assert made == [(node.p, node.q) for node in nodes]
         texts = list(period_texts(nodes))
         assert len(texts) == len(nodes)
         for node, word, text in zip(nodes, words, texts):
@@ -164,14 +170,14 @@ class TestTree:
         assert len(calls) == depth + 2
 
     def test_lists_without_joining_a_word(self, capsys, monkeypatch):
+        # Only the tips', the root's and the left branch's words are made.
         _, want, _ = run(capsys, "--depth", "8", "tree")
-
-        def refused(u, v):
-            raise AssertionError("tree joined a word")
-
-        monkeypatch.setattr(tree, "conjunction", refused)
+        made = count_words(monkeypatch)
         code, out, _ = run(capsys, "--depth", "8", "tree")
         assert (code, out) == (0, want)
+        unjoined = [node for node in build_tree(8) if not joins_neighbours(node.left)]
+        assert sorted(made) == sorted((node.p, node.q) for node in unjoined)
+        assert len(made) == 8 + 2
 
 
 class TestValue:
@@ -281,20 +287,13 @@ class TestTable:
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
 
     def test_joins_each_joined_word_once(self, capsys, monkeypatch):
-        # 65 nodes less the two tips, the root and the five left-branch nodes.
-        lengths = []
-        join = tree.conjunction
-
-        def counting(u, v):
-            lengths.append(len(u) + len(v))
-            return join(u, v)
-
-        monkeypatch.setattr(tree, "conjunction", counting)
+        # One word for each of the 65 nodes, made from its own p/q.
+        made = count_words(monkeypatch)
         code, _, _ = run(capsys, "--depth", "6", "table")
         assert code == 0
-        joined = [node.q for node in build_tree(6) if joins_neighbours(node.left)]
-        assert len(lengths) == len(joined) == 57
-        assert sorted(lengths) == sorted(joined)
+        nodes = build_tree(6)
+        assert len(made) == len(nodes) == 65
+        assert sorted(made) == sorted((node.p, node.q) for node in nodes)
 
     def test_default_tol_at_depth_ten(self, capsys):
         # Every node to depth 10 has a quadrature bound below the default tol.
@@ -483,6 +482,20 @@ class TestTable:
         lines[0] = json.dumps(rec)
         cache.write_text("\n".join(lines) + "\n")
         assert refused(capsys, "--depth", "3", "--cache", str(cache), command) == (
+            f"error: {cache} line 1 is not a schema-2 cache record\n")
+
+    @pytest.mark.parametrize("argv", [["value", "1/3"], ["table"], ["verify"]])
+    def test_negative_error_bound_in_cache_is_one_line(self, capsys, tmp_path, argv):
+        # value once served the root's record and printed "quad err  -1".
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "--depth", "2", "--cache", str(cache), "table")
+        lines = cache.read_text().splitlines()
+        rec = json.loads(lines[0])
+        assert rec["path"] == ""
+        rec["quad_err"] = -1.0
+        lines[0] = json.dumps(rec)
+        cache.write_text("\n".join(lines) + "\n")
+        assert refused(capsys, "--depth", "2", "--cache", str(cache), *argv) == (
             f"error: {cache} line 1 is not a schema-2 cache record\n")
 
     def test_unwritable_cache_names_its_path(self, capsys, tmp_path):

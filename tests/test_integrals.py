@@ -352,6 +352,17 @@ class TestCache:
             read_cache(path)
         assert str(info.value) == f"{path} line 2 is not a schema-2 cache record"
 
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, -0.0, -5e-324])
+    def test_refuses_error_bound_not_above_zero(self, tmp_path, bound):
+        # A negative quad_err was once served, and value printed it;
+        # integrate_J proves no bound below K l > 0.
+        rec = cache_record(integrate_J(node_at("R"), tol=1e-8))
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "quad_err": bound}) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_cache(path)
+        assert str(info.value) == f"{path} line 2 is not a schema-2 cache record"
+
     @pytest.mark.parametrize("field", list(CACHE_FIELDS))
     def test_refuses_record_without_field(self, tmp_path, field):
         rec = cache_record(integrate_J(node_at("R"), tol=1e-8))

@@ -12,6 +12,7 @@ from markov_oracles import (
     checked_word,
     digit_sum,
     farey_mismatches,
+    joined_word,
     markov_constant,
     markov_form,
     markov_irrational,
@@ -23,7 +24,7 @@ from markov_oracles import (
     vieta_triple,
 )
 from markovj import tree
-from markovj.cli import main
+from markovj.cf import markov_word
 from markovj.tree import (
     MAX_DEPTH,
     MAX_LEVEL,
@@ -170,27 +171,6 @@ class TestCohnMatrix:
                     checked += 1
         assert checked > 1000
 
-    def test_one_digit_change_at_the_seam_is_refused(self, monkeypatch, capsys):
-        # The last digit of the right word u drops by one where it meets v.
-        join = tree.conjunction
-        monkeypatch.setattr(tree, "conjunction",
-                            lambda u, v: join(u[:-1] + bytes([u[-1] - 1]), v))
-        node = build_tree(2)[3]
-        assert node.path == "R"
-        with pytest.raises(TreeError, match=r"^period digit sum 14 != 3q = 15 at 'R'$"):
-            node.period
-        assert main(["value", "R"]) == 2
-        assert capsys.readouterr().err == "error: period digit sum 14 != 3q = 15 at 'R'\n"
-
-    def test_one_digit_change_in_a_branch_word_is_refused(self, monkeypatch, capsys):
-        # The left branch's word 2 3^n 4 ending in 3 instead.
-        unjoined = tree._unjoined_word
-        monkeypatch.setattr(tree, "_unjoined_word", lambda node: unjoined(node)[:-1] + b"\3")
-        with pytest.raises(TreeError, match=r"^period digit sum 11 != 3q = 12 at 'L'$"):
-            node_at("L").period
-        assert main(["value", "L"]) == 2
-        assert capsys.readouterr().err == "error: period digit sum 11 != 3q = 12 at 'L'\n"
-
     @pytest.mark.parametrize("mutation", ["plus_one", "other_root", "neighbour"])
     def test_mutated_c_fails_the_oracle(self, mutation):
         # The other root of the Markov equation, 3ab - c, and a
@@ -212,17 +192,24 @@ class TestCohnMatrix:
             return vieta_children(t, steps)
 
         monkeypatch.setattr(tree, "vieta_children", counting)
-        rng = random.Random(50)
-        for level in (50, 100, 150, MAX_LEVEL):
-            for _ in range(3):
-                # Random ends around one long run keep q below MAX_Q (at
-                # most 4 687 here, with c of up to 1 824 digits).
-                head, tail = ("".join(rng.choice("LR") for _ in range(3)) for _ in range(2))
-                path = head + rng.choice("LR") * (level - 7) + tail
-                calls.clear()
-                node = node_at(path)
-                assert len(calls) == level - 1, path
-                assert node_triple(node) == tuple(vieta_triple(path)), path
+        for path in deep_paths():
+            calls.clear()
+            node = node_at(path)
+            assert len(calls) == len(path), path
+            assert node_triple(node) == tuple(vieta_triple(path)), path
+
+
+def deep_paths() -> list[str]:
+    """Three seeded paths to each of levels 50, 100, 150 and MAX_LEVEL.
+    Random ends around one long run keep q below MAX_Q (at most 4 687
+    here, with c of up to 1 824 digits)."""
+    rng = random.Random(50)
+    paths = []
+    for level in (50, 100, 150, MAX_LEVEL):
+        for _ in range(3):
+            head, tail = ("".join(rng.choice("LR") for _ in range(3)) for _ in range(2))
+            paths.append(head + rng.choice("LR") * (level - 7) + tail)
+    return paths
 
 
 class TestPeriodTexts:
@@ -251,8 +238,8 @@ class TestPeriodTexts:
 
 class TestHeldWords:
     def test_no_node_keeps_its_word(self):
-        # Depth 13's words total 2 391 486 bytes; reading them all in the
-        # order of p/q leaves held only one per level and one per tip.
+        # Depth 13's words total 2 391 486 bytes; reading them all leaves
+        # none held.
         nodes = build_tree(13)
         assert sum(node.q for node in nodes) == 2_391_486
         assert not hasattr(nodes[1], "__dict__")
@@ -265,21 +252,48 @@ class TestHeldWords:
             tracemalloc.stop()
         assert held < 64 * 1024
 
-    def test_a_copy_with_a_wrong_q_is_not_served_the_held_word(self):
-        node = node_at("RL")
-        word = node.period
-        assert joins_neighbours(node.left) and len(word) == node.q == 8
-        wrong = dataclasses.replace(node, q=9)
-        with pytest.raises(TreeError, match=r"^period length 8 != Farey denominator 9 at 'RL'$"):
-            wrong.period
-        assert node.period == word
+
+class TestMarkovWord:
+    """cf.markov_word against the join rule, joined_word."""
+
+    def test_every_node_to_depth_fourteen(self):
+        words = {}
+        for node in build_tree(14):
+            assert markov_word(node.p, node.q) == joined_word(node, words), node.path
+
+    def test_seeded_fractions(self):
+        rng, words, found = random.Random(36), {}, 0
+        while found < 200:
+            q = rng.randrange(3, 2000)
+            p = rng.randrange(1, (q + 1) // 2)
+            if math.gcd(p, q) != 1:
+                continue
+            try:
+                node = find_fraction(p, q)
+            except TreeError:  # below MAX_LEVEL
+                continue
+            assert markov_word(p, q) == joined_word(node, words), (p, q)
+            found += 1
+
+    def test_deep_paths(self):
+        words = {}
+        for path in deep_paths() + ["R" * (MAX_LEVEL - 1), "L" * (MAX_LEVEL - 1)]:
+            node = node_at(path)
+            assert node.period == joined_word(node, words), path
+
+    @pytest.mark.parametrize("p, q", [(3, 5), (1, 1), (-1, 3), (1, 0), (0, 0), (-1, -2)])
+    def test_outside_zero_to_half_is_refused(self, p, q):
+        # No mediant of the descent is ever p/q there, and its words grow.
+        with pytest.raises(ValueError, match=rf"^{p}/{q} lies outside \[0, 1/2\]"):
+            markov_word(p, q)
 
 
 class TestStructure:
     def test_period_length_and_digit_sum(self):
-        for node in build_tree(7):
-            assert len(node.period) == node.q
-            assert digit_sum(node.period) == 3 * node.q
+        for node in build_tree(14):
+            word = node.period
+            assert len(word) == node.q
+            assert digit_sum(word) == 3 * node.q
 
     def test_words_are_checked_bytes(self):
         # The tree's words are plain bytes, each one the oracle accepts.
@@ -319,54 +333,33 @@ class TestStructure:
         node = node_at("RL" * 8 + "R")
         assert (node.level, node.q) == (MAX_DEPTH, MAX_Q)
 
-    @staticmethod
-    def _count_joins(monkeypatch) -> list[int]:
-        """The length of every word the tree joins from here on."""
-        lengths = []
-        join = tree.conjunction
-
-        def counting(u, v):
-            lengths.append(len(u) + len(v))
-            return join(u, v)
-
-        monkeypatch.setattr(tree, "conjunction", counting)
-        return lengths
-
-    def test_longest_word_joins_up_to_max_q(self, monkeypatch):
-        lengths = self._count_joins(monkeypatch)
+    def test_longest_word_joins_up_to_max_q(self):
         node = node_at("RL" * 8 + "R")
-        assert lengths == []
         assert len(node.period) == MAX_Q
-        assert max(lengths) == MAX_Q
 
     def test_longer_word_refused_before_it_is_built(self, monkeypatch):
-        lengths = self._count_joins(monkeypatch)
+        words = []
+        monkeypatch.setattr(tree, "markov_word", lambda p, q: words.append((p, q)))
         with pytest.raises(TreeError, match=r"^node \d+/17711 \(path 'RLRLRLRLRLRLRLRLRL'\): "
                                             r"its word of 17711 digits exceeds 10946"):
             node_at("RL" * 9)
-        assert all(length <= MAX_Q for length in lengths)
+        assert words == []
 
-    def test_joined_word_of_wrong_length_refused(self, monkeypatch):
-        join = tree.conjunction
-        monkeypatch.setattr(tree, "conjunction", lambda u, v: join(u, v)[:-1])
-        # RL's right neighbour R is a join too, and its word is read first.
-        node = node_at("RL")
-        with pytest.raises(TreeError, match=r"^period length 4 != Farey denominator 5 at 'R'$"):
-            node.period
-
-    def test_spine_word_builds_at_the_default_recursion_limit(self, monkeypatch):
-        # The word of R^n is 2 4 joined to the word of R^(n-1), so the
-        # deepest node of the spine reads a chain of 199 words on demand.
-        lengths = self._count_joins(monkeypatch)
+    def test_spine_word_builds_at_the_default_recursion_limit(self):
+        # The word of R^n is 2 4 joined to the word of R^(n-1), and so is
+        # its text, so the deepest node of the spine reads a chain of 199
+        # texts on demand.
         node = node_at("R" * (MAX_LEVEL - 1))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
             word = node.period
+            text = next(period_texts([node]))
         finally:
             sys.setrecursionlimit(limit)
-        assert (len(word), node.q, len(lengths)) == (401, 401, 199)
+        assert (len(word), node.q) == (401, 401)
         assert word == b"\2\4" * 199 + b"\2\3\4"
+        assert text == "2,4," * 199 + "2,3,4"
 
     def test_path_depth_budget(self):
         # Once walked 10 300 levels down the left branch for 212 s.
