@@ -46,7 +46,7 @@ __all__ = [
 #: Constants of the local recursion error bound and the asymptotics.
 RE_DELTA_COEF = 115181.57371
 IM_DELTA_COEF = 100853.23866
-CONTRACTION = 2.0 / (1.0 + math.sqrt(5.0))  # inverse square golden ratio
+CONTRACTION = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi, the inverse golden ratio
 ZAGIER_C = 0.18071704711507
 Q_GROWTH = math.pi * math.sqrt(2.0 / 3.0)
 
@@ -86,7 +86,11 @@ MAX_ASYMPTOTICS_DEPTH = 1200
 
 
 def coincidence_envelope(r: int) -> float:
-    """Bound on |u - v| for expansions sharing r leading quotients."""
+    """Bound on |u - v| for expansions sharing r leading quotients.
+
+    Its tail is a closed form: sum_{k >= k0} 10 phi^(-2(k-1)) =
+    10 phi^(-2(k0-1)) / (1 - phi^(-2)) = 10 phi^(-(2k0-3)), as
+    phi^2 - 1 = phi makes 1 - phi^(-2) = phi^(-1)."""
     return 10.0 * CONTRACTION ** (2 * (r - 1))
 
 
@@ -499,8 +503,7 @@ def gg_prime_ranges() -> Report:
 def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     """|u - v| <= 10 phi^(-2(r-1)) for expansions sharing r quotients,
     on every pair of rotations of the nodes' words that shares 1 to
-    COINCIDENCE_DIGITS - 1 digits, plus the geometric tail-sum bound of
-    the per-level envelope.
+    COINCIDENCE_DIGITS - 1 digits.
 
     A reduced minus continued fraction grows with its digits (Zagier,
     Zetafunktionen und quadratische Koerper, 1981), so the sorted
@@ -548,14 +551,6 @@ def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     report.add(CheckResult(name="pairwise coincidence bound",
                            status="pass" if worst <= 1.0 else "fail",
                            measured=worst, bound=1.0, details=details))
-    terms = [coincidence_envelope(k) for k in range(1, 2020)]  # k = 1 .. 2019
-    # sum_{k >= k0} b(k), as k = k0 .. k0 + 1999, against its bound.
-    worst_tail = max(sum(terms[k0 - 1:k0 + 1999]) / (10.0 * CONTRACTION ** (2 * k0 - 3))
-                     for k0 in range(1, 21))
-    report.add(CheckResult(name="envelope tail sum",
-                           status="pass" if worst_tail <= 1.0 + 1e-12 else "fail",
-                           measured=worst_tail, bound=1.0,
-                           details="sum_{k>=k0} b(k) vs 10 phi^(-(2k0-3)) for k0=1..20"))
     return report
 
 
@@ -569,18 +564,19 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     Enumerates the infinite tree with pruning: q strictly increases
     down every branch, so the search below qmax is finite, and a child
     is built only if its q is within qmax.  The walk keeps its own
-    stack, as a branch can be qmax levels deep.
+    stack, as a branch can be qmax levels deep.  Its Markov numbers are
+    kept in one list per q, so only those of equal q are sorted.
     """
-    out = [(1, 1), (2, 2)]
+    by_q: list[list[int]] = [[], [1], [2]] + [[] for _ in range(3, qmax + 1)]
     stack = [((2, 1, 5), 3, 1, 2)] if qmax >= 3 else []
     while stack:
         triple, q, ql, qr = stack.pop()
-        out.append((q, triple[2]))
+        by_q[q].append(triple[2])
         if q + ql <= qmax:
             stack.append((vieta_children(triple, "L")[0], q + ql, ql, q))
         if q + qr <= qmax:
             stack.append((vieta_children(triple, "R")[0], q + qr, q, qr))
-    return sorted(out)
+    return [(q, c) for q, cs in enumerate(by_q) for c in sorted(cs)]
 
 
 def _window_means(values: Sequence[float]) -> list[float]:

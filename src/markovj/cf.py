@@ -4,13 +4,12 @@ A period is a cyclic word, held as plain ``bytes`` with one byte per
 digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
 converges to a real > 1 whenever all digits are >= 2.  This module
 holds the word of a Markov fraction p/q (markov_word, a closed form of
-p/q), the compact text of a word and the join of two texts, and the
-numerics, which take words as given: a word's rotation values from one
-backward sweep after a warm-up stopped by its own contraction (a
-parabolic word, all 2s, is refused), and cycle states with a
-certificate that proves every state's float error.  Only the cycle
-states need numpy, and they import it when first called, so the word
-layer loads without it.
+p/q), the compact text of a word, and the numerics, which take words
+as given: a word's rotation values from one backward sweep after a
+warm-up stopped by its own contraction (a parabolic word, all 2s, is
+refused), and cycle states with a certificate that proves every
+state's float error.  Only the cycle states need numpy, and they import
+it when first called, so the word layer loads without it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "PeriodError",
     "markov_word",
     "format_period",
-    "join_texts",
     "cycle_states",
 ]
 
@@ -56,7 +54,9 @@ def markov_word(p: int, q: int) -> bytes:
     mediant is p/q.  That word, rotated left by one digit, is p/q's: the
     upper Christoffel word of slope p/(q - p), p letters b and q - 2p
     letters a, with a -> 3 and b -> 4 2 (Reutenauer, From Christoffel
-    Words to Markoff Numbers, 2019).  So it has q digits summing to 3q.
+    Words to Markoff Numbers, 2019).  So it has q digits summing to 3q,
+    and for p >= 1, where every descent word starts with 1/2's 4 2, it
+    begins with 2 and ends with 4.
     A fraction at tree level n takes n mediants, and each copies at most
     q digits.  Outside [0, 1/2] no mediant is ever p/q, and a ValueError
     is raised instead.
@@ -83,18 +83,6 @@ def format_period(word: bytes) -> str:
     """Render a word, run-length compressed ("2,3_2,4")."""
     text = ",".join(word.translate(_DIGIT_TEXT).decode())
     return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
-
-
-def join_texts(left: str, right: str) -> str:
-    """``format_period(a + b)`` from the compact texts of words a and b.
-    Runs are maximal in each text, so only the run that ends a and the
-    run that starts b can merge: "2,3_2" + "3,4" is "2,3_3,4"."""
-    head, _, last = left.rpartition(",")
-    first, _, tail = right.partition(",")
-    if last[0] != first[0]:
-        return f"{left},{right}"
-    run = f"{last[0]}_{int(last[2:] or 1) + int(first[2:] or 1)}"
-    return ",".join(filter(None, (head, run, tail)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,14 @@
 """Exact q-expansion of the Klein j-invariant and its evaluation.
 
-j = E4^3 / Delta with E4 = 1 + 240 sum sigma_3(n) q^n and
-Delta = q prod (1 - q^n)^24 (pentagonal-number expansion of the Euler
-product).  Coefficients are exact integers; evaluation is restricted to
-Im z >= sqrt(3)/2 where the series converges extremely fast
-(|q| <= e^(-pi sqrt 3) ~ 0.0043).  A truncated series is the plain
-tuple (c_{-1}, c_0, ..., c_M) that j_coefficients returns; it starts
-1, 744 and every c_m (m >= 1) is positive.  The evaluation imports
-numpy when called.
+j = E4^3 / Delta with E4 = 1 + 240 sum sigma_3(n) q^n,
+E6 = 1 - 504 sum sigma_5(n) q^n and 1728 Delta = E4^3 - E6^2 (Serre,
+A Course in Arithmetic, ch. VII), so j takes three products of
+truncated series and one long division.  Coefficients are exact integers;
+evaluation is restricted to Im z >= sqrt(3)/2 where the series
+converges extremely fast (|q| <= e^(-pi sqrt 3) ~ 0.0043).  A truncated
+series is the plain tuple (c_{-1}, c_0, ..., c_M) that j_coefficients
+returns; it starts 1, 744 and every c_m (m >= 1) is positive.  The
+evaluation imports numpy when called.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
-def _sigma3(n: int) -> int:
+def _sigma(n: int, k: int) -> int:
+    """The sum of the k-th powers of the divisors of n."""
     s = 0
-    for d in range(1, int(math.isqrt(n)) + 1):
+    for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
-            s += d**3
+            s += d**k
             e = n // d
             if e != d:
-                s += e**3
+                s += e**k
     return s
 
 
@@ -55,28 +57,18 @@ def j_coefficients(order: int) -> tuple[int, ...]:
     """Exact coefficients c_{-1}, c_0, ..., c_order of the j-function."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    n = order + 1
-    e4 = [1] + [240 * _sigma3(m) for m in range(1, n + 1)]
+    # q j = E4^3 / (Delta / q) to q^(order + 1), and Delta / q to there
+    # needs E4^3 - E6^2 to q^(order + 2).
+    n = order + 2
+    e4 = [1] + [240 * _sigma(m, 3) for m in range(1, n + 1)]
+    e6 = [1] + [-504 * _sigma(m, 5) for m in range(1, n + 1)]
     e4_cubed = _series_mul(_series_mul(e4, e4, n), e4, n)
-    # Euler product prod(1 - q^m) via the pentagonal number theorem,
-    # then the 24th power.
-    euler = [0] * (n + 1)
-    euler[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= n:
-        sign = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= n:
-                euler[g] += sign
-        k += 1
-    eta24 = [1]
-    for _ in range(24):
-        eta24 = _series_mul(eta24, euler, n)
-    # Long division E4^3 / eta24 (Delta = q * eta24 shifts by one).
-    quot = [0] * (n + 1)
-    for m in range(n + 1):
-        quot[m] = e4_cubed[m] - sum(eta24[m - i] * quot[i] for i in range(m))
-    return tuple(quot[: order + 2])
+    delta = [(a - b) // 1728 for a, b in zip(e4_cubed[1:], _series_mul(e6, e6, n)[1:])]
+    # Long division; Delta / q starts 1.
+    quot = [0] * n
+    for m in range(n):
+        quot[m] = e4_cubed[m] - sum(delta[m - i] * quot[i] for i in range(m))
+    return tuple(quot)
 
 
 def j_eval(z, coefficients: tuple[int, ...]):

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .cf import format_period, join_texts, markov_word
+from .cf import format_period, markov_word
 
 __all__ = [
     "TreeNode",
@@ -102,10 +102,6 @@ class TreeNode:
         """The node's word, one byte per digit (cf.markov_word)."""
         return markov_word(self.p, self.q)
 
-    def __str__(self) -> str:
-        label = self.path or ("root" if self.level == 1 else "tip")
-        return f"<node {label} {self.p}/{self.q}>"
-
 
 def joins_neighbours(left: TreeNode | None) -> bool:
     """Whether the node whose Farey interval starts at ``left`` has for
@@ -124,12 +120,14 @@ ROOT = TreeNode("", 1, 1, 3, 5, TIP_LEFT, TIP_RIGHT)
 def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
     """The compact text (cf.format_period) of each node's word, in turn.
 
-    A joined word's text is its neighbours' texts joined, so no word is
-    joined.  One text is held per level and one per tip, reused only for
-    the same node.  A node's neighbours are its ancestors or the tips,
-    and in the order of p/q a node is a neighbour only within its
-    subtree, whose nodes follow one another, so each text is made once;
-    any other order gets the same texts.
+    A joined word's text is its neighbours' texts joined by a comma, so
+    no word is joined: both neighbours lie above 0/1, so the right one's
+    word ends with 4 and the left one's begins with 2 (cf.markov_word),
+    and no run of digits crosses the seam.  One text is held per level
+    and one per tip, reused only for the same node.  A node's neighbours
+    are its ancestors or the tips, and in the order of p/q a node is a
+    neighbour only within its subtree, whose nodes follow one another,
+    so each text is made once; any other order gets the same texts.
     """
     held: dict[int | str, tuple[TreeNode, str]] = {}
 
@@ -137,7 +135,7 @@ def period_texts(nodes: Iterable[TreeNode]) -> Iterator[str]:
         slot = node.level or node.path  # the tips are both level 0
         kept = held.get(slot)
         if kept is None or kept[0] is not node:
-            made = (join_texts(text(node.right), text(node.left))
+            made = (f"{text(node.right)},{text(node.left)}"
                     if joins_neighbours(node.left) else format_period(node.period))
             kept = held[slot] = node, made
         return kept[1]

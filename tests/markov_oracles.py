@@ -26,7 +26,9 @@ the tests, lives here as plain functions:
   oracle of cf.markov_word;
 - envelope_from_values: analysis.envelope_from_values;
 - average_integral: integrals.average_integral;
-- truncation_error_bound: jfunction.truncation_error_bound.
+- truncation_error_bound: jfunction.truncation_error_bound;
+- euler_j_coefficients: jfunction.j_coefficients by the route it once
+  took, Delta as q times the 24th power of the Euler product.
 
 periodic_value, coincidence_gaps and coincidence_ratio are the
 60-digit decimal oracle of analysis.coincidence_bound: every rotation's
@@ -341,6 +343,36 @@ def average_integral(tol: float) -> float:
     check = complex((h * w * j_eval(z, j_coefficients(SERIES_ORDER))).sum())
     assert abs(value - check) <= tol * abs(value)
     return value.real
+
+
+def euler_j_coefficients(order: int) -> tuple[int, ...]:
+    """c_{-1}, ..., c_order of j = E4^3 / Delta, with Delta = q prod
+    (1 - q^m)^24 and the Euler product by the pentagonal number theorem,
+    in plain truncated-series arithmetic."""
+    n = order + 1
+
+    def mul(a, b):
+        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n + 1)]
+
+    def sigma3(m):
+        return sum(d**3 for d in range(1, m + 1) if m % d == 0)
+
+    e4 = [1] + [240 * sigma3(m) for m in range(1, n + 1)]
+    e4_cubed = mul(mul(e4, e4), e4)
+    euler = [1] + [0] * n
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= n:
+                euler[g] += -1 if k % 2 else 1
+        k += 1
+    eta24 = [1] + [0] * n
+    for _ in range(24):
+        eta24 = mul(eta24, euler)
+    quot = []
+    for m in range(n + 1):
+        quot.append(e4_cubed[m] - sum(eta24[m - i] * quot[i] for i in range(m)))
+    return tuple(quot)
 
 
 def truncation_error_bound(order: int, y: float) -> float:

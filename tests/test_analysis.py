@@ -362,6 +362,13 @@ class TestCoincidence:
         phi = (1 + math.sqrt(5)) / 2
         assert coincidence_envelope(3) == pytest.approx(10 * phi**-4, rel=1e-12)
 
+    @pytest.mark.parametrize("k0", range(1, 61))
+    def test_tail_is_closed_form(self, k0):
+        # sum_{k >= k0} 10 phi^(-2(k-1)) = 10 phi^(-(2k0-3)); 2 000 terms
+        # leave out less than phi^(-4000) of it.
+        tail = math.fsum(coincidence_envelope(k) for k in range(k0, k0 + 2000))
+        assert tail == pytest.approx(10.0 * CONTRACTION ** (2 * k0 - 3), rel=1e-12, abs=0)
+
     def test_report(self):
         report = coincidence_bound(build_tree(5))
         assert report.passed

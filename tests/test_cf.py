@@ -24,7 +24,6 @@ from markovj.cf import (
     PeriodError,
     cycle_states,
     format_period,
-    join_texts,
 )
 from markovj.tree import TreeError, build_tree, node_at
 
@@ -32,12 +31,6 @@ from markovj.tree import TreeError, build_tree, node_at
 digit_words = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=12).filter(
     lambda w: any(d > 2 for d in w)
 ).map(bytes)
-# Words as runs of equal digits, so that long runs (counts of two digits
-# in the compact text) and runs meeting at a seam are common.
-run_words = st.lists(st.tuples(st.sampled_from([2, 3, 4]), st.integers(1, 12)),
-                     min_size=1, max_size=12).map(
-    lambda runs: bytes(d for d, count in runs for _ in range(count))
-)
 
 
 class TestPeriod:
@@ -101,22 +94,6 @@ class TestSerialization:
     def test_round_trip(self, word):
         assert parse_period(format_period(word)) == word
         assert parse_period(",".join(map(str, word))) == word
-
-    @given(run_words, run_words)
-    @example([3], [3])
-    @example([2], [4])
-    @example([3] * 10, [3] * 11)
-    @example([2, 3, 3], [3, 3, 4])
-    @example([4, 2], [2, 4, 4])
-    @example([2] + [3] * 12 + [4], [4] * 10 + [2])
-    def test_joined_texts(self, left, right):
-        a, b = checked_word(left), checked_word(right)
-        assert join_texts(format_period(a), format_period(b)) == format_period(a + b)
-
-    def test_joined_texts_merge_at_the_seam(self):
-        assert join_texts("2,3_2", "3,4") == "2,3_3,4"
-        assert join_texts("3_9", "3") == "3_10"
-        assert join_texts("2,4", "2,3,4") == "2,4,2,3,4"
 
 
 class TestTreeWords:

@@ -846,7 +846,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
-         "79e154b5e67673f73a39220e3d2ce711445ecd537b9ff9dcad6ddff194733961"),
+         "a7f763ebe03cf5799ae1734e7940886ac2a636607575ee08f6beb91aaf68c6ec"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])

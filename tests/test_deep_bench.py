@@ -21,6 +21,7 @@ def test_one_depth_four_pair_of_head_against_itself(tmp_path):
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
                           text=True, check=True).stdout.strip()
     assert result["commits"] == {"parent": head, "change": head}
+    assert result["src_lines"]["parent"] == result["src_lines"]["change"] > 0
     assert result["claim"] is None and result["workloads"] == {}
     entry = result["deep"]["tree4"]
     assert entry["command"] == "python3 -m markovj --depth 4 tree"

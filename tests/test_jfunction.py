@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from markov_oracles import truncation_error_bound
+from markov_oracles import euler_j_coefficients, truncation_error_bound
 from markovj.jfunction import (
     ARC_MIN_IM,
     j_coefficients,
@@ -36,6 +36,15 @@ class TestCoefficients:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             j_coefficients(-1)
+
+    def test_equals_the_euler_product_route(self):
+        # Delta from E4 and E6 against Delta = q prod (1 - q^n)^24.  The
+        # oracle's truncated arithmetic is exact to its order, so its
+        # order-300 series holds every lower order's as a prefix.
+        reference = euler_j_coefficients(300)
+        assert reference[: len(KNOWN)] == tuple(KNOWN)
+        for order in range(301):
+            assert j_coefficients(order) == reference[: order + 2], order
 
 
 class TestEvaluation:

@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -33,6 +34,7 @@ from markovj.tree import (
     TIP_LEFT,
     TIP_RIGHT,
     TreeError,
+    TreeNode,
     build_tree,
     find_fraction,
     joins_neighbours,
@@ -212,19 +214,36 @@ def deep_paths() -> list[str]:
     return paths
 
 
+def seeded_nodes(count: int = 200) -> Iterator[TreeNode]:
+    """The nodes of ``count`` seeded reduced fractions p/q in (0, 1/2),
+    q < 2000, that find_fraction finds above MAX_LEVEL."""
+    rng, found = random.Random(36), 0
+    while found < count:
+        q = rng.randrange(3, 2000)
+        p = rng.randrange(1, (q + 1) // 2)
+        if math.gcd(p, q) != 1:
+            continue
+        try:
+            node = find_fraction(p, q)
+        except TreeError:  # below MAX_LEVEL
+            continue
+        yield node
+        found += 1
+
+
 class TestPeriodTexts:
     def test_draining_depth_fourteen_holds_a_text_per_level(self, monkeypatch):
         # Depth 14's texts total about 15 MB; the walk holds at most one
-        # per level and one per tip, and joins each text once.
+        # per level and one per tip, and makes each text once.
         nodes = build_tree(14)
-        joins = []
-        join = tree.join_texts
+        formatted = []
+        format_period = tree.format_period
 
-        def counting(u, v):
-            joins.append(None)
-            return join(u, v)
+        def counting(word):
+            formatted.append(None)
+            return format_period(word)
 
-        monkeypatch.setattr(tree, "join_texts", counting)
+        monkeypatch.setattr(tree, "format_period", counting)
         tracemalloc.start()
         try:
             count = sum(1 for _ in period_texts(nodes))
@@ -233,7 +252,9 @@ class TestPeriodTexts:
             tracemalloc.stop()
         assert count == len(nodes)
         assert peak < 1e6
-        assert len(joins) == sum(joins_neighbours(node.left) for node in nodes)
+        # Every other text is a join: only the tips, the root and the
+        # branch down from the left tip are formatted from their words.
+        assert len(formatted) == sum(not joins_neighbours(node.left) for node in nodes) == 14 + 2
 
 
 class TestHeldWords:
@@ -262,18 +283,9 @@ class TestMarkovWord:
             assert markov_word(node.p, node.q) == joined_word(node, words), node.path
 
     def test_seeded_fractions(self):
-        rng, words, found = random.Random(36), {}, 0
-        while found < 200:
-            q = rng.randrange(3, 2000)
-            p = rng.randrange(1, (q + 1) // 2)
-            if math.gcd(p, q) != 1:
-                continue
-            try:
-                node = find_fraction(p, q)
-            except TreeError:  # below MAX_LEVEL
-                continue
-            assert markov_word(p, q) == joined_word(node, words), (p, q)
-            found += 1
+        words = {}
+        for node in seeded_nodes():
+            assert markov_word(node.p, node.q) == joined_word(node, words), (node.p, node.q)
 
     def test_deep_paths(self):
         words = {}
@@ -286,6 +298,28 @@ class TestMarkovWord:
         # No mediant of the descent is ever p/q there, and its words grow.
         with pytest.raises(ValueError, match=rf"^{p}/{q} lies outside \[0, 1/2\]"):
             markov_word(p, q)
+
+
+class TestWordEnds:
+    """Every word with p >= 1 begins with 2 and ends with 4, so a joined
+    node's neighbours' texts meet at 4,2 and period_texts joins them by
+    a comma."""
+
+    @staticmethod
+    def assert_ends(nodes):
+        for node in nodes:
+            if node.p:
+                word = node.period
+                assert (word[0], word[-1]) == (2, 4), (node.path, node.p, node.q)
+
+    def test_every_node_to_depth_fourteen(self):
+        self.assert_ends(build_tree(14))
+
+    def test_deep_paths(self):
+        self.assert_ends(map(node_at, deep_paths()))
+
+    def test_seeded_fractions(self):
+        self.assert_ends(seeded_nodes())
 
 
 class TestStructure:

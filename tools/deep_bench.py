@@ -22,7 +22,7 @@ from os.wait4.  ``--bench WORKLOAD`` runs ``bench/bench.py --workload
 WORKLOAD --seconds 10 --trace 0 --seed 1`` on each side in
 ``--bench-pairs`` pairs and records the metrics of its last output
 line.  The start path, ``import markovj.cli``, is listed on each side
-as the modules it loads.
+as the modules it loads, and each side's ``src/`` is counted in lines.
 
 The output file has the layout of BENCH_28.json: machine, commits,
 command lines, per-workload pair summaries (quartiles of each side,
@@ -99,6 +99,11 @@ def export(rev: str | None, into: Path) -> str:
     if archive.wait():
         raise SystemExit(f"error: git archive {sha} failed")
     return sha
+
+
+def src_lines(side: Path) -> int:
+    """The lines of the side's src/**/*.py, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (side / "src").rglob("*.py"))
 
 
 def environment(side: Path) -> dict[str, str]:
@@ -237,11 +242,13 @@ def main(argv: list[str] | None = None) -> int:
             workloads[workload] = {"pairs": args.bench_pairs,
                                    "summary": summary(runs, BENCH_METRICS), "runs": runs}
         imports = {side: start_imports(trees[side]) for side in SIDES}
+        lines = {side: src_lines(trees[side]) for side in SIDES}
 
     result = {
         "what": args.what,
         "machine": machine(),
         "commits": commits,
+        "src_lines": lines,
         "commands": {
             "pairs": f"python3 bench/bench.py --workload WORKLOAD --seconds {BENCH_SECONDS:g} "
                      "--trace 0 --seed 1",
