@@ -356,57 +356,48 @@ def _disc_inv(c: complex, r: float) -> tuple[complex, float] | None:
 
 
 def _enclose(box, k: complex):
-    """Bound the least of Re(k F) over ``box`` = (xa, xb, ya, yb, ta, tb)
-    (see gg_prime_ranges): (bound, terms, face, value, centre).  ``face``
-    is the box with each axis where Re(k F) is monotone collapsed to the
-    end where it is least, ``value`` is Re(k F) at the face's ``centre``,
-    and ``terms`` are the face's mean-value terms (its half-widths when
-    the box is too wide for discs)."""
-    xa, xb, ya, yb, ta, tb = box
-    hx, hy, ht = (xb - xa) * 0.5, (yb - ya) * 0.5, (tb - ta) * 0.5
+    """Bound the least of Re(k h') over ``box`` = (sa, sb, ta, tb) (see
+    gg_prime_ranges): (bound, terms, face, value, centre).  ``face`` is
+    the box with each axis where Re(k h') is monotone collapsed to the
+    end where it is least, ``value`` is Re(k h') at the face's
+    ``centre`` (s, s, theta), and ``terms`` are the face's mean-value
+    terms (its half-widths when the box is too wide for a disc)."""
+    sa, sb, ta, tb = box
+    hs, ht = (sb - sa) * 0.5, (tb - ta) * 0.5
     z, rz = cmath.exp(0.5j * (ta + tb)), ht + _PAD
-    A = _disc_inv(z - (xa + xb) * 0.5, rz + hx)  # 1/(z - x)
-    B = _disc_inv(z - (ya + yb) * 0.5, rz + hy)  # 1/(z - y)
-    if A is None or B is None:
-        centre = ((xa + xb) * 0.5, (ya + yb) * 0.5, (ta + tb) * 0.5)
-        return -math.inf, (hx, hy, ht), box, (k * _kernel(*centre)).real, centre
+    A = _disc_inv(z - (sa + sb) * 0.5, rz + hs)  # 1/(z - s)
+    if A is None:
+        s, theta = (sa + sb) * 0.5, (ta + tb) * 0.5
+        return -math.inf, (hs, ht), box, (k * _kernel(s, s, theta)).real, (s, s, theta)
     zA, rzA = _disc_mul(z, rz, *A)
-    zB, rzB = _disc_mul(z, rz, *B)
-    F, rF = _disc_mul(zA, rzA, *B)
-    dx, rx = _disc_mul(F, rF, *A)
-    dy, ry = _disc_mul(F, rF, *B)
-    dt, rt = _disc_mul(1j * F, rF, 1.0 - zA - zB, rzA + rzB + _PAD)
-    sx, sy, st = (k * dx).real, (k * dy).real, (k * dt).real
-    if sx > rx:
-        xb = xa
-    elif sx < -rx:
-        xa = xb
-    if sy > ry:
-        yb = ya
-    elif sy < -ry:
-        ya = yb
+    H, rH = _disc_mul(zA, rzA, *A)
+    ds, rs = _disc_mul(2.0 * H, 2.0 * rH, *A)
+    dt, rt = _disc_mul(1j * H, rH, 1.0 - 2.0 * zA, 2.0 * rzA + _PAD)
+    ss, st = (k * ds).real, (k * dt).real
+    if ss > rs:
+        sb = sa
+    elif ss < -rs:
+        sa = sb
     if st > rt:
         tb = ta
     elif st < -rt:
         ta = tb
-    centre = ((xa + xb) * 0.5, (ya + yb) * 0.5, (ta + tb) * 0.5)
-    terms = ((xb - xa) * 0.5 * (abs(sx) + rx), (yb - ya) * 0.5 * (abs(sy) + ry),
-             (tb - ta) * 0.5 * (abs(st) + rt))
-    value = (k * _kernel(*centre)).real
-    bound = max((k * F).real - rF, value - terms[0] - terms[1] - terms[2]) - _PAD
-    return bound, terms, (xa, xb, ya, yb, ta, tb), value, centre
+    s, theta = (sa + sb) * 0.5, (ta + tb) * 0.5
+    terms = ((sb - sa) * 0.5 * (abs(ss) + rs), (tb - ta) * 0.5 * (abs(st) + rt))
+    value = (k * _kernel(s, s, theta)).real
+    bound = max((k * H).real - rH, value - terms[0] - terms[1]) - _PAD
+    return bound, terms, (sa, sb, ta, tb), value, (s, s, theta)
 
 
 def _least(lo: float, hi: float, k: complex) -> tuple[float, float, tuple[float, float, float]]:
-    """The least of Re(k F) over [lo, hi]^2 x [pi/3, 2 pi/3]: the least
-    value found, a lower bound within GG_TOL of it, and the point (x, y,
+    """The least of Re(k F) over [lo, hi]^2 x [pi/3, 2 pi/3], which is
+    that of Re(k h') over [lo, hi] x [pi/3, 2 pi/3]: the least value
+    found, a lower bound within GG_TOL of it, and the point (s, s,
     theta) where that value is attained (see gg_prime_ranges)."""
     best, at, heap = math.inf, None, []
-    halves = [(lo, hi, lo, hi, math.pi / 3.0, 2.0 * math.pi / 3.0)]
+    halves = [(lo, hi, math.pi / 3.0, 2.0 * math.pi / 3.0)]
     while True:
         for half in halves:
-            if half[0] > half[3]:  # x > y throughout
-                continue
             bound, terms, face, value, centre = _enclose(half, k)
             if value < best:
                 best, at = value, centre
@@ -433,39 +424,43 @@ def gg_prime_ranges() -> Report:
     Numerics*, Princeton 2011) in plain floats:
 
     - With z = e^(i theta), F = g' + i g = z / ((z - x)(z - y)), which is
-      1/w for w = z - (x + y) + xy conj(z) = conj(z) (z - x)(z - y).  F is
-      symmetric in x and y, and |z - x| >= sin(theta) >= sqrt(3)/2.  Its
-      partials are dF/dx = F / (z - x), dF/dy = F / (z - y) and
-      dF/dtheta = i F (1 - z / (z - x) - z / (z - y)).
-    - Each extremum is the least of Re(k F), with k = -i for the least g,
-      i for the greatest, 1 for the least g' and -1 for the greatest.
-    - On a box with centre (x_c, y_c, theta_c) and half-widths h_x, h_y,
-      h_t, z lies in D(e^(i theta_c), h_t), as a chord is shorter than
-      its arc.  _disc_inv gives discs A and B that hold 1/(z - x) and
-      1/(z - y), and _disc_mul gives discs that hold F = zAB and the
-      three partials.  The box's lower bound is the larger of Re(k F)
-      over F's disc and the centred (mean-value) form Re(k F(c)) -
-      sum_v h_v sup |Re(k dF/dv)| at its centre c.
-    - Where the disc of Re(k dF/dv) keeps one sign, Re(k F) is strictly
+      1/w for w = z - (x + y) + xy conj(z) = conj(z) (z - x)(z - y), and
+      |z - x| >= sin(theta) >= sqrt(3)/2.
+    - With h(s) = z / (z - s), F is the divided difference (h(x) -
+      h(y)) / (x - y), so the mean of h'(s) = z / (z - s)^2 = F(s, s,
+      theta) over s between x and y (Hermite-Genocchi; de Boor, Divided
+      differences, *Surveys in Approximation Theory* 1, 2005).  A mean is
+      no less than the least of what it averages, so the least of Re(k
+      F) over the box in (x, y, theta) is attained at some x = y = s, and
+      the search runs over (s, theta) alone.
+    - Each extremum is the least of Re(k h'), with k = -i for the least
+      g, i for the greatest, 1 for the least g' and -1 for the greatest.
+    - On a box with centre (s_c, theta_c) and half-widths h_s and h_t, z
+      lies in D(e^(i theta_c), h_t), as a chord is shorter than its arc.
+      _disc_inv gives a disc A that holds 1/(z - s), and _disc_mul gives
+      discs that hold h' = z A^2 and its partials dh'/ds = 2 h' A and
+      dh'/dtheta = i h' (1 - 2 z A).  The box's lower bound is the larger
+      of Re(k h') over h''s disc and the centred (mean-value) form Re(k
+      h'(c)) - sum_v h_v sup |Re(k dh'/dv)| at its centre c.
+    - Where the disc of Re(k dh'/dv) keeps one sign, Re(k h') is strictly
       monotone in v on the box, so every point where the box attains its
       least lies on one face, and the box is collapsed onto it.
     - A heap holds the boxes by their lower bounds.  The search pops the
       least, bisects it across the axis of its largest mean-value term,
       and pushes each half whose bound is below the incumbent: the least
-      Re(k F) met so far, at the centres of the boxes, which is attained
-      to 2^-45.  F is symmetric in x and y, bit for bit, so some point
-      where Re(k F) is least has x <= y, and a half with x > y
-      throughout is dropped.  That point stays in a box of the heap, so
-      the least bound in the heap is a lower bound; the search stops
-      when it is within GG_TOL of the incumbent.
-    - Rounding.  _disc_inv refuses a disc unless r <= |c|/2, so A and B
-      reach at most 1/(|c| - r) <= 2/|c| <= 2.31, as |c| >= sin(theta_c).
-      F's disc then reaches at most 8.2, the x and y partials' 19 and the
-      theta partial's 66, so each disc operation's float centre and
-      radius err by under 2^-40.  The same holds for a float value of F
-      (under 2^-45, as |F| <= 4/3), for the sums of a bound, and for the
-      state boxes' ends, which are floats within an ulp of 29/12, -2/5,
-      pi/3 and 2 pi/3.  _PAD = 2^-36 on every radius and bound covers it.
+      Re(k h') met so far, at the centres of the boxes, which is attained
+      to 2^-45.  A point where Re(k h') is least stays in a box of the
+      heap, so the least bound in the heap is a lower bound; the search
+      stops when it is within GG_TOL of the incumbent.
+    - Rounding.  _disc_inv refuses a disc unless r <= |c|/2, so A
+      reaches at most 1/(|c| - r) <= 2/|c| <= 2.31, as |c| >= sin(theta_c).
+      z's disc reaches at most 1 + pi/12 + _PAD < 1.27, so z A's reaches
+      2.92, h''s 6.8, the s partial's 32, 1 - 2 z A's 6.9 and the theta
+      partial's 46, and each disc operation's float centre and radius err
+      by under 2^-40.  The same holds for a float value of F (under
+      2^-45, as |F| <= 4/3), for the sums of a bound, and for the state
+      boxes' ends, which are floats within an ulp of 29/12, -2/5, pi/3
+      and 2 pi/3.  _PAD = 2^-36 on every radius and bound covers it.
     """
     report = Report(title="g/g' ranges on the state boxes")
     cases = [
@@ -567,7 +562,7 @@ def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
     stack, as a branch can be qmax levels deep.  Its Markov numbers are
     kept in one list per q, so only those of equal q are sorted.
     """
-    by_q: list[list[int]] = [[], [1], [2]] + [[] for _ in range(3, qmax + 1)]
+    by_q: list[list[int]] = [[], [1], [2]][:max(qmax + 1, 0)] + [[] for _ in range(3, qmax + 1)]
     stack = [((2, 1, 5), 3, 1, 2)] if qmax >= 3 else []
     while stack:
         triple, q, ql, qr = stack.pop()
@@ -622,9 +617,12 @@ def asymptotics_report(depth: int) -> Report:
     """Convergence trends of the denominator and Markov-number growth.
 
     Trends are reported, not thresholded: each must pass
-    :func:`_trend_check` over TREND_WINDOWS windows.  Depths above
+    :func:`_trend_check` over TREND_WINDOWS windows.  Depths below 1,
+    which leave log(c_n)/q_n no value to average, and above
     MAX_ASYMPTOTICS_DEPTH raise ValueError before any enumeration.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if depth > MAX_ASYMPTOTICS_DEPTH:
         raise ValueError(f"depth {depth} exceeds {MAX_ASYMPTOTICS_DEPTH}, "
                          "the deepest asymptotics report")

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -209,6 +210,12 @@ def _key_value(k, x, y, theta):
     return (k * complex(gp, g)).real
 
 
+@functools.cache
+def _proved_range(box, k):
+    """The search's proved lower and upper bounds of Re(k F) over ``box``."""
+    return analysis._least(*box, k)[1], -analysis._least(*box, -k)[1]
+
+
 class TestGGPrime:
     def test_zero_at_unit_product(self):
         assert abs(analysis._kernel(1.0, 1.0, math.pi / 2).imag) <= 2.0**-45
@@ -274,11 +281,12 @@ class TestGGPrime:
     @settings(deadline=None, max_examples=200)
     @given(box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]), data=st.data())
     def test_enclosure_holds_every_sample(self, box, data):
-        # The lower and upper bounds of each part over a random sub-box,
-        # some of its axes collapsed to a point, hold the part at the
-        # box's corners and at random points inside it.
+        # The lower and upper bounds of each part of h' = F(s, s, theta)
+        # over a random (s, theta) sub-box, some of its axes collapsed to
+        # a point, hold the part at the box's corners and at random
+        # points inside it.
         ranges = []
-        for lo, hi in (box, box, (math.pi / 3.0, 2.0 * math.pi / 3.0)):
+        for lo, hi in (box, (math.pi / 3.0, 2.0 * math.pi / 3.0)):
             a = data.draw(st.floats(lo, hi))
             width = data.draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, hi - lo))
             ranges.append((a, min(a + width, hi)))
@@ -289,42 +297,58 @@ class TestGGPrime:
             lower, _, face, _, _ = analysis._enclose(sub, k)
             upper = -analysis._enclose(sub, -k)[0]
             assert all(a <= face[2 * i] <= face[2 * i + 1] <= b for i, (a, b) in enumerate(ranges))
-            for x, y, theta in points:
-                assert lower - 2.0**-45 <= _key_value(k, x, y, theta) <= upper + 2.0**-45
+            for s, theta in points:
+                assert lower - 2.0**-45 <= _key_value(k, s, s, theta) <= upper + 2.0**-45
+
+    @settings(deadline=None, max_examples=200)
+    @given(box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]), data=st.data())
+    def test_kernel_is_a_mean_over_the_diagonal(self, box, data):
+        # F(x, y, theta) is the divided difference of h(s) = z/(z - s), so
+        # the mean of h'(s) = F(s, s, theta) over [x, y], here by a
+        # 40-point Gauss-Legendre rule.  Re(k F) off the diagonal then lies
+        # between the search's proved bounds of Re(k h').
+        x, y = sorted(data.draw(st.lists(st.floats(*box), min_size=2, max_size=2, unique=True)))
+        theta = data.draw(st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
+        z = cmath.exp(1j * theta)
+        nodes, weights = np.polynomial.legendre.leggauss(40)
+        s = (x + y) * 0.5 + (y - x) * 0.5 * nodes
+        mean = complex(np.dot(weights, z / (z - s) ** 2)) * 0.5
+        F = analysis._kernel(x, y, theta)
+        assert abs(F - mean) <= 1e-14
+        for k in (1.0, -1.0, 1j, -1j):
+            lo, hi = _proved_range(box, k)
+            assert lo - 2.0**-45 <= (k * F).real <= hi + 2.0**-45
 
     @pytest.mark.parametrize("grid", [2, 7, 13])
     def test_unpruned_search_covers_each_pair(self, grid, monkeypatch):
         # Give every box narrower than 1/4 on each axis the bound 0, the
         # least value found, and every wider one no bound: the search
-        # ends with only narrow boxes left, and they hold each sample
-        # with x <= y, so it leaves no part of that half unsearched.
+        # ends with only narrow boxes left, and they hold each (s, theta)
+        # sample, so it leaves no part of the rectangle unsearched.
         leaves = []
 
         def enclose(box, k):
-            xa, xb, ya, yb, ta, tb = box
-            widths = (xb - xa, yb - ya, tb - ta)
+            sa, sb, ta, tb = box
+            widths = (sb - sa, tb - ta)
             if max(widths) < 0.25:
                 leaves.append(box)
-                return 0.0, widths, box, 0.0, (xa, ya, ta)
-            return -math.inf, widths, box, 0.0, (xa, ya, ta)
+                return 0.0, widths, box, 0.0, (sa, sa, ta)
+            return -math.inf, widths, box, 0.0, (sa, sa, ta)
 
         monkeypatch.setattr(analysis, "_enclose", enclose)
         analysis._least(*analysis.VALUE_BOX, 1.0)
-        xs = np.linspace(*analysis.VALUE_BOX, grid)
         for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
-            for i, x in enumerate(xs):
-                for y in xs[i:]:
-                    assert any(xa <= x <= xb and ya <= y <= yb and ta <= theta <= tb
-                               for xa, xb, ya, yb, ta, tb in leaves)
+            for s in np.linspace(*analysis.VALUE_BOX, grid):
+                assert any(sa <= s <= sb and ta <= theta <= tb for sa, sb, ta, tb in leaves)
 
     def test_search_evaluates_few_samples(self, monkeypatch):
-        # The eight searches bisect 1 223 boxes and bound 2 285.
+        # The eight searches bisect 248 boxes and bound 504.
         pops, boxes = [], []
         heappop, enclose = analysis.heapq.heappop, analysis._enclose
         monkeypatch.setattr(analysis.heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
         monkeypatch.setattr(analysis, "_enclose", lambda *args: boxes.append(1) or enclose(*args))
         assert gg_prime_ranges().passed
-        assert 0 < len(pops) < 4000 and len(boxes) < 8000
+        assert 0 < len(pops) < 300 and len(boxes) < 600
 
     @pytest.mark.parametrize("side", [0, 1], ids=["min", "max"])
     def test_stated_endpoint_past_the_proved_extremum_fails(self, side, monkeypatch):
@@ -428,9 +452,24 @@ class TestAsymptotics:
         assert [q for q, _ in seq] == [1, 2, 3, 4, 5, 5]
         assert seq[4] == (5, 29) and seq[5] == (5, 34)
 
+    def test_sequence_holds_no_q_above_qmax(self):
+        # Every qmax below 2 once gave [(1, 1), (2, 2)].
+        assert {qmax: denominator_sequence(qmax) for qmax in range(-2, 3)} == {
+            -2: [], -1: [], 0: [], 1: [(1, 1)], 2: [(1, 1), (2, 2)]}
+
     def test_report_passes(self):
         report = asymptotics_report(depth=30)
         assert report.passed
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_refused_before_enumerating(self, depth, monkeypatch):
+        # Once a ZeroDivisionError from _window_means([]).
+        def no_enumeration(qmax):
+            raise AssertionError("denominators enumerated")
+
+        monkeypatch.setattr(analysis, "denominator_sequence", no_enumeration)
+        with pytest.raises(ValueError, match=r"\Adepth must be >= 1\Z"):
+            asymptotics_report(depth)
 
     def test_sequence_needs_no_deep_recursion(self):
         # The leftmost branch is qmax levels deep; a recursive walk

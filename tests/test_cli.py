@@ -846,7 +846,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
-         "a7f763ebe03cf5799ae1734e7940886ac2a636607575ee08f6beb91aaf68c6ec"),
+         "0b01b55e4190e0b22898b09235ccd97045e7c3968ba27db947824eb71adf8b42"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
