@@ -15,11 +15,10 @@ import heapq
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _rotation_values
-from .integrals import CycleValue, log_epsilon
+from .integrals import CycleValue, _log_epsilon
 from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
 
 __all__ = [
@@ -79,9 +78,9 @@ GG_ENDPOINT_RTOL = 0.02
 COINCIDENCE_DIGITS = 60
 TREND_WINDOWS = 4
 #: The deepest asymptotics report.  Its denominators up to depth + 2 are
-#: enumerated one by one: 1.4-1.7 s and 94 MB at depth 1200, against
-#: 0.6-0.8 s and 46 MB at 800 and 2.5-3.0 s and 173 MB at 1600 (whole
-#: process, 2 cores, Python 3.11).
+#: enumerated one by one: a median 1.0 s (0.9-1.5 s) and 88 MB at depth
+#: 1200, against 0.5-0.6 s and 43 MB at 800 and 1.7-3.3 s and 162 MB at
+#: 1600 (whole process, 2 cores, Python 3.11).
 MAX_ASYMPTOTICS_DEPTH = 1200
 
 
@@ -97,8 +96,7 @@ def coincidence_envelope(r: int) -> float:
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "info"
     measured: float | None = None
@@ -111,10 +109,9 @@ class CheckResult:
         return self.status != "fail"
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, title: str) -> None:
+        self.title, self.checks = title, []
 
     def add(self, result: CheckResult) -> None:
         self.checks.append(result)
@@ -125,7 +122,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {"title": self.title, "passed": self.passed,
-                "checks": [asdict(c) for c in self.checks]}
+                "checks": [c._asdict() for c in self.checks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -646,8 +643,8 @@ def asymptotics_report(depth: int) -> Report:
     # log(eps_n) against its linear-in-q_n prediction.
     slope = math.sqrt(3.0) / (math.sqrt(2.0 * ZAGIER_C) * math.pi)
     eps_dev = []
-    for q, c in seq[2:]:
-        log_eps = log_epsilon(c)
+    for (q, c), lc in zip(seq[2:], logc[2:]):
+        log_eps = _log_epsilon(c, lc)
         eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
     means = _window_means(eps_dev)
     report.add(CheckResult(
@@ -662,8 +659,7 @@ def asymptotics_report(depth: int) -> Report:
 # ---------------------------------------------------------------------------
 # the constant chain
 
-@dataclass(frozen=True)
-class BoundChain:
+class BoundChain(NamedTuple):
     """Every constant of the asymptotic value-bound chain."""
 
     k0: int

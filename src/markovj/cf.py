@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -85,14 +84,15 @@ def format_period(word: bytes) -> str:
     return _RUN_TEXT.sub(lambda run: f"{run[1]}_{(len(run[0]) + 1) // 2}", text)
 
 
-@dataclass(frozen=True, eq=False)
 class CycleStates:
     """The quadratics w^(1), ..., w^(l) of a cycle, in walk order: the
     values and their Galois conjugates, one array each.  Not comparable
     with ``==``: arrays have no single truth value."""
 
-    values: np.ndarray
-    conj_values: np.ndarray
+    __slots__ = ("values", "conj_values")
+
+    def __init__(self, values: np.ndarray, conj_values: np.ndarray) -> None:
+        self.values, self.conj_values = values, conj_values
 
     def __len__(self) -> int:
         return len(self.values)

@@ -31,8 +31,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, cycle_states
 from .jfunction import SERIES_ORDER, j_coefficients, j_eval
@@ -90,12 +89,16 @@ def log_epsilon(c: int) -> float:
     """
     if c < 1:
         raise ValueError("c must be >= 1")
+    return _log_epsilon(c, math.log(c))
+
+
+def _log_epsilon(c: int, log_c: float) -> float:
+    """log_epsilon(c) for c >= 1, given log_c = math.log(c)."""
     if c >> 256:
         # 4/(9c^2) underflows; the correction is log(1) = 0.
-        return math.log(3) + math.log(c)
-    return math.log(3) + math.log(c) + math.log(
-        (1.0 + math.sqrt(1.0 - 4.0 / (9.0 * float(c) * float(c)))) / 2.0
-    )
+        return math.log(3) + log_c
+    return math.log(3) + log_c + math.log(
+        (1.0 + math.sqrt(1.0 - 4.0 / (9.0 * float(c) * float(c)))) / 2.0)
 
 
 def _legendre(x):
@@ -164,18 +167,15 @@ def _rule():
     return wj * 1j * z, z.conj(), z.real[:, None], (z.imag ** 2)[:, None], G, K
 
 
-@dataclass(frozen=True)
-class CycleValue:
+class CycleValue(NamedTuple):
     """The cycle integral J of one node, a function of the node alone, and
-    a proved bound on its quadrature error; log eps and j follow from c."""
+    a proved bound on its quadrature error; log eps, log_epsilon(node.c),
+    is taken where the value is made, and j follows from it."""
 
     node: TreeNode
     J: complex
     quad_error: float
-
-    @functools.cached_property
-    def log_eps(self) -> float:
-        return log_epsilon(self.node.c)
+    log_eps: float
 
     @property
     def j(self) -> complex:
@@ -260,7 +260,7 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     if not err <= tol * abs(J):
         raise QuadratureError(f"quadrature bound {err:g} exceeds tol {tol:g} "
                               f"relative to |value| = {abs(J):g} {at}")
-    return CycleValue(node=node, J=J, quad_error=err)
+    return CycleValue(node, J, err, log_epsilon(node.c))
 
 
 def compute_values(nodes: Iterable[TreeNode], tol: float) -> dict[str, CycleValue]:
@@ -294,8 +294,8 @@ def cached_value(rec: dict | None, node: TreeNode, tol: float) -> CycleValue | N
     if rec is None or (rec["q"], rec["c"], rec["series_order"], rec["method"]) != (
             node.q, str(node.c), SERIES_ORDER, METHOD):
         return None
-    value = CycleValue(node=node, J=complex(rec["J_re"], rec["J_im"]), quad_error=rec["quad_err"])
-    return value if value.quad_error <= tol * abs(value.J) else None
+    J, err = complex(rec["J_re"], rec["J_im"]), rec["quad_err"]
+    return CycleValue(node, J, err, log_epsilon(node.c)) if err <= tol * abs(J) else None
 
 
 def _open_temp(path):

@@ -35,7 +35,6 @@ that tree, and no path goes below MAX_LEVEL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .cf import format_period, markov_word
@@ -77,25 +76,30 @@ def vieta_children(t: tuple[int, int, int], steps: str = "LR") -> list[tuple[int
     return [(c, b, 3 * b * c - a) if step == "L" else (a, c, 3 * a * c - b) for step in steps]
 
 
-@dataclass(slots=True)
 class TreeNode:
     """One vertex of the tree with all its attached arithmetic data.
 
     ``p``/``q`` is the node's Farey fraction and ``c`` its Markov number.
     ``left`` and ``right`` are the endpoints of the node's Farey
     interval: the two predecessors whose fractions it is the mediant of
-    (``None`` at the tips).  They take no part in equality or repr, so
-    neither walks up the tree.  The word, ``period``, is no field:
-    cf.markov_word builds it from p/q when read, and no node keeps it.
+    (``None`` at the tips).  Nodes are equal by path, level, p, q and c,
+    not by the links, so no comparison walks up the tree; they have no
+    hash.  The word, ``period``, is no field: cf.markov_word builds it
+    from p/q when read, and no node keeps it.
     """
 
-    path: str
-    level: int
-    p: int
-    q: int
-    c: int
-    left: TreeNode | None = field(compare=False, repr=False)
-    right: TreeNode | None = field(compare=False, repr=False)
+    __slots__ = ("path", "level", "p", "q", "c", "left", "right")
+
+    def __init__(self, path: str, level: int, p: int, q: int, c: int,
+                 left: TreeNode | None, right: TreeNode | None) -> None:
+        self.path, self.level, self.p, self.q, self.c = path, level, p, q, c
+        self.left, self.right = left, right
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TreeNode:
+            return NotImplemented
+        return ((self.path, self.level, self.p, self.q, self.c)
+                == (other.path, other.level, other.p, other.q, other.c))
 
     @property
     def period(self) -> bytes:

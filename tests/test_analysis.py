@@ -17,6 +17,7 @@ from markov_oracles import (
     farey_mismatches,
 )
 from markovj import analysis
+from markovj.integrals import log_epsilon
 from markovj.analysis import (
     CONTRACTION,
     BoundChain,
@@ -460,6 +461,29 @@ class TestAsymptotics:
     def test_report_passes(self):
         report = asymptotics_report(depth=30)
         assert report.passed
+
+    def test_log_eps_check_reads_as_from_log_epsilon(self):
+        # The log eps check reuses the log c of the growth trends; its
+        # window means stay those of log_epsilon(c), bit for bit, on both
+        # sides of c = 2^256, where log_epsilon drops its correction.
+        seq = denominator_sequence(402)
+        assert seq[-1][1] >> 256 and not seq[2][1] >> 256
+        slope = math.sqrt(3.0) / (math.sqrt(2.0 * analysis.ZAGIER_C) * math.pi)
+        deviations = [abs(le - (slope * q + math.log(1.5))) / le
+                      for q, le in ((q, log_epsilon(c)) for q, c in seq[2:])]
+        means = analysis._window_means(deviations)
+        check = asymptotics_report(400).checks[-1]
+        assert check.name == "log eps ~ slope q + log(3/2)"
+        assert check.measured == means[-1]
+        assert check.details == "window deviations " + ", ".join(f"{m:.4f}" for m in means)
+
+    def test_report_dict_keeps_every_check_field(self):
+        # A check's JSON record holds every field, in declaration order.
+        check = asymptotics_report(3).to_dict()["checks"][0]
+        assert check == {"name": "ordering head", "status": "pass", "measured": None,
+                         "bound": None, "margin": None, "details": "first denominators "
+                         "[1, 2, 3, 4, 5, 5]"}
+        assert list(check) == ["name", "status", "measured", "bound", "margin", "details"]
 
     @pytest.mark.parametrize("depth", [0, -1])
     def test_depth_below_one_refused_before_enumerating(self, depth, monkeypatch):

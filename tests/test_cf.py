@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from decimal import Decimal
 
@@ -418,7 +417,7 @@ class TestOneSweepStates:
         # node's only integer of c's size.
         assert not hasattr(cf, "period_matrix") and not hasattr(tree, "_mat_mul")
         node = node_at("RLRLRLRLRLRLR")
-        assert [f.name for f in dataclasses.fields(node)] == \
+        assert list(type(node).__slots__) == \
             ["path", "level", "p", "q", "c", "left", "right"]
         cycle_states(node.period[::-1])
 

@@ -35,5 +35,8 @@ def test_one_depth_four_pair_of_head_against_itself(tmp_path):
         assert entry["median"][side]["peak_rss_mb"] == run[side]["peak_rss_mb"]
     assert set(entry["summary"]) == {"wall_s", "cpu_s", "peak_rss_mb"}
     assert result["imports"]["same"] and result["imports"]["count"]["parent"] > 0
+    modules = result["imports"]["modules"]
+    assert modules["parent"] == modules["change"] and "markovj.cli" in modules["parent"]
+    assert len(modules["parent"]) == result["imports"]["count"]["parent"]
     # The copies of the two sides are removed.
     assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]

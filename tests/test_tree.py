@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -42,6 +41,11 @@ from markovj.tree import (
     period_texts,
     vieta_children,
 )
+
+
+def replaced(node: TreeNode, **changes) -> TreeNode:
+    """A copy of ``node`` with ``changes`` made, built by the constructor."""
+    return TreeNode(*(changes.get(name, getattr(node, name)) for name in TreeNode.__slots__))
 
 
 class TestTriples:
@@ -97,7 +101,7 @@ class TestFarey:
 
     def test_mutated_fraction_fails_the_oracle(self):
         node = node_at("RL")
-        assert farey_mismatches(dataclasses.replace(node, p=node.p + 1)) == ["mediant"]
+        assert farey_mismatches(replaced(node, p=node.p + 1)) == ["mediant"]
 
 
 class TestFormData:
@@ -180,7 +184,7 @@ class TestCohnMatrix:
         for node in build_tree(5)[1:-1]:
             a, b, c = node_triple(node)
             wrong = {"plus_one": c + 1, "other_root": 3 * a * b - c, "neighbour": b}[mutation]
-            assert oracle_mismatches(dataclasses.replace(node, c=wrong)), node.path
+            assert oracle_mismatches(replaced(node, c=wrong)), node.path
 
     def test_deep_markov_numbers_are_vieta_steps(self, monkeypatch):
         # One Vieta step per level, through vieta_children, matches the
@@ -343,6 +347,17 @@ class TestStructure:
 
     def test_node_count(self):
         assert len(build_tree(9)) == 2 + (2**9 - 1)
+
+    def test_nodes_are_equal_by_their_own_fields(self):
+        # Equality reads path, level, p, q and c, never the links, so it
+        # walks no ancestors; a node has no hash.
+        node = node_at("RLR")
+        assert replaced(node, left=None, right=None) == node == node_at("RLR")
+        for name, value in [("path", "RLL"), ("level", 3), ("p", 0), ("q", 1), ("c", 1)]:
+            assert replaced(node, **{name: value}) != node, name
+        assert node != (node.path, node.level, node.p, node.q, node.c)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(node)
 
     def test_depth_bounds(self):
         # Refused before any node is built: depth 18 has 262 145 nodes,

@@ -268,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         "imports": {"same": imports["parent"] == imports["change"],
                     "added": sorted(set(imports["change"]) - set(imports["parent"])),
                     "removed": sorted(set(imports["parent"]) - set(imports["change"])),
-                    "count": {side: len(imports[side]) for side in SIDES}},
+                    "count": {side: len(imports[side]) for side in SIDES},
+                    "modules": imports},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     failed = [f"{name} pair {r['pair']} {side}" for name, entry in {**deep, **workloads}.items()
