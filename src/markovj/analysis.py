@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cf import CONJ_MAX, CONJ_MIN, STATE_MAX, STATE_MIN, _rotation_values
 from .integrals import CycleValue, _log_epsilon
-from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, vieta_children
+from .tree import TIP_LEFT, TIP_RIGHT, TreeError, TreeNode, denominator_sequence
 
 __all__ = [
     "BoundChain",
@@ -31,7 +31,6 @@ __all__ = [
     "gg_prime_ranges",
     "coincidence_bound",
     "asymptotics_report",
-    "denominator_sequence",
     "theorem2_constants",
     "RE_DELTA_COEF",
     "IM_DELTA_COEF",
@@ -48,6 +47,8 @@ IM_DELTA_COEF = 100853.23866
 CONTRACTION = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi, the inverse golden ratio
 ZAGIER_C = 0.18071704711507
 Q_GROWTH = math.pi * math.sqrt(2.0 / 3.0)
+#: The limit of log(eps_n)/q_n, and of log(c_n)/q_n: sqrt(3)/(pi sqrt(2C)).
+LOG_EPS_SLOPE = math.sqrt(3.0) / (math.pi * math.sqrt(2.0 * ZAGIER_C))
 
 #: Computed J/q envelope over levels <= 12 (real and imaginary parts).
 PUBLISHED_RE_ENVELOPE = (1251.36168, 1359.5674)
@@ -78,9 +79,9 @@ GG_ENDPOINT_RTOL = 0.02
 COINCIDENCE_DIGITS = 60
 TREND_WINDOWS = 4
 #: The deepest asymptotics report.  Its denominators up to depth + 2 are
-#: enumerated one by one: a median 1.0 s (0.9-1.5 s) and 88 MB at depth
-#: 1200, against 0.5-0.6 s and 43 MB at 800 and 1.7-3.3 s and 162 MB at
-#: 1600 (whole process, 2 cores, Python 3.11).
+#: enumerated one by one: a median 0.9-1.0 s (0.86-1.46 s) and 88 MB at
+#: depth 1200, against 0.4-0.7 s and 43 MB at 800 and 1.8-2.3 s and 162 MB
+#: at 1600 (whole process, 2 cores, Python 3.11).
 MAX_ASYMPTOTICS_DEPTH = 1200
 
 
@@ -549,28 +550,6 @@ def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
 # ---------------------------------------------------------------------------
 # asymptotics
 
-def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
-    """All Farey denominators q <= qmax with their Markov numbers,
-    sorted as the published sequence (by q, ties by Markov number).
-
-    Enumerates the infinite tree with pruning: q strictly increases
-    down every branch, so the search below qmax is finite, and a child
-    is built only if its q is within qmax.  The walk keeps its own
-    stack, as a branch can be qmax levels deep.  Its Markov numbers are
-    kept in one list per q, so only those of equal q are sorted.
-    """
-    by_q: list[list[int]] = [[], [1], [2]][:max(qmax + 1, 0)] + [[] for _ in range(3, qmax + 1)]
-    stack = [((2, 1, 5), 3, 1, 2)] if qmax >= 3 else []
-    while stack:
-        triple, q, ql, qr = stack.pop()
-        by_q[q].append(triple[2])
-        if q + ql <= qmax:
-            stack.append((vieta_children(triple, "L")[0], q + ql, ql, q))
-        if q + qr <= qmax:
-            stack.append((vieta_children(triple, "R")[0], q + qr, q, qr))
-    return [(q, c) for q, cs in enumerate(by_q) for c in sorted(cs)]
-
-
 def _window_means(values: Sequence[float]) -> list[float]:
     """Mean over geometrically growing index windows.
 
@@ -638,14 +617,12 @@ def asymptotics_report(depth: int) -> Report:
                             (lc * math.sqrt(ZAGIER_C) / math.sqrt(n)
                              for n, lc in enumerate(logc, 1)), 1.0))
     report.add(_trend_check("log(c_n)/q_n -> sqrt(3)/(pi sqrt(2C))",
-                            (lc / q for lc, (q, _) in zip(logc[2:], seq[2:])),
-                            math.sqrt(3.0) / (math.pi * math.sqrt(2.0 * ZAGIER_C))))
+                            (lc / q for lc, (q, _) in zip(logc[2:], seq[2:])), LOG_EPS_SLOPE))
     # log(eps_n) against its linear-in-q_n prediction.
-    slope = math.sqrt(3.0) / (math.sqrt(2.0 * ZAGIER_C) * math.pi)
     eps_dev = []
     for (q, c), lc in zip(seq[2:], logc[2:]):
         log_eps = _log_epsilon(c, lc)
-        eps_dev.append(abs(log_eps - (slope * q + math.log(1.5))) / log_eps)
+        eps_dev.append(abs(log_eps - (LOG_EPS_SLOPE * q + math.log(1.5))) / log_eps)
     means = _window_means(eps_dev)
     report.add(CheckResult(
         name="log eps ~ slope q + log(3/2)",

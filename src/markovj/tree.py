@@ -12,11 +12,11 @@ The two tips (1,1,1) <-> 0/1 and (1,1,2) <-> 1/2 are level-0 boundary
 nodes.  build_tree lists the nodes in the order of p/q, which is the
 in-order of the tree: 0/1 first and 1/2 last.
 
-A node carries its Markov number c, one Vieta step (vieta_children,
-the one place that computes a Markov number) on its parent's triple
-(right.c, left.c, c): c_w = 3 c_left c_right - c_other, exact at any
-size (Aigner, Markov's Theorem and 100 Years of the Uniqueness
-Conjecture, 2013, ch. 3).
+A node carries its Markov number c, Vieta's step over the ends of its
+Farey interval and the end of its parent's that it drops:
+c = 3 c_left c_right - c_dropped, exact at any size (Aigner, Markov's
+Theorem and 100 Years of the Uniqueness Conjecture, 2013, ch. 3).
+_child and denominator_sequence take every step by this rule.
 
 Memory note: no node keeps its word (bytes, one per digit) or its
 text.  A word is made from the node's p/q when read (cf.markov_word),
@@ -42,13 +42,13 @@ from .cf import format_period, markov_word
 __all__ = [
     "TreeNode",
     "TreeError",
-    "vieta_children",
     "joins_neighbours",
     "period_texts",
     "build_tree",
     "node_at",
     "walk_path",
     "find_fraction",
+    "denominator_sequence",
     "TIP_LEFT",
     "TIP_RIGHT",
     "ROOT",
@@ -67,13 +67,6 @@ MAX_Q = 10_946
 class TreeError(ValueError):
     """Raised for invalid fractions, paths or depths, or a node whose
     word would be longer than MAX_Q."""
-
-
-def vieta_children(t: tuple[int, int, int], steps: str = "LR") -> list[tuple[int, int, int]]:
-    """The children of t = (a, b, c), one per step in ``steps``: the left
-    child (c, b, 3bc - a) on L and the right child (a, c, 3ac - b) on R."""
-    a, b, c = t
-    return [(c, b, 3 * b * c - a) if step == "L" else (a, c, 3 * a * c - b) for step in steps]
 
 
 class TreeNode:
@@ -151,17 +144,17 @@ def _child(node: TreeNode, step: str) -> TreeNode:
     """One step down the tree: the child's interval is the left or the
     right half of the node's, split at the node, and its fraction is
     the mediant of that interval's ends.  Its Markov number is Vieta's
-    step to that one child of the node's triple (right.c, left.c, c)."""
+    step over the same ends, dropping the node's other end."""
     if step == "L":
-        left, right = node.left, node
+        left, right, dropped = node.left, node, node.right
     else:
-        left, right = node, node.right
+        left, right, dropped = node, node.right, node.left
     path, level = node.path + step, node.level + 1
     p, q = left.p + right.p, left.q + right.q
     if q > MAX_Q:
         raise TreeError(f"node {p}/{q} (path {path!r}): its word of {q} "
                         f"digits exceeds {MAX_Q}, the longest in build_tree({MAX_DEPTH})")
-    c = vieta_children((node.right.c, node.left.c, node.c), step)[0][2]
+    c = 3 * left.c * right.c - dropped.c
     return TreeNode(path, level, p, q, c, left, right)
 
 
@@ -240,3 +233,32 @@ def find_fraction(p: int, q: int) -> TreeNode:
         f"{p}/{q} not found within {MAX_LEVEL} levels; "
         f"nearest nodes are {node.left.p}/{node.left.q} and {node.right.p}/{node.right.q}"
     )
+
+
+def denominator_sequence(qmax: int) -> list[tuple[int, int]]:
+    """All Farey denominators q <= qmax with their Markov numbers,
+    sorted as the published sequence (by q, ties by Markov number).
+
+    Walks the infinite tree down from the root with pruning: q strictly
+    increases down every branch, so the search below qmax is finite,
+    and a child is built only if its q is within qmax.  A node is the
+    (q, c) of its interval's ends and its own, in plain tuples, not
+    TreeNodes with paths and links, and takes _child's step.  The walk
+    keeps its own stack, as a branch can be qmax levels deep, and one
+    list of Markov numbers per q, so only those of equal q are sorted.
+    """
+    by_q: list[list[int]] = [[] for _ in range(max(qmax + 1, 0))]
+    ends = (TIP_LEFT.q, TIP_LEFT.c), (TIP_RIGHT.q, TIP_RIGHT.c)
+    for q, c in ends:
+        if q <= qmax:
+            by_q[q].append(c)
+    stack = [(*ends, ROOT.q, ROOT.c)] if ROOT.q <= qmax else []
+    while stack:
+        left, right, q, c = stack.pop()
+        by_q[q].append(c)
+        (q_left, c_left), (q_right, c_right) = left, right
+        if q + q_left <= qmax:
+            stack.append((left, (q, c), q + q_left, 3 * c_left * c - c_right))
+        if q + q_right <= qmax:
+            stack.append(((q, c), right, q + q_right, 3 * c * c_right - c_left))
+    return [(q, c) for q, cs in enumerate(by_q) for c in sorted(cs)]

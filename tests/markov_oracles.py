@@ -1,9 +1,10 @@
 """Per-node derivations that the tree no longer runs, and the word and
 node API that only the tests call, kept as test oracles.
 
-The tree takes each node's c by one Vieta step from its neighbours'.
-These re-derive the node's data independently: the triple by Vieta
-involutions from the root with the Markov equation checked, k by a
+The tree takes each node's c by one Vieta step over its Farey
+interval's ends.  These re-derive the node's data independently: the
+triple by Vieta involutions from the root, in the triple form of
+vieta_step with the Markov equation checked at each step, k by a
 modular inverse, the form from (c, k) with its discriminant checked,
 and the word's period matrix, whose trace is 3c by Cohn's identity.  farey_mismatches checks the Farey
 neighbour identity and the mediant, which the tree relies on and does
@@ -49,7 +50,7 @@ from fractions import Fraction
 from markovj.cf import PeriodError
 from markovj.integrals import ARC_HI, ARC_LO, _rule
 from markovj.jfunction import ARC_MIN_IM, SERIES_ORDER, j_coefficients, j_eval
-from markovj.tree import TreeError, vieta_children
+from markovj.tree import TreeError
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,19 @@ class MarkovTriple:
         return iter((self.a, self.b, self.c))
 
 
+def vieta_step(t: MarkovTriple, step: str) -> MarkovTriple:
+    """The child of t = (a, b, c) on ``step``: (c, b, 3bc - a) on L and
+    (a, c, 3ac - b) on R, checked against the Markov equation."""
+    a, b, c = t
+    return MarkovTriple(c, b, 3 * b * c - a) if step == "L" else MarkovTriple(a, c, 3 * a * c - b)
+
+
 def vieta_triple(path: str) -> MarkovTriple:
     """The triple at tree path ``path`` by Vieta involutions from the
     root (2, 1, 5), each step checked against the Markov equation."""
     triple = MarkovTriple(2, 1, 5)
     for step in path:
-        triple = MarkovTriple(*vieta_children(triple)["LR".index(step)])
+        triple = vieta_step(triple, step)
     return triple
 
 

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -27,7 +28,6 @@ from markovj.analysis import (
     check_q_recursion,
     coincidence_bound,
     coincidence_envelope,
-    denominator_sequence,
     gg_prime_ranges,
     theorem2_constants,
 )
@@ -37,6 +37,7 @@ from markovj.tree import (
     TIP_RIGHT,
     TreeError,
     build_tree,
+    denominator_sequence,
     node_at,
     walk_path,
 )
@@ -453,6 +454,19 @@ class TestAsymptotics:
         assert [q for q, _ in seq] == [1, 2, 3, 4, 5, 5]
         assert seq[4] == (5, 29) and seq[5] == (5, 34)
 
+    @pytest.mark.parametrize("qmax", range(3, 15))
+    def test_sequence_is_the_trees_denominators(self, qmax):
+        # q grows by at least one a level, from 3 at the root, so every
+        # q <= qmax is at level qmax - 2 or above: build_tree's nodes,
+        # stepped by _child, hold them all.
+        want = sorted((n.q, n.c) for n in build_tree(qmax - 2) if n.q <= qmax)
+        assert denominator_sequence(qmax) == want
+
+    def test_sequence_is_pinned(self):
+        # The 13 700 denominators up to q = 300, pinned.
+        assert hashlib.sha256(repr(denominator_sequence(300)).encode()).hexdigest() == (
+            "db323ad62ec8f2cf936289208966ab654a28ad91da347ed726efb38520cdf37c")
+
     def test_sequence_holds_no_q_above_qmax(self):
         # Every qmax below 2 once gave [(1, 1), (2, 2)].
         assert {qmax: denominator_sequence(qmax) for qmax in range(-2, 3)} == {
@@ -469,6 +483,7 @@ class TestAsymptotics:
         seq = denominator_sequence(402)
         assert seq[-1][1] >> 256 and not seq[2][1] >> 256
         slope = math.sqrt(3.0) / (math.sqrt(2.0 * analysis.ZAGIER_C) * math.pi)
+        assert analysis.LOG_EPS_SLOPE == slope
         deviations = [abs(le - (slope * q + math.log(1.5))) / le
                       for q, le in ((q, log_epsilon(c)) for q, c in seq[2:])]
         means = analysis._window_means(deviations)

@@ -21,6 +21,7 @@ from markov_oracles import (
     node_k,
     node_triple,
     period_matrix,
+    vieta_step,
     vieta_triple,
 )
 from markovj import tree
@@ -39,7 +40,6 @@ from markovj.tree import (
     joins_neighbours,
     node_at,
     period_texts,
-    vieta_children,
 )
 
 
@@ -56,19 +56,21 @@ class TestTriples:
             MarkovTriple(0, 1, 1)
 
     def test_children_of_root(self):
-        left, right = vieta_children(MarkovTriple(2, 1, 5))
+        left, right = (vieta_step(MarkovTriple(2, 1, 5), step) for step in "LR")
         assert tuple(left) == (5, 1, 13)
         assert tuple(right) == (2, 5, 29)
-        # The indexed form computes one child alone.
-        assert vieta_children((2, 1, 5), "L") == [(5, 1, 13)]
-        assert vieta_children((2, 1, 5), "R") == [(2, 5, 29)]
+        # The tree's step computes one child alone, from its interval's ends.
+        assert node_triple(tree._child(ROOT, "L")) == (5, 1, 13)
+        assert node_triple(tree._child(ROOT, "R")) == (2, 5, 29)
 
     def test_tree_children_are_vieta_children(self):
+        # The interval-ends rule, c = 3 c_left c_right - c_dropped, gives
+        # the triple rule's child at every node.
         for node in build_tree(8):
             if node.level > 1:
                 parent = node_at(node.path[:-1])
-                kept = vieta_children(node_triple(parent))["LR".index(node.path[-1])]
-                assert node_triple(node) == kept, node.path
+                kept = vieta_step(MarkovTriple(*node_triple(parent)), node.path[-1])
+                assert node_triple(node) == tuple(kept), node.path
 
     def test_markov_numbers_to_depth_three(self):
         got = sorted(n.c for n in build_tree(3))
@@ -187,17 +189,18 @@ class TestCohnMatrix:
             assert oracle_mismatches(replaced(node, c=wrong)), node.path
 
     def test_deep_markov_numbers_are_vieta_steps(self, monkeypatch):
-        # One Vieta step per level, through vieta_children, matches the
+        # One Vieta step per level, through tree._child, matches the
         # triple walked from the root, at seeded paths of levels 50-200.
         # Each step computes the one child it takes.
         calls = []
+        child = tree._child
 
-        def counting(t, steps="LR"):
-            calls.append(t)
-            assert steps in ("L", "R")
-            return vieta_children(t, steps)
+        def counting(node, step):
+            calls.append(node)
+            assert step in ("L", "R")
+            return child(node, step)
 
-        monkeypatch.setattr(tree, "vieta_children", counting)
+        monkeypatch.setattr(tree, "_child", counting)
         for path in deep_paths():
             calls.clear()
             node = node_at(path)
