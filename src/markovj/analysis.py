@@ -70,13 +70,11 @@ CONJ_BOX = (CONJ_MIN, CONJ_MAX)
 #: are counted, and those beyond INTERLACE_HARD_TOL fail; DELTA_SLACK is
 #: absolute slack on each delta_w bound; the attained extrema of g and
 #: g' must come within GG_ENDPOINT_RTOL times the stated range of its
-#: endpoints; rotations are compared on their first COINCIDENCE_DIGITS
-#: digits; the asymptotic trends are averaged over TREND_WINDOWS windows.
+#: endpoints; the asymptotic trends are averaged over TREND_WINDOWS windows.
 INTERLACE_TOL = 1e-9
 INTERLACE_HARD_TOL = 1e-6
 DELTA_SLACK = 1e-6
 GG_ENDPOINT_RTOL = 0.02
-COINCIDENCE_DIGITS = 60
 TREND_WINDOWS = 4
 #: The deepest asymptotics report.  Its denominators up to depth + 2 are
 #: enumerated one by one: a median 0.9-1.0 s (0.86-1.46 s) and 88 MB at
@@ -147,7 +145,7 @@ class Report:
 
 def _depth(nodes: Sequence[TreeNode]) -> int:
     """The deepest level in a node list, for report titles."""
-    return max(node.level for node in nodes)
+    return max((node.level for node in nodes), default=0)
 
 
 #: The details of a check over the nodes of level >= 2 when there are none.
@@ -495,8 +493,13 @@ def gg_prime_ranges() -> Report:
 
 def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     """|u - v| <= 10 phi^(-2(r-1)) for expansions sharing r quotients,
-    on every pair of rotations of the nodes' words that shares 1 to
-    COINCIDENCE_DIGITS - 1 digits.
+    on every pair of rotations of the nodes' words, each word once.
+
+    Keys of cap = 2 q_max digits tell every two rotations apart: a
+    node's word is no power u^k (k would divide q and p, its count of 4s,
+    which are coprime) nor a rotation of another node's word (a rotation
+    keeps p and q), so two rotations are distinct periodic sequences and
+    differ within q_a + q_b - 1 digits (Fine and Wilf, Proc. AMS 16, 1965).
 
     A reduced minus continued fraction grows with its digits (Zagier,
     Zetafunktionen und quadratische Koerper, 1981), so the sorted
@@ -504,23 +507,20 @@ def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
     one pass with a stack) whose widest pair is the first and the last.
     Their gap D_0 comes from D_k = D_(k+1)/(T_a(k+1) T_b(k+1)), back from
     the first digit r where they differ: relative precision at any r,
-    where a float u - v has none from about r = 20 on.  Rotations that
-    share all COINCIDENCE_DIGITS digits stay in an arbitrary order, their
-    pairs unchecked, so a block that ends among them takes one of them
-    as its end."""
-    report = Report(title="coincidence bound")
-    cap = COINCIDENCE_DIGITS
-    bounds = [coincidence_envelope(r) for r in range(cap)]
+    where a float u - v has none from about r = 20 on.  The envelope is
+    a normal float to r = 739, so each ratio is finite (0 only where a
+    product overflows, below 1e-307); a block past r = 739 is refused."""
+    report = Report(title=f"coincidence bound to depth {_depth(nodes)}")
+    cap = 2 * max((node.q for node in nodes), default=0)
     # A key is a rotation's first cap digits as a big-endian int, so keys
     # sort as the digits do, and two keys share r digits when their xor
     # has at most 8 (cap - r) bits.  One sweep per word gives every
     # rotation's value T.
     rotations = []
-    for node in nodes:
-        word = node.period
+    for word, path in {node.period: node.path for node in nodes}.items():
         reps = -(-(len(word) + cap) // len(word))
         text, values = word * reps, _rotation_values(word) * reps
-        rotations += [(int.from_bytes(text[s:s + cap], "big"), node.path, s, values)
+        rotations += [(int.from_bytes(text[s:s + cap], "big"), path, s, values)
                       for s in range(len(word))]
     rotations.sort()
     shared = [cap - ((a[0] ^ b[0]).bit_length() + 7) // 8 for a, b in zip(rotations, rotations[1:])]
@@ -530,20 +530,19 @@ def coincidence_bound(nodes: Sequence[TreeNode]) -> Report:
         first = last
         while stack[-1][0] > r_next:
             r, first = stack.pop()
-            if r < cap:
-                (_, a, sa, ta), (_, b, sb, tb) = rotations[first], rotations[last]
-                ratio = abs(ta[sa + r] - tb[sb + r]) / (bounds[r] * math.prod(
-                    ta[sa + 1:sa + r + 1]) * math.prod(tb[sb + 1:sb + r + 1]))
-                if ratio > worst:
-                    worst, widest = ratio, f", widest at r={r}: {a!r} and {b!r}"
+            if (bound := coincidence_envelope(r)) < sys.float_info.min:
+                raise ValueError(f"coincidence envelope at r={r} is below the least normal float")
+            (_, a, sa, ta), (_, b, sb, tb) = rotations[first], rotations[last]
+            ratio = abs(ta[sa + r] - tb[sb + r]) / (bound * math.prod(
+                ta[sa + 1:sa + r + 1]) * math.prod(tb[sb + 1:sb + r + 1]))
+            if ratio > worst:
+                worst, widest = ratio, f", widest at r={r}: {a!r} and {b!r}"
         if stack[-1][0] < r_next:
             stack.append((r_next, first))
-    details = f"every pair of {len(rotations)} rotations sharing 1 to {cap - 1} digits{widest}"
-    if cap in shared:
-        details += f"; {shared.count(cap)} sorted neighbours share all {cap}, unchecked"
     report.add(CheckResult(name="pairwise coincidence bound",
-                           status="pass" if worst <= 1.0 else "fail",
-                           measured=worst, bound=1.0, details=details))
+                           status="pass" if worst <= 1.0 else "fail", measured=worst, bound=1.0,
+                           details=f"every pair of {len(rotations)} rotations, sharing up to "
+                                   f"{max(shared, default=0)} digits{widest}"))
     return report
 
 
@@ -678,8 +677,8 @@ def _delta_terms(coef: float, k0: int) -> tuple[float, float, float, float]:
 
 def theorem2_constants(
     k0: int,
-    re_envelope: tuple[float, float] | None = None,
-    im_envelope: tuple[float, float] | None = None,
+    re_envelope: tuple[float, float] = PUBLISHED_RE_ENVELOPE,
+    im_envelope: tuple[float, float] = PUBLISHED_IM_ENVELOPE,
 ) -> BoundChain:
     """Evaluate the aggregate-error and value-bound chain at level k0.
 
@@ -690,19 +689,17 @@ def theorem2_constants(
         raise ValueError("k0 must be >= 2")
     if k0 > sys.float_info.max:
         raise ValueError(f"k0 must be at most {sys.float_info.max:g}, the largest float")
-    re_env = re_envelope if re_envelope is not None else PUBLISHED_RE_ENVELOPE
-    im_env = im_envelope if im_envelope is not None else PUBLISHED_IM_ENVELOPE
     re_terms = _delta_terms(RE_DELTA_COEF, k0)
     im_terms = _delta_terms(IM_DELTA_COEF, k0)
     re_delta = max(re_terms[0] + re_terms[1] + re_terms[2], re_terms[3])
     im_delta = max(im_terms[0] + im_terms[1] + im_terms[2], im_terms[3])
-    J_re = ((re_env[0] - re_delta) * Q_GROWTH, (re_env[1] + re_delta) * Q_GROWTH)
-    J_im = ((im_env[0] - im_delta) * Q_GROWTH, (im_env[1] + im_delta) * Q_GROWTH)
+    J_re = ((re_envelope[0] - re_delta) * Q_GROWTH, (re_envelope[1] + re_delta) * Q_GROWTH)
+    J_im = ((im_envelope[0] - im_delta) * Q_GROWTH, (im_envelope[1] + im_delta) * Q_GROWTH)
     to_j = math.sqrt(ZAGIER_C) / 2.0
     return BoundChain(
         k0=k0,
-        re_envelope=re_env,
-        im_envelope=im_env,
+        re_envelope=re_envelope,
+        im_envelope=im_envelope,
         re_terms=re_terms,
         im_terms=im_terms,
         re_delta_bound=re_delta,

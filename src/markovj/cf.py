@@ -57,11 +57,13 @@ def markov_word(p: int, q: int) -> bytes:
     and for p >= 1, where every descent word starts with 1/2's 4 2, it
     begins with 2 and ends with 4.
     A fraction at tree level n takes n mediants, and each copies at most
-    q digits.  Outside [0, 1/2] no mediant is ever p/q, and a ValueError
-    is raised instead.
+    q digits.  A p/q outside [0, 1/2], which no mediant reaches, or not
+    reduced, whose descent ends at a shorter word, raises ValueError.
     """
     if q < 1 or not 0 <= 2 * p <= q:
         raise ValueError(f"{p}/{q} lies outside [0, 1/2], where no Markov word is")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"{p}/{q} is not reduced, and only a reduced p/q has a Markov word")
     lp, lq, left, rp, rq, right = 0, 1, b"\3", 1, 2, b"\4\2"
     mp, mq, word = (lp, lq, left) if p == 0 else (rp, rq, right)
     while p * mq != mp * q:

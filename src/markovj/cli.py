@@ -189,6 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         analysis.check_interlacing(values, nodes),
         analysis.check_J_recursion(values, nodes),
         analysis.gg_prime_ranges(),
+        # Levels <= 9 would take about 155 ms against 3-5 ms, more than a warm depth-9 verify.
         analysis.coincidence_bound([node for node in nodes if node.level <= 6]),
     ]
     chain = analysis.theorem2_constants(analysis.CHAIN_K0)

@@ -402,13 +402,15 @@ class TestCoincidence:
     @pytest.mark.parametrize("depth, rotations", [(4, 123), (5, 366)])
     def test_equals_the_all_pairs_oracle(self, depth, rotations):
         # Every pair, not a sample: 400 seeded draws read 0.0088965 at
-        # depth 5, where every pair reads 0.0089073.
+        # depth 5, where every pair reads 0.0089073.  The 60 digits of
+        # the scan are past 2 q_max = 42.
         nodes = build_tree(depth)
-        ratio, r, a, b = coincidence_ratio(coincidence_gaps([(n.path, n.period) for n in nodes]))
+        gaps = coincidence_gaps([(n.path, n.period) for n in nodes])
+        ratio, r, a, b = coincidence_ratio(gaps)
         check = coincidence_bound(nodes).checks[0]
         assert check.measured == pytest.approx(float(ratio), rel=1e-12)
-        assert check.details == (f"every pair of {rotations} rotations sharing 1 to 59 digits, "
-                                 f"widest at r={r}: {a!r} and {b!r}")
+        assert check.details == (f"every pair of {rotations} rotations, sharing up to "
+                                 f"{max(gaps)} digits, widest at r={r}: {a!r} and {b!r}")
 
     def test_every_shared_length_to_depth_six(self, monkeypatch):
         # An envelope that admits one r at a time makes the check read
@@ -425,23 +427,93 @@ class TestCoincidence:
             assert check.measured == pytest.approx(float(gap), rel=1e-12)
             assert check.details.endswith(f"widest at r={r}: {a!r} and {b!r}")
 
+    def test_long_shared_lengths_at_depth_seven(self, monkeypatch):
+        # The longest word has 55 digits, so 112-digit keys tell every two
+        # rotations apart (Fine and Wilf).  Sorted neighbours share up to
+        # 86 digits, past the 60 of the keys the check once had, which
+        # left 301 pairs unchecked and ended blocks on arbitrary ties.
+        nodes = build_tree(7)
+        gaps = coincidence_gaps([(n.path, n.period) for n in nodes], digits=112)
+        assert max(gaps) == 86
+        for r in range(55, 87):
+            gap, a, b = gaps[r]
+            monkeypatch.setattr(analysis, "coincidence_envelope",
+                                lambda k, r=r: 1.0 if k == r else math.inf)
+            check = coincidence_bound(nodes).checks[0]
+            assert check.measured == pytest.approx(float(gap), rel=1e-12)
+            assert check.details.endswith(f"widest at r={r}: {a!r} and {b!r}")
+
+    def test_finite_at_the_longest_shared_length_to_depth_ten(self, monkeypatch):
+        # 88 575 rotations, keys of 466 digits.  The widest pair at
+        # r = 374 is 1.3e-291 apart, 1.05e-136 of the envelope there
+        # (1.2e-155).  The two named words' rotations hold that pair, so
+        # a scan of their pairs alone is its oracle.
+        envelope = analysis.coincidence_envelope
+        monkeypatch.setattr(analysis, "coincidence_envelope",
+                            lambda k: envelope(k) if k == 374 else math.inf)
+        check = coincidence_bound(build_tree(10)).checks[0]
+        a, b = "RLRLRLRL", "RLRLRLRLR"
+        assert check.details == (f"every pair of 88575 rotations, sharing up to 374 digits, "
+                                 f"widest at r=374: {a!r} and {b!r}")
+        gaps = coincidence_gaps([(p, node_at(p).period) for p in (a, b)], digits=470)
+        gap, *names = gaps[374]
+        assert names == [a, b]
+        assert math.isfinite(check.measured)
+        assert check.measured == pytest.approx(float(gap) / envelope(374), rel=1e-12)
+
+    def test_envelope_is_normal_to_r_739(self):
+        assert coincidence_envelope(739) >= sys.float_info.min > coincidence_envelope(740)
+
+    def test_a_subnormal_envelope_is_refused(self, monkeypatch):
+        monkeypatch.setattr(analysis, "coincidence_envelope", lambda k: 1e-310)
+        with pytest.raises(ValueError, match=r"^coincidence envelope at r=\d+ is below the "
+                                             r"least normal float$"):
+            coincidence_bound(build_tree(3))
+
+    def test_a_repeated_node_counts_once(self):
+        nodes = build_tree(5)
+        twice = coincidence_bound(nodes + nodes[3:9] + [nodes[0]]).to_dict()
+        assert twice == coincidence_bound(nodes).to_dict()
+        assert twice["checks"][0]["details"].startswith("every pair of 366 rotations, ")
+
+    def test_empty_list(self):
+        report = coincidence_bound([])
+        assert report.to_dict() == {"title": "coincidence bound to depth 0", "passed": True,
+                                    "checks": [{"name": "pairwise coincidence bound",
+                                                "status": "pass", "measured": 0.0,
+                                                "bound": 1.0, "margin": None,
+                                                "details": "every pair of 0 rotations, "
+                                                           "sharing up to 0 digits"}]}
+
     def test_passes_at_depth_seven(self):
-        # 3 282 rotations, whose sorted neighbours share up to 59 digits
-        # and beyond; a float max - min over the blocks reads 4.3e6 at
-        # r = 56.
-        check = coincidence_bound(build_tree(7)).checks[0]
+        # 3 282 rotations, whose sorted neighbours share up to 86 digits;
+        # a float max - min over the blocks reads 4.3e6 at r = 56.
+        report = coincidence_bound(build_tree(7))
+        check = report.checks[0]
+        assert report.title == "coincidence bound to depth 7"
         assert check.status == "pass"
         assert check.measured == pytest.approx(0.0089073, abs=5e-8)
-        assert check.details.startswith("every pair of 3282 rotations sharing 1 to 59 digits, "
-                                        "widest at r=1: '0/1' and 'RRRRRR'; ")
+        assert check.details == ("every pair of 3282 rotations, sharing up to 86 digits, "
+                                 "widest at r=1: '0/1' and 'RRRRRR'")
+
+    @pytest.mark.parametrize("depth, rotations, top", [(8, 9843, 141), (9, 29526, 230)])
+    def test_no_sorted_neighbours_tie(self, depth, rotations, top):
+        # 60-digit keys tied 4 732 and 22 825 sorted neighbours here and
+        # left their pairs unchecked.
+        check = coincidence_bound(build_tree(depth)).checks[0]
+        assert check.status == "pass"
+        assert check.details == (f"every pair of {rotations} rotations, sharing up to {top} "
+                                 f"digits, widest at r=1: '0/1' and {'R' * (depth - 1)!r}")
 
     def test_rotations_sort_as_digit_tuples(self):
-        # Rotations are sorted by their first 60 digits read as one
-        # big-endian int, so the ints must sort exactly as the digits.
+        # Rotations are sorted by their first 2 q_max digits read as one
+        # big-endian int, so the ints must sort exactly as the digits, and
+        # no two of them tie.
         words = {node.period for node in build_tree(6)}
-        keys = {(w[i:] + w[:i]) * 60 for w in words for i in range(len(w))}
-        keys = [key[:60] for key in keys]
-        assert len(set(keys)) == 1095
+        cap = 2 * max(map(len, words))
+        assert cap == 68
+        keys = [((w[i:] + w[:i]) * cap)[:cap] for w in words for i in range(len(w))]
+        assert len(keys) == len(set(keys)) == 1095
         assert sorted(keys, key=lambda k: int.from_bytes(k, "big")) == sorted(keys, key=tuple)
 
     def test_contraction_constant(self):

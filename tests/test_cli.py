@@ -750,7 +750,7 @@ class TestReports:
             "interlacing to depth 3 (componentwise)",
             "local recursion errors to depth 3",
             "g/g' ranges on the state boxes",
-            "coincidence bound",
+            "coincidence bound to depth 3",
         ]
         assert [r["passed"] for r in rec["reports"]] == [True, not fail, True, True, True]
         assert rec["bound_chain"] == {"k0": analysis.CHAIN_K0, "consistent": True,
@@ -851,7 +851,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
-         "0b01b55e4190e0b22898b09235ccd97045e7c3968ba27db947824eb71adf8b42"),
+         "430a6f20d25405d95441aad87c965cab320febb8e9f87d91ecf03efc4c2ab436"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])

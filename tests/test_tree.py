@@ -306,6 +306,13 @@ class TestMarkovWord:
         with pytest.raises(ValueError, match=rf"^{p}/{q} lies outside \[0, 1/2\]"):
             markov_word(p, q)
 
+    @pytest.mark.parametrize("p, q", [(2, 6), (0, 2), (2, 4), (6, 15)])
+    def test_unreduced_is_refused(self, p, q):
+        # The descent would stop at the reduced form of p/q, whose word is
+        # shorter than q digits: 1/3's 3 digits for 2/6, 0/1's one for 0/2.
+        with pytest.raises(ValueError, match=rf"^{p}/{q} is not reduced"):
+            markov_word(p, q)
+
 
 class TestWordEnds:
     """Every word with p >= 1 begins with 2 and ends with 4, so a joined
