@@ -10,8 +10,6 @@ asymptotic value bounds.
 
 from __future__ import annotations
 
-import cmath
-import heapq
 import json
 import math
 import sys
@@ -42,6 +40,8 @@ __all__ = [
 ]
 
 #: Constants of the local recursion error bound and the asymptotics.
+#: RE_DELTA_COEF and IM_DELTA_COEF are the paper's published constants, not
+#: derived here from the proved g/g' ranges and the coincidence envelope.
 RE_DELTA_COEF = 115181.57371
 IM_DELTA_COEF = 100853.23866
 CONTRACTION = 2.0 / (1.0 + math.sqrt(5.0))  # 1/phi, the inverse golden ratio
@@ -320,92 +320,46 @@ def check_J_recursion(values: dict[str, CycleValue], nodes: Sequence[TreeNode]) 
 # ---------------------------------------------------------------------------
 # g / g' ranges
 
-#: The g/g' search (see gg_prime_ranges) proves each extremum to within
-#: GG_TOL, the last digit its report prints.  _PAD covers the float
-#: rounding of one disc operation, of one value of F and of a bound.
-GG_TOL = 1e-6
-_PAD = 2.0**-36
+#: The pad of each proved g/g' bound (see gg_prime_ranges).
+GG_MARGIN = 2.0**-40
 
 
-def _kernel(x: float, y: float, theta: float) -> complex:
-    """F = g' + i g at x, y and theta: g is the real part kernel of the
-    pole-pair difference, divided by x - y, and g' its imaginary part
-    analogue."""
-    z = cmath.exp(1j * theta)
-    return z / ((z - x) * (z - y))
+def _diagonal(s: float, c: float) -> tuple[float, float]:
+    """g and g' at x = y = s and theta = arccos(c)."""
+    d = 1.0 + s * s - 2.0 * s * c
+    g = (s * s - 1.0) * math.sqrt(1.0 - c * c) / (d * d)
+    return g, (c * (1.0 + s * s) - 2.0 * s) / (d * d)
 
 
-def _disc_mul(a: complex, ra: float, b: complex, rb: float) -> tuple[complex, float]:
-    """A disc that holds the product of any point of D(a, ra) and any
-    point of D(b, rb), its radius rounded outward."""
-    return a * b, abs(a) * rb + abs(b) * ra + ra * rb + _PAD
+def _cubic_roots(a: float, b: float, d: float) -> list[float]:
+    """The roots of s^3 + a s^2 + b s + d, one with three real roots, in
+    Viete's trigonometric form."""
+    p, q = b - a * a / 3.0, 2.0 * a**3 / 27.0 - a * b / 3.0 + d
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(3.0 * q / (p * r))
+    return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - a / 3.0 for k in range(3)]
 
 
-def _disc_inv(c: complex, r: float) -> tuple[complex, float] | None:
-    """The disc of 1/u over u in D(c, r), its radius rounded outward;
-    None unless r <= |c| / 2."""
-    cc = c.real * c.real + c.imag * c.imag
-    if not r * r <= 0.25 * cc:
-        return None
-    d = cc - r * r
-    return c.conjugate() / d, r / d + _PAD
-
-
-def _enclose(box, k: complex):
-    """Bound the least of Re(k h') over ``box`` = (sa, sb, ta, tb) (see
-    gg_prime_ranges): (bound, terms, face, value, centre).  ``face`` is
-    the box with each axis where Re(k h') is monotone collapsed to the
-    end where it is least, ``value`` is Re(k h') at the face's
-    ``centre`` (s, s, theta), and ``terms`` are the face's mean-value
-    terms (its half-widths when the box is too wide for a disc)."""
-    sa, sb, ta, tb = box
-    hs, ht = (sb - sa) * 0.5, (tb - ta) * 0.5
-    z, rz = cmath.exp(0.5j * (ta + tb)), ht + _PAD
-    A = _disc_inv(z - (sa + sb) * 0.5, rz + hs)  # 1/(z - s)
-    if A is None:
-        s, theta = (sa + sb) * 0.5, (ta + tb) * 0.5
-        return -math.inf, (hs, ht), box, (k * _kernel(s, s, theta)).real, (s, s, theta)
-    zA, rzA = _disc_mul(z, rz, *A)
-    H, rH = _disc_mul(zA, rzA, *A)
-    ds, rs = _disc_mul(2.0 * H, 2.0 * rH, *A)
-    dt, rt = _disc_mul(1j * H, rH, 1.0 - 2.0 * zA, 2.0 * rzA + _PAD)
-    ss, st = (k * ds).real, (k * dt).real
-    if ss > rs:
-        sb = sa
-    elif ss < -rs:
-        sa = sb
-    if st > rt:
-        tb = ta
-    elif st < -rt:
-        ta = tb
-    s, theta = (sa + sb) * 0.5, (ta + tb) * 0.5
-    terms = ((sb - sa) * 0.5 * (abs(ss) + rs), (tb - ta) * 0.5 * (abs(st) + rt))
-    value = (k * _kernel(s, s, theta)).real
-    bound = max((k * H).real - rH, value - terms[0] - terms[1]) - _PAD
-    return bound, terms, (sa, sb, ta, tb), value, (s, s, theta)
-
-
-def _least(lo: float, hi: float, k: complex) -> tuple[float, float, tuple[float, float, float]]:
-    """The least of Re(k F) over [lo, hi]^2 x [pi/3, 2 pi/3], which is
-    that of Re(k h') over [lo, hi] x [pi/3, 2 pi/3]: the least value
-    found, a lower bound within GG_TOL of it, and the point (s, s,
-    theta) where that value is attained (see gg_prime_ranges)."""
-    best, at, heap = math.inf, None, []
-    halves = [(lo, hi, math.pi / 3.0, 2.0 * math.pi / 3.0)]
-    while True:
-        for half in halves:
-            bound, terms, face, value, centre = _enclose(half, k)
-            if value < best:
-                best, at = value, centre
-            if bound < best + _PAD:
-                heapq.heappush(heap, (bound, face, terms))
-        if heap[0][0] > best + _PAD - GG_TOL:
-            return best, heap[0][0], at
-        _, box, terms = heapq.heappop(heap)
-        axis = 2 * terms.index(max(terms))
-        mid = (box[axis] + box[axis + 1]) * 0.5
-        halves = (box[:axis + 1] + (mid,) + box[axis + 2:],
-                  box[:axis] + (mid,) + box[axis + 1:])
+def _extrema(box: tuple[float, float]) -> list[tuple[tuple, tuple]]:
+    """The least and the greatest of g, then of g', at the candidate
+    points of ``box`` (see gg_prime_ranges), each as (value, (s, s,
+    theta)).  A box the proof does not cover raises ValueError."""
+    sign = -1.0 if box[0] < 0.0 else 1.0  # the mirror
+    lo, hi = sorted((sign * box[0], sign * box[1]))
+    if not math.sqrt(math.sqrt(17.0) - 4.0) < lo <= hi < (7.0 + math.sqrt(45.0)) / 2.0:
+        raise ValueError(f"the g/g' range proof does not cover the box [{box[0]}, {box[1]}]")
+    points = [(s, c) for s in (lo, hi) for c in (-0.5, 0.5)]
+    for s in (lo, hi):
+        c = (6.0 * s * s - s**4 - 1.0) / (2.0 * s * (1.0 + s * s))
+        if -0.5 < c < 0.5:
+            points.append((s, c))
+    for c, cubics in ((0.5, ((0.0, -3.0, 1.0), (-6.0, 3.0, 1.0))),
+                      (-0.5, ((0.0, -3.0, -1.0), (6.0, 3.0, -1.0)))):
+        points += [(s, c) for cubic in cubics for s in _cubic_roots(*cubic) if lo < s < hi]
+    values = [(_diagonal(sign * s, sign * c), (sign * s, sign * s, math.acos(sign * c)))
+              for s, c in points]
+    return [(min((v[part], at) for v, at in values), max((v[part], at) for v, at in values))
+            for part in (0, 1)]
 
 
 def gg_prime_ranges() -> Report:
@@ -414,77 +368,63 @@ def gg_prime_ranges() -> Report:
 
     The proved extrema must lie inside the stated intervals and the
     attained ones must approach the interval endpoints to
-    GG_ENDPOINT_RTOL.  Each extremum comes from a best-first
-    branch-and-bound over real boxes (Moore, Kearfott & Cloud,
-    *Introduction to Interval Analysis*, SIAM 2009; Tucker, *Validated
-    Numerics*, Princeton 2011) in plain floats:
+    GG_ENDPOINT_RTOL.  Each extremum is the extreme of g or g' over a few
+    candidate points, and its proved bound that value widened by GG_MARGIN:
 
-    - With z = e^(i theta), F = g' + i g = z / ((z - x)(z - y)), which is
-      1/w for w = z - (x + y) + xy conj(z) = conj(z) (z - x)(z - y), and
-      |z - x| >= sin(theta) >= sqrt(3)/2.
-    - With h(s) = z / (z - s), F is the divided difference (h(x) -
-      h(y)) / (x - y), so the mean of h'(s) = z / (z - s)^2 = F(s, s,
-      theta) over s between x and y (Hermite-Genocchi; de Boor, Divided
-      differences, *Surveys in Approximation Theory* 1, 2005).  A mean is
-      no less than the least of what it averages, so the least of Re(k
-      F) over the box in (x, y, theta) is attained at some x = y = s, and
-      the search runs over (s, theta) alone.
-    - Each extremum is the least of Re(k h'), with k = -i for the least
-      g, i for the greatest, 1 for the least g' and -1 for the greatest.
-    - On a box with centre (s_c, theta_c) and half-widths h_s and h_t, z
-      lies in D(e^(i theta_c), h_t), as a chord is shorter than its arc.
-      _disc_inv gives a disc A that holds 1/(z - s), and _disc_mul gives
-      discs that hold h' = z A^2 and its partials dh'/ds = 2 h' A and
-      dh'/dtheta = i h' (1 - 2 z A).  The box's lower bound is the larger
-      of Re(k h') over h''s disc and the centred (mean-value) form Re(k
-      h'(c)) - sum_v h_v sup |Re(k dh'/dv)| at its centre c.
-    - Where the disc of Re(k dh'/dv) keeps one sign, Re(k h') is strictly
-      monotone in v on the box, so every point where the box attains its
-      least lies on one face, and the box is collapsed onto it.
-    - A heap holds the boxes by their lower bounds.  The search pops the
-      least, bisects it across the axis of its largest mean-value term,
-      and pushes each half whose bound is below the incumbent: the least
-      Re(k h') met so far, at the centres of the boxes, which is attained
-      to 2^-45.  A point where Re(k h') is least stays in a box of the
-      heap, so the least bound in the heap is a lower bound; the search
-      stops when it is within GG_TOL of the incumbent.
-    - Rounding.  _disc_inv refuses a disc unless r <= |c|/2, so A
-      reaches at most 1/(|c| - r) <= 2/|c| <= 2.31, as |c| >= sin(theta_c).
-      z's disc reaches at most 1 + pi/12 + _PAD < 1.27, so z A's reaches
-      2.92, h''s 6.8, the s partial's 32, 1 - 2 z A's 6.9 and the theta
-      partial's 46, and each disc operation's float centre and radius err
-      by under 2^-40.  The same holds for a float value of F (under
-      2^-45, as |F| <= 4/3), for the sums of a bound, and for the state
-      boxes' ends, which are floats within an ulp of 29/12, -2/5, pi/3
-      and 2 pi/3.  _PAD = 2^-36 on every radius and bound covers it.
+    - Diagonal.  With z = e^(i theta), F = g' + i g = z / ((z - x)(z - y))
+      is the divided difference of h(s) = z / (z - s), so the mean of
+      h'(s) = F(s, s, theta) over s between x and y (Hermite-Genocchi;
+      de Boor, *Surveys in Approximation Theory* 1, 2005): every extremum
+      lies on x = y = s.  |F| <= 1/sin(theta)^2 <= 4/3.
+    - Closed form.  There, with c = cos(theta) in [-1/2, 1/2],
+      sigma = sin(theta) and D = |z - s|^2 = 1 + s^2 - 2sc,
+      g' = (c (1 + s^2) - 2s) / D^2 and g = (s^2 - 1) sigma / D^2.
+    - Mirror.  F(-s, -s, pi - theta) = -conj F(s, s, theta), so
+      g(-s, -c) = g(s, c) and g'(-s, -c) = -g'(s, c): the conjugate
+      box's candidates are those of [2/5, 21/8], mirrored.
+    - No interior critical point for sqrt(sqrt(17) - 4) < s <
+      (7 + sqrt(45))/2, about (0.3509, 6.854); a box that, mirrored,
+      leaves that range is refused.  dg/dc = -(s^2 - 1)(2sc^2 +
+      (1 + s^2)c - 4s) / (sigma D^3), and the quadratic is convex in c,
+      (s^2 - 7s + 1)/2 < 0 at c = 1/2 and -(s^2 + 7s + 1)/2 < 0 at
+      c = -1/2; at s = 1, dg/ds = 2 sigma / D^2.  dg'/dc = (s^4 - 6s^2 +
+      1 + 2cs(1 + s^2)) / D^3 vanishes only at c*(s) = (6s^2 - s^4 - 1) /
+      (2s(1 + s^2)), along which g' = -(1 + s^2)^2 / (8s(1 - s^2)^2),
+      whose s-derivative is a multiple of (s^2 - 1)(s^4 + 8s^2 - 1): no
+      zero but s = 1, where c*(1) = 1 is off the arc.
+    - Edges.  On c = 1/2, g and g' have critical points at the roots of
+      s^3 - 3s + 1 (2 cos(2 pi/9) = 1.532089) and s^3 - 6s^2 + 3s + 1
+      (2 - 2 sqrt(3) sin(pi/9) = 0.815207); on c = -1/2, of s^3 - 3s - 1
+      (2 cos(pi/9)) and s^3 + 6s^2 + 3s - 1 (none in either box).  On
+      s = lo and s = hi only g' has one, c*(s), where it lies in
+      (-1/2, 1/2); g is 0 all along s = 1, as at its corners.  With the
+      four corners, that is nine candidates on each state box.
+    - Rounding.  A candidate value errs by under 2^-45, as |F| <= 4/3 and
+      D < 11.  A float root or c*(s), off by delta < 2^-48 in s or theta,
+      moves a critical value by at most sup|f''| delta^2 / 2, as
+      |d^2 F/ds^2| <= 32/3 and |d^2 F/dtheta^2| <= 27: GG_MARGIN covers both.
     """
     report = Report(title="g/g' ranges on the state boxes")
-    cases = [
-        ("g on value box", VALUE_BOX, G_RANGE_VALUE, -1j),
-        ("g' on value box", VALUE_BOX, GP_RANGE_VALUE, 1.0),
-        ("g on conjugate box", CONJ_BOX, G_RANGE_CONJ, -1j),
-        ("g' on conjugate box", CONJ_BOX, GP_RANGE_CONJ, 1.0),
-    ]
     # The stated interval endpoints are rounded to about six digits, so
     # true extrema can poke past them by a half-ulp of the printout.
     rounding = 5e-5
-    for name, box, rng, k in cases:
-        vmin, lo, at_min = _least(*box, k)
-        vmax, hi, at_max = _least(*box, -k)
-        vmax, hi = -vmax, -hi
-        inside = rng[0] - rounding <= lo and hi <= rng[1] + rounding
-        scale = rng[1] - rng[0]
-        near = (vmin - rng[0] <= GG_ENDPOINT_RTOL * scale
-                and rng[1] - vmax <= GG_ENDPOINT_RTOL * scale)
-        report.add(CheckResult(
-            name=name,
-            status="pass" if inside and near else "fail",
-            measured=lo,
-            bound=rng[0],
-            details="min %.6f at (%.6f, %.6f, %.6f), proved >= %.6f; " % (vmin, *at_min, lo)
-            + "max %.6f at (%.6f, %.6f, %.6f), proved <= %.6f; " % (vmax, *at_max, hi)
-            + f"stated [{rng[0]}, {rng[1]}], endpoints within {GG_ENDPOINT_RTOL:.0%}: {near}",
-        ))
+    for box, where, ranges in ((VALUE_BOX, "value box", (G_RANGE_VALUE, GP_RANGE_VALUE)),
+                               (CONJ_BOX, "conjugate box", (G_RANGE_CONJ, GP_RANGE_CONJ))):
+        for part, rng, ((vmin, at_min), (vmax, at_max)) in zip(("g", "g'"), ranges, _extrema(box)):
+            lo, hi = vmin - GG_MARGIN, vmax + GG_MARGIN
+            inside = rng[0] - rounding <= lo and hi <= rng[1] + rounding
+            scale = rng[1] - rng[0]
+            near = (vmin - rng[0] <= GG_ENDPOINT_RTOL * scale
+                    and rng[1] - vmax <= GG_ENDPOINT_RTOL * scale)
+            report.add(CheckResult(
+                name=f"{part} on {where}",
+                status="pass" if inside and near else "fail",
+                measured=lo,
+                bound=rng[0],
+                details="min %.6f at (%.6f, %.6f, %.6f), proved >= %.6f; " % (vmin, *at_min, lo)
+                + "max %.6f at (%.6f, %.6f, %.6f), proved <= %.6f; " % (vmax, *at_max, hi)
+                + f"stated [{rng[0]}, {rng[1]}], endpoints within {GG_ENDPOINT_RTOL:.0%}: {near}",
+            ))
     return report
 
 

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import hashlib
-import itertools
 import math
 import sys
 import tracemalloc
@@ -202,47 +201,95 @@ EXTREMIZERS = [
     (analysis.CONJ_BOX, "g'", 1, -21 / 8, 2 * math.pi / 3, 0.0470550943),
     (analysis.CONJ_BOX, "g'", -1, -0.8152075, 2 * math.pi / 3, 1.106359287),
 ]
-#: The rotation k whose Re(k F) is g or g', with F = g' + i g.
-KEYS = {"g": -1j, "g'": 1.0}
-
-
-def _key_value(k, x, y, theta):
-    """Re(k (g' + i g)) from the numpy kernels."""
-    g, gp = _numpy_kernels(x, y, theta)
-    return (k * complex(gp, g)).real
+#: The index of each part in the (g, g') pairs of the kernels.
+PARTS = {"g": 0, "g'": 1}
 
 
 @functools.cache
-def _proved_range(box, k):
-    """The search's proved lower and upper bounds of Re(k F) over ``box``."""
-    return analysis._least(*box, k)[1], -analysis._least(*box, -k)[1]
+def _proved_range(box, part):
+    """The proved lower and upper bounds of g or g' over ``box``."""
+    (vmin, _), (vmax, _) = analysis._extrema(box)[PARTS[part]]
+    return vmin - analysis.GG_MARGIN, vmax + analysis.GG_MARGIN
 
 
 class TestGGPrime:
     def test_zero_at_unit_product(self):
-        assert abs(analysis._kernel(1.0, 1.0, math.pi / 2).imag) <= 2.0**-45
+        assert analysis._diagonal(1.0, 0.0)[0] == 0.0 == _numpy_kernels(1.0, 1.0, math.pi / 2)[0]
 
     @pytest.mark.parametrize("part", [0, 1], ids=["g_kernel", "gp_kernel"])
     def test_scalar_and_array_calls_agree(self, part):
-        # The search's F and the numpy kernels of the grid oracle below
-        # are one function, to the rounding of a value of F.
+        # The closed forms on x = y = s and the numpy kernels of the grid
+        # oracle below are one function, to the rounding of a value of F.
         theta = 1.8408131400379806
-        scalar = analysis._kernel(-1.0, -0.5, theta)
-        array = _numpy_kernels(np.array([-1.0]), np.array([-0.5]), np.array([theta]))[part]
-        assert abs((scalar.imag, scalar.real)[part] - array[0]) <= 2.0**-45
+        scalar = analysis._diagonal(-0.5, math.cos(theta))[part]
+        array = _numpy_kernels(np.array([-0.5]), np.array([-0.5]), np.array([theta]))[part]
+        assert abs(scalar - array[0]) <= 2.0**-45
 
-    @settings(deadline=None, max_examples=300)
-    @given(x=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
-           y=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
+    @settings(deadline=None, max_examples=100)
+    @given(s=st.floats(*analysis.CONJ_BOX) | st.floats(*analysis.VALUE_BOX),
            theta=st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
-    def test_kernels_are_one_over_w(self, x, y, theta):
-        # g' + i g = 1/w with w = z - (x + y) + xy conj(z), z = e^(i theta).
+    def test_kernels_are_one_over_w(self, s, theta):
+        # g' + i g = z/(z - s)^2 = 1/w with w = z - 2s + s^2 conj(z), z = e^(i theta).
         z = cmath.exp(1j * theta)
-        assert abs(analysis._kernel(x, y, theta) - 1.0 / (z - (x + y) + x * y * z.conjugate())) <= 4e-15
+        g, gp = analysis._diagonal(s, math.cos(theta))
+        assert abs(complex(gp, g) - z / (z - s) ** 2) <= 4e-15
+        assert abs(complex(gp, g) - 1.0 / (z - 2.0 * s + s * s * z.conjugate())) <= 4e-15
+
+    @settings(deadline=None, max_examples=100)
+    @given(s=st.floats(*analysis.VALUE_BOX) | st.floats(*analysis.CONJ_BOX),
+           theta=st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
+    def test_mirror_identity(self, s, theta):
+        # F(-s, -s, pi - theta) = -conj F(s, s, theta): g(-s, -c) = g(s, c)
+        # and g'(-s, -c) = -g'(s, c), in the closed forms to the last bit.
+        z, mirror = cmath.exp(1j * theta), cmath.exp(1j * (math.pi - theta))
+        assert abs(mirror / (mirror + s) ** 2 + (z / (z - s) ** 2).conjugate()) <= 4e-15
+        g, gp = analysis._diagonal(s, math.cos(theta))
+        assert analysis._diagonal(-s, -math.cos(theta)) == (g, -gp)
+
+    @pytest.mark.parametrize("cubic, named", [
+        ((0.0, -3.0, 1.0), 2.0 * math.cos(2.0 * math.pi / 9.0)),
+        ((-6.0, 3.0, 1.0), 2.0 - 2.0 * math.sqrt(3.0) * math.sin(math.pi / 9.0)),
+        ((0.0, -3.0, -1.0), 2.0 * math.cos(math.pi / 9.0)),
+        ((6.0, 3.0, -1.0), None),
+    ], ids=["g-top", "gp-top", "g-bottom", "gp-bottom"])
+    def test_cubic_roots(self, cubic, named):
+        # Each root leaves a residual of a few ulps of the cubic's terms,
+        # the three are numpy's, and the named edge critical point is one
+        # of them.
+        a, b, d = cubic
+        roots = sorted(analysis._cubic_roots(*cubic))
+        for r in roots:
+            terms = abs(r) ** 3 + abs(a) * r * r + abs(b * r) + abs(d)
+            assert abs(((r + a) * r + b) * r + d) <= 8 * 2.0**-52 * terms
+        assert roots == pytest.approx(sorted(np.roots([1.0, *cubic]).real), abs=1e-13)
+        assert named is None or min(abs(r - named) for r in roots) <= 1e-15
+
+    @pytest.mark.parametrize("box", [analysis.VALUE_BOX, analysis.CONJ_BOX], ids=["value", "conj"])
+    def test_nine_candidates_on_each_box(self, box, monkeypatch):
+        # Four corners, c*(lo) and c*(hi), and three cubic roots, all in
+        # the box and on the arc.
+        points, diagonal = [], analysis._diagonal
+        monkeypatch.setattr(analysis, "_diagonal",
+                            lambda s, c: points.append((s, c)) or diagonal(s, c))
+        analysis._extrema(box)
+        assert len(set(points)) == len(points) == 9
+        assert all(box[0] <= s <= box[1] and -0.5 <= c <= 0.5 for s, c in points)
+
+    @pytest.mark.parametrize("box", [(0.35, 29 / 12), (3 / 8, 6.9), (-6.9, -2 / 5),
+                                     (-0.5, 29 / 12)],
+                             ids=["low", "high", "mirrored-high", "straddling"])
+    def test_box_outside_the_proof_is_refused(self, box, monkeypatch):
+        monkeypatch.setattr(analysis, "VALUE_BOX", box)
+        refusal = rf"^the g/g' range proof does not cover the box \[{box[0]}, "
+        with pytest.raises(ValueError, match=refusal):
+            gg_prime_ranges()
 
     def test_ranges(self):
         report = gg_prime_ranges()
         assert report.passed
+        assert [c.measured for c in report.checks] == [
+            _proved_range(box, part)[0] for box in (analysis.VALUE_BOX, analysis.CONJ_BOX)
+            for part in PARTS]
 
     @staticmethod
     def _brute_force_extrema(part, box, grid):
@@ -258,10 +305,8 @@ class TestGGPrime:
     @pytest.mark.parametrize("grid", [2, 3, 7, 37, 100, 101, 200])
     def test_proved_ranges_hold_the_grid_extrema(self, grid):
         for box in (analysis.VALUE_BOX, analysis.CONJ_BOX):
-            for part, name in enumerate(("g", "g'")):
-                k = KEYS[name]
-                lo = analysis._least(*box, k)[1]
-                hi = -analysis._least(*box, -k)[1]
+            for name, part in PARTS.items():
+                lo, hi = _proved_range(box, name)
                 vmin, vmax = self._brute_force_extrema(part, box, grid)
                 assert lo - 2.0**-45 <= vmin and vmax <= hi + 2.0**-45
 
@@ -273,91 +318,39 @@ class TestGGPrime:
                                                        extremum):
         # The grid's greatest g on the value box, 0.354110, falls short of
         # the 0.3541125 that g reaches.
-        k = sign * KEYS[part]
-        least, proved, at = analysis._least(*box, k)
-        value = _key_value(k, x, x, theta)
-        assert value == pytest.approx(sign * extremum, abs=1e-8)
-        assert proved <= value + 2.0**-45 and least < value + analysis.GG_TOL
-        assert least == pytest.approx(_key_value(k, *at), abs=2.0**-45)
+        value, at = analysis._extrema(box)[PARTS[part]][0 if sign == 1 else 1]
+        assert value == pytest.approx(extremum, abs=1e-8)
+        assert at == pytest.approx((x, x, theta), abs=1e-7)
+        assert value == pytest.approx(_numpy_kernels(*at)[PARTS[part]], abs=2.0**-45)
+        proved = _proved_range(box, part)[0 if sign == 1 else 1]
+        assert proved == value - sign * analysis.GG_MARGIN
+        assert sign * proved <= sign * _numpy_kernels(x, x, theta)[PARTS[part]] + 2.0**-45
 
-    @settings(deadline=None, max_examples=200)
-    @given(box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]), data=st.data())
-    def test_enclosure_holds_every_sample(self, box, data):
-        # The lower and upper bounds of each part of h' = F(s, s, theta)
-        # over a random (s, theta) sub-box, some of its axes collapsed to
-        # a point, hold the part at the box's corners and at random
-        # points inside it.
-        ranges = []
-        for lo, hi in (box, (math.pi / 3.0, 2.0 * math.pi / 3.0)):
-            a = data.draw(st.floats(lo, hi))
-            width = data.draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, hi - lo))
-            ranges.append((a, min(a + width, hi)))
-        sub = tuple(end for axis in ranges for end in axis)
-        points = list(itertools.product(*ranges)) + [
-            tuple(data.draw(st.floats(a, b)) for a, b in ranges) for _ in range(8)]
-        for k in (1.0, -1.0, 1j, -1j):
-            lower, _, face, _, _ = analysis._enclose(sub, k)
-            upper = -analysis._enclose(sub, -k)[0]
-            assert all(a <= face[2 * i] <= face[2 * i + 1] <= b for i, (a, b) in enumerate(ranges))
-            for s, theta in points:
-                assert lower - 2.0**-45 <= _key_value(k, s, s, theta) <= upper + 2.0**-45
-
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=100)
     @given(box=st.sampled_from([analysis.VALUE_BOX, analysis.CONJ_BOX]), data=st.data())
     def test_kernel_is_a_mean_over_the_diagonal(self, box, data):
         # F(x, y, theta) is the divided difference of h(s) = z/(z - s), so
         # the mean of h'(s) = F(s, s, theta) over [x, y], here by a
-        # 40-point Gauss-Legendre rule.  Re(k F) off the diagonal then lies
-        # between the search's proved bounds of Re(k h').
+        # 40-point Gauss-Legendre rule.  F's parts off the diagonal then
+        # lie between the proved bounds of g and g' on it.
         x, y = sorted(data.draw(st.lists(st.floats(*box), min_size=2, max_size=2, unique=True)))
         theta = data.draw(st.floats(math.pi / 3.0, 2.0 * math.pi / 3.0))
         z = cmath.exp(1j * theta)
         nodes, weights = np.polynomial.legendre.leggauss(40)
         s = (x + y) * 0.5 + (y - x) * 0.5 * nodes
         mean = complex(np.dot(weights, z / (z - s) ** 2)) * 0.5
-        F = analysis._kernel(x, y, theta)
+        F = z / ((z - x) * (z - y))
         assert abs(F - mean) <= 1e-14
-        for k in (1.0, -1.0, 1j, -1j):
-            lo, hi = _proved_range(box, k)
-            assert lo - 2.0**-45 <= (k * F).real <= hi + 2.0**-45
-
-    @pytest.mark.parametrize("grid", [2, 7, 13])
-    def test_unpruned_search_covers_each_pair(self, grid, monkeypatch):
-        # Give every box narrower than 1/4 on each axis the bound 0, the
-        # least value found, and every wider one no bound: the search
-        # ends with only narrow boxes left, and they hold each (s, theta)
-        # sample, so it leaves no part of the rectangle unsearched.
-        leaves = []
-
-        def enclose(box, k):
-            sa, sb, ta, tb = box
-            widths = (sb - sa, tb - ta)
-            if max(widths) < 0.25:
-                leaves.append(box)
-                return 0.0, widths, box, 0.0, (sa, sa, ta)
-            return -math.inf, widths, box, 0.0, (sa, sa, ta)
-
-        monkeypatch.setattr(analysis, "_enclose", enclose)
-        analysis._least(*analysis.VALUE_BOX, 1.0)
-        for theta in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, grid):
-            for s in np.linspace(*analysis.VALUE_BOX, grid):
-                assert any(sa <= s <= sb and ta <= theta <= tb for sa, sb, ta, tb in leaves)
-
-    def test_search_evaluates_few_samples(self, monkeypatch):
-        # The eight searches bisect 248 boxes and bound 504.
-        pops, boxes = [], []
-        heappop, enclose = analysis.heapq.heappop, analysis._enclose
-        monkeypatch.setattr(analysis.heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
-        monkeypatch.setattr(analysis, "_enclose", lambda *args: boxes.append(1) or enclose(*args))
-        assert gg_prime_ranges().passed
-        assert 0 < len(pops) < 300 and len(boxes) < 600
+        for part, value in (("g", F.imag), ("g'", F.real)):
+            lo, hi = _proved_range(box, part)
+            assert lo - 2.0**-45 <= value <= hi + 2.0**-45
 
     @pytest.mark.parametrize("side", [0, 1], ids=["min", "max"])
     def test_stated_endpoint_past_the_proved_extremum_fails(self, side, monkeypatch):
-        k = -1j if side == 0 else 1j
-        proved = analysis._least(*analysis.VALUE_BOX, k)[1] * (1 if side == 0 else -1)
+        # One pad past the proved bound, beyond the 5e-5 rounding slack.
+        proved = _proved_range(analysis.VALUE_BOX, "g")[side]
         stated = list(analysis.G_RANGE_VALUE)
-        stated[side] = proved + (1e-4 if side == 0 else -1e-4)
+        stated[side] = proved + (5e-5 + analysis.GG_MARGIN) * (1 if side == 0 else -1)
         monkeypatch.setattr(analysis, "G_RANGE_VALUE", tuple(stated))
         report = gg_prime_ranges()
         assert [c.status for c in report.checks] == ["fail", "pass", "pass", "pass"]

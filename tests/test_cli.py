@@ -851,7 +851,7 @@ class TestFreshInterpreter:
         (["--depth", "3", "table"],
          "eea2ab4134dc8f6c6c6bc8eabab35e21060bc98bf1c97d57c91ded6487d87fab"),
         (["--depth", "3", "verify"],
-         "430a6f20d25405d95441aad87c965cab320febb8e9f87d91ecf03efc4c2ab436"),
+         "64d61b0d31eb54dde8939eaeccd9e68f963086bf8f2f0657d7194490783a9376"),
         (["value", "RL"], "e3e2c1c49522a69632a804b573a83c9ffd1d3fe0b1b27478aa3a2331bf481716"),
         (["bounds"], "435e7fe6b763bc4fe59ce9e615896c2dc576a562ab535dfd3bd5388f9a78ef51"),
     ], ids=["table", "verify", "value", "bounds"])
