@@ -4,12 +4,11 @@ A period is a cyclic word, held as plain ``bytes`` with one byte per
 digit; a purely periodic expansion (a1, a2, ...) = a1 - 1/(a2 - 1/...)
 converges to a real > 1 whenever all digits are >= 2.  This module
 holds the word of a Markov fraction p/q (markov_word, a closed form of
-p/q), the compact text of a word, and the numerics, which take words
-as given: a word's rotation values from one backward sweep after a
-warm-up stopped by its own contraction (a parabolic word, all 2s, is
-refused), and cycle states with a certificate that proves every
-state's float error.  Only the cycle states need numpy, and they import
-it when first called, so the word layer loads without it.
+p/q), the compact text of a word, and the numerics for admissible words
+(no 2 next to a 2), as every tree word is: rotation values from one
+backward sweep and cycle states, each within STATE_ERROR of its exact
+value by an a priori proof.  Only the cycle states need numpy, and they
+import it when first called, so the word layer loads without it.
 """
 
 from __future__ import annotations
@@ -35,13 +34,15 @@ STATE_MAX = 29.0 / 12.0
 CONJ_MIN = -21.0 / 8.0
 CONJ_MAX = -2.0 / 5.0
 
-#: cycle_states proves every state within CHECK_TOL of its exact value.
-CHECK_TOL = 1e-9
+#: Every rotation value, cycle state and conjugate of an admissible word
+#: lies within STATE_ERROR of its exact value: (13/3) 2^-53 + 2^-80,
+#: proved in _rotation_values and cycle_states.
+STATE_ERROR = 13.0 / 3.0 * 2.0 ** -53 + 2.0 ** -80
 
 
 class PeriodError(ValueError):
-    """Raised when a word is parabolic or its cycle states fail their
-    certificate; the message names the word by its compact text."""
+    """Raised when a word is not admissible (see _rotation_values); the
+    message names the word."""
 
 
 def markov_word(p: int, q: int) -> bytes:
@@ -101,75 +102,47 @@ class CycleStates:
 
 
 def _rotation_values(word: bytes) -> list[float]:
-    """Values T_k of every rotation word[k:] + word[:k], proved by
-    :func:`_certify`.
+    """Values T_k of every rotation word[k:] + word[:k] of an admissible
+    word, each within STATE_ERROR of its exact value.
 
-    T_k = d_k - 1/T_(k+1) runs backward and cyclically from 2.  A step
-    scales the start's error by 1/(T T'), so a warm-up runs until the
-    product of 1/x^2 is below 2^-60 (|2 - T| < 2 leaves it below 2^-59),
-    then one sweep stores the q values.  A digit above 2 makes a period
-    contract by 1/eps^2 (Zagier 1981); a word of 2s is parabolic (every
-    value 1) and is refused before any digit is read.
+    A word is admissible when its digits are 2, 3 or 4 and no 2 is next
+    to a 2, the word read cyclically.  Every tree word is: it is a
+    Christoffel word under a -> 3, b -> 4 2 (see markov_word), so each 2
+    has a 4 before it and a 3 or 4 after it.  Any other word, the empty
+    word too, is refused before any digit is indexed; a word of 2s is
+    parabolic (every value 1).
+
+    T_k = d_k - 1/T_(k+1) runs backward and cyclically from x = 2 for 53
+    warm-up steps, then one sweep stores the q values.  The box "x in
+    [3/2, 4], and x in [2, 4] where d >= 3" holds at the start and is
+    kept by every step: a digit d >= 3 gives d - 1/x in [7/3, 15/4], and a
+    2, whose successor is a 3 or 4, gives 2 - 1/x in [3/2, 7/4].  Each
+    bound is a float, so rounding, being monotone, keeps the computed
+    x in the box too; the exact T_k, the limit of the recursion from any
+    start in the box, lie in it.  With u = 2^-53 and e_k = x_k - T_k, the
+    computed 1/x errs by <= (2/3)u and d - 1/x < 4 rounds by <= 2u, so
+    |e_k| <= |e_(k+1)|/(x_(k+1) T_(k+1)) + (8/3)u.  The factor is <= 1/4
+    where d_(k+1) >= 3 and <= 4/9 where it is 2; 2s are isolated, so any
+    two consecutive factors multiply to <= 1/9, and the rounding terms
+    sum to at most (8/3)u (1 + 4/9)/(1 - 1/9) = (13/3)u.  The start's
+    error |2 - T| <= 2 has shrunk by <= (4/9) 9^-26 after 53 steps, so
+    every stored value is within (13/3)u + 2^-80 = STATE_ERROR.
     """
+    if not word or word.translate(None, b"\2\3\4"):
+        raise PeriodError(f"word {list(word)} is not a nonempty word over 2, 3, 4")
     if not word.translate(None, b"\2"):
         raise PeriodError(f"parabolic word {format_period(word)}: every rotation value is 1")
-    n, x, product, k = len(word), 2.0, 1.0, 0
-    while product >= 2.0 ** -60:
-        k -= 1
+    if b"\2\2" in word * 2:
+        raise PeriodError(f"word {format_period(word)} is not admissible: a 2 is next to a 2")
+    n, x = len(word), 2.0
+    for k in range(-1, -54, -1):
         x = word[k % n] - 1.0 / x
-        product /= x * x
     values = [0.0] * n
     # Back from where the warm-up stopped; a negative index wraps once.
     for k in range(k % n - 1, k % n - 1 - n, -1):
         x = word[k] - 1.0 / x
         values[k] = x
     return values
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _certify(word: bytes, sweep: str, digits: np.ndarray, t: np.ndarray) -> float:
-    """Prove each t_k within CHECK_TOL - 2^-50 of the exact rotation
-    value T*_k of ``digits``, or raise PeriodError naming ``word``;
-    return the bound e.
-
-    Let delta = CHECK_TOL, lo = min t - delta and B the sup-norm ball of
-    radius delta about t.  If lo > 1, F(x)_k = d_k - 1/x_{k+1} (indices
-    mod n) contracts B by L = 1/lo^2 < 1, as |1/x - 1/y| = |x - y|/(xy).
-    With r = max |t - F(t)|, F maps B into B if e = r/(1 - L) <= delta;
-    then its one fixed point x* in B (Banach) has |x* - t| <=
-    L|x* - t| + r, so |x* - t| <= e.  Each x*_k > 1 is fixed by the
-    Mobius map of rotation k, whose other fixed point, the Galois
-    conjugate, lies in (0, 1) (a purely periodic expansion is reduced:
-    Zagier, Zetafunktionen und quadratische Koerper, 1981); so x* = T*.
-
-    Rounding, u = 2^-53: the float F(t)_k is off by <= u + 4u, and
-    t_k - F(t)_k rounds by <= u of itself, so r <= r'(1 + 2u) + 5u,
-    below r' + 2^-49 for a computed r' <= 1.  The later steps round
-    outward.  A state a0 - 1/t_k or conjugate -(b - 1/t_k) (a0, b <= 3)
-    rounds by <= 4u and moves by |1/t_k - 1/T*_k| <= e, as t_k, T*_k > 1;
-    so e + 2^-50 <= delta puts every state within CHECK_TOL.
-    """
-    import numpy as np
-
-    lo = _down(float(t.min()) - CHECK_TOL)
-    if not lo > 1.0:  # NaN fails too
-        raise PeriodError(f"cycle state mismatch for {format_period(word)}: {sweep} sweep "
-                          f"reaches {t.min():.17g}, not above 1 + {CHECK_TOL:g}")
-    residual = float(np.abs(t - (digits - 1.0 / np.concatenate((t[1:], t[:1])))).max())
-    contraction = _up(1.0 / _down(lo * lo))
-    bound = _up(_up(residual + 2.0 ** -49) / _down(1.0 - contraction))
-    if not _up(bound + 2.0 ** -50) <= CHECK_TOL:
-        raise PeriodError(f"cycle state mismatch for {format_period(word)}: {sweep} sweep "
-                          f"residual {residual:.3g} certifies only {bound:.3g}, "
-                          f"not {CHECK_TOL:g}")
-    return bound
 
 
 def cycle_states(word: bytes) -> CycleStates:
@@ -179,22 +152,24 @@ def cycle_states(word: bytes) -> CycleStates:
     leading integer a0 runs down from a_i - 1 to 1 over the rotation
     that follows digit a_i.  Conjugates come from the reversed-word
     formula.  The word's and its reversal's sweeps give the rotation
-    values, spread over the states by array indexing: O(q) a node.
-    :func:`_certify` proves every value and conjugate within CHECK_TOL
-    of its exact value, or raises PeriodError.
+    values, spread over the states by array indexing: O(q) a node.  A
+    word that is not admissible raises PeriodError.
+
+    A state a0 - 1/t, and a conjugate -(b - 1/t) (a0, b <= 3), is one
+    more step of _rotation_values' error recursion, with its rounding
+    (1/t and a result below 4) and its factor 1/(t T): so it too is
+    within STATE_ERROR of its exact value.
     """
     import numpy as np
 
+    # t[i + 1]: the word after digit i; rev[-i]: the reversed word before it.
+    t = np.array(_rotation_values(word))
+    rev = np.array(_rotation_values(word[::-1]))
     # int64: a uint8 cumsum would wrap.
     last = np.frombuffer(word, np.uint8).astype(np.int64)
     # pos[s]: the cyclic position of state s; a0 counts down to 1 within it.
     pos = np.repeat(np.arange(len(word)), last - 1)
     a0 = np.cumsum(last - 1)[pos] - np.arange(len(pos))
-    # t[i + 1]: the word after digit i; rev[-i]: the reversed word before it.
-    t = np.array(_rotation_values(word))
-    rev = np.array(_rotation_values(word[::-1]))
-    _certify(word, "rotation", last, t)
-    _certify(word, "reversed-word", last[::-1], rev)
     values = a0 - 1.0 / np.roll(t, -1)[pos]
     conj = -((last[pos] - a0) - 1.0 / rev[-pos])
     return CycleStates(values=values, conj_values=conj)

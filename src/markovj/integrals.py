@@ -200,7 +200,7 @@ def integrate_J(node: TreeNode, tol: float) -> CycleValue:
     The bound is K l + ku/(1 - 2ku) A, raised by 2^-50 for the six
     roundings that form it, with u = 2^-53 and k = l + n + 9 + RULE_ULPS
     (n = 20).  It covers |J - I| for the exact integral I over the
-    states as computed; their own error is cf._certify's.  K l bounds
+    states as computed; their own error is cf.STATE_ERROR.  K l bounds
     |I - Q| for the exact rule sum Q (_rule).
 
     For the rounding, write J = sum_m g_m [conj(z_m) (s_m - s'_m) - t_m]

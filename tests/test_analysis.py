@@ -146,6 +146,20 @@ class TestInterlacing:
         with pytest.raises(KeyError):
             check_interlacing({}, build_tree(3))
 
+    def test_holds_from_level_after_last_violation(self):
+        # j = (1 + i) p/q interlaces, as a mediant lies between its
+        # ends; j = 1 lies outside every interval in [0, 1/2].  The moved
+        # leaves are at level 5 on the left branch and at level 3 on the
+        # right, where the tree is cut below level 3.
+        nodes = [n for n in build_tree(5) if not (n.path[:1] == "R" and n.level > 3)]
+        good = {n.path: SimpleNamespace(j=complex(n.p / n.q, n.p / n.q)) for n in nodes}
+        moved = SimpleNamespace(j=1 + 0j)
+        for paths, count, level in ((("LRLR", "RL"), 2, 6), (("RL",), 1, 4)):
+            check = check_interlacing({**good, **dict.fromkeys(paths, moved)}, nodes).checks[0]
+            assert check.status == "fail"
+            assert check.details.startswith(f"{count} violation(s) beyond tol=1e-09, worst at ")
+            assert check.details.endswith(f"; holds from level {level}")
+
 
 class TestJRecursion:
     def test_small_depth(self, depth9_values):
@@ -177,6 +191,18 @@ class TestJRecursion:
         check = check_J_recursion(values, build_tree(3)).checks[0]
         assert check.status == "fail"
         assert check.details.endswith("at 'RR', violation at 'RR'")
+
+    @pytest.mark.parametrize("excess, status", [(0.5, "pass"), (2.0, "fail")])
+    def test_measured_is_at_most_one_exactly_when_it_passes(self, excess, status):
+        # A delta past its bound by half of DELTA_SLACK passes; measured
+        # against the bound alone it read 1 + 1.1e-11, with a PASS.
+        values = {n.path: SimpleNamespace(J=0j) for n in build_tree(2)}
+        bound = analysis.RE_DELTA_COEF * CONTRACTION ** 2
+        values["R"] = SimpleNamespace(J=complex(bound + excess * analysis.DELTA_SLACK, 0.0))
+        check = check_J_recursion(values, build_tree(2)).checks[0]
+        assert check.status == status
+        assert (check.measured <= 1.0) == (status == "pass")
+        assert (check.margin >= 0.0) == (status == "pass")
 
 
 def _numpy_kernels(x, y, theta):
@@ -365,14 +391,15 @@ class TestGGPrime:
         assert report.checks[3].details.endswith("endpoints within 2%: False")
 
     def test_no_cube_sized_array(self):
-        # One (200, 200) float array is 320 kB; a 200^3 one would be 64 MB.
+        # The candidate points need about 2.4 kB; one (200, 200) float
+        # array is 320 kB, and a 200^3 one would be 64 MB.
         tracemalloc.start()
         try:
             gg_prime_ranges()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < 64_000
 
 
 class TestCoincidence:
